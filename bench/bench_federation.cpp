@@ -127,7 +127,7 @@ std::unique_ptr<Tree> BuildTree(int depth, int fanout) {
         const std::string child = below[static_cast<std::size_t>(c)];
         transport::InProcNetwork& net = tree->net;
         (void)node->AddDownstream(
-            {child, [&net, child] { return net.Dial(child); }});
+            {child, [&net, child] { return net.Dial(child); }, true, ""});
       }
       if (!is_root) {
         auto listener = tree->net.Listen(name);
@@ -224,7 +224,7 @@ std::uint64_t LeafWireRecords(bool pushdown) {
   options.lazy_base_stream = true;
   federation::RepublisherGateway site("site", clock, options);
   (void)site.AddDownstream(
-      {"leaf", [&net] { return net.Dial("leaf"); }, pushdown});
+      {"leaf", [&net] { return net.Dial("leaf"); }, pushdown, ""});
 
   std::uint64_t delivered = 0;
   (void)site.SubscribeEncoded(
@@ -271,7 +271,8 @@ std::size_t LeafStreams(int root_subscribers) {
   federation::RepublisherGateway::Options options;
   options.lazy_base_stream = true;
   federation::RepublisherGateway site("site", clock, options);
-  (void)site.AddDownstream({"leaf", [&net] { return net.Dial("leaf"); }});
+  (void)site.AddDownstream(
+      {"leaf", [&net] { return net.Dial("leaf"); }, true, ""});
   for (int i = 0; i < root_subscribers; ++i) {
     (void)site.SubscribeEncoded("c" + std::to_string(i), CpuSpec(),
                                 [](const ulm::EncodedRecord&) {});

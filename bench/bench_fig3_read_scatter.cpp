@@ -6,9 +6,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "archive/nlv.hpp"
 #include "matisse/matisse.hpp"
-#include "netlogger/analysis.hpp"
-#include "netlogger/nlv.hpp"
 
 using namespace jamm;  // NOLINT: bench brevity
 
@@ -48,7 +47,7 @@ int main() {
   }
   std::printf("          time →  (%zu reads over 20 s)\n\n", sizes.size());
 
-  auto centers = netlogger::FindClusters1D(sizes, 2);
+  auto centers = archive::FindClusters1D(sizes, 2);
   std::size_t lower = 0, upper = 0;
   const double midpoint = (centers[0] + centers[1]) / 2;
   for (double v : sizes) {
@@ -59,8 +58,8 @@ int main() {
   std::printf("separation: %.1fx; tightness within ±%0.0fB of a center: "
               "%.1f%%\n",
               centers[1] / std::max(centers[0], 1.0), centers[1] / 3,
-              100 * netlogger::ClusterTightness(sizes, centers,
-                                                centers[1] / 3));
+              100 * archive::ClusterTightness(sizes, centers,
+                                              centers[1] / 3));
   std::printf("\nshape check: two distinct, well-separated modes — %s\n",
               centers[1] > 3 * centers[0] ? "OK" : "NOT REPRODUCED");
   return 0;

@@ -7,12 +7,11 @@
 // the receiving host is high.
 #include <cstdio>
 
+#include "archive/nlv.hpp"
 #include "consumers/collector.hpp"
 #include "manager/sensor_manager.hpp"
 #include "matisse/matisse.hpp"
-#include "netlogger/analysis.hpp"
 #include "netlogger/merge.hpp"
-#include "netlogger/nlv.hpp"
 #include "sensors/host_sensors.hpp"
 
 using namespace jamm;  // NOLINT: bench brevity
@@ -56,31 +55,26 @@ int main() {
               "retransmit points inside it,\n       and high "
               "VMSTAT_SYS_TIME on the receiving host.\n\n");
 
+  const archive::OfflineLog log(std::move(merged));
   const TimePoint t1 = 30 * kSecond, t0 = t1 - 8 * kSecond;
-  netlogger::NlvRenderer nlv(t0, t1, 100);
-  nlv.AddPointRow("TCPD_RETRANSMITS",
-                  netlogger::ExtractPoints(merged, "TCPD_RETRANSMITS"));
-  nlv.AddLoadlineRow("VMSTAT_USER_TIME",
-                     netlogger::ExtractSeries(merged, "VMSTAT_USER_TIME",
-                                              "VAL"));
-  nlv.AddLoadlineRow("VMSTAT_SYS_TIME",
-                     netlogger::ExtractSeries(merged, "VMSTAT_SYS_TIME",
-                                              "VAL"));
+  auto retrans = log.Points("TCPD_RETRANSMITS");
+  auto sys = log.Points("VMSTAT_SYS_TIME", "VAL");
+  archive::NlvRenderer nlv(t0, t1, 100);
+  nlv.AddPointRow("TCPD_RETRANSMITS", retrans);
+  nlv.AddLoadlineRow("VMSTAT_USER_TIME", log.Points("VMSTAT_USER_TIME", "VAL"));
+  nlv.AddLoadlineRow("VMSTAT_SYS_TIME", sys);
   nlv.AddLoadlineRow("VMSTAT_FREE_MEMORY",
-                     netlogger::ExtractSeries(merged, "VMSTAT_FREE_MEMORY",
-                                              "VAL"));
-  auto lifelines = netlogger::BuildLifelines(merged, {"FRAME.ID"});
+                     log.Points("VMSTAT_FREE_MEMORY", "VAL"));
   nlv.AddLifelines({"MPLAY_START_READ_FRAME", "MPLAY_END_READ_FRAME",
                     "MPLAY_START_PUT_IMAGE", "MPLAY_END_PUT_IMAGE"},
-                   lifelines);
+                   log.Lifelines({"FRAME.ID"}));
   std::printf("%s\n", nlv.Render().c_str());
 
   // Correlation 1: retransmits vs frame gaps.
-  auto arrivals = netlogger::ExtractPoints(merged, "MPLAY_END_READ_FRAME");
-  auto gaps = netlogger::FindGaps(arrivals, 2 * kSecond);
-  auto retrans = netlogger::ExtractPoints(merged, "TCPD_RETRANSMITS");
+  auto gaps = archive::FindGaps(log.Points("MPLAY_END_READ_FRAME"),
+                                2 * kSecond);
   const std::size_t inside =
-      netlogger::CountPointsInGaps(retrans, gaps, 500 * kMillisecond);
+      archive::CountPointsInGaps(retrans, gaps, 500 * kMillisecond);
   std::printf("frames completed: %llu; gaps >2s: %zu\n",
               static_cast<unsigned long long>(app.frames_completed()),
               gaps.size());
@@ -92,15 +86,17 @@ int main() {
                                     static_cast<double>(retrans.size()));
 
   // Correlation 2: high system CPU on the receiving host.
-  auto sys = netlogger::ExtractSeries(merged, "VMSTAT_SYS_TIME", "VAL");
   double sys_peak = 0, sys_sum = 0;
+  std::size_t sys_n = 0;
   for (const auto& p : sys) {
+    if (!p.has_value) continue;
     sys_peak = std::max(sys_peak, p.value);
     sys_sum += p.value;
+    ++sys_n;
   }
   std::printf("VMSTAT_SYS_TIME on receiving host: mean %.0f%%, peak "
               "%.0f%% (paper: 'high level of system CPU usage')\n",
-              sys.empty() ? 0 : sys_sum / static_cast<double>(sys.size()),
+              sys_n == 0 ? 0 : sys_sum / static_cast<double>(sys_n),
               sys_peak);
 
   // Correlation 3: no SNMP errors on the path routers → not the network.

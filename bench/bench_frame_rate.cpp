@@ -6,15 +6,14 @@
 #include <cmath>
 #include <cstdio>
 
+#include "archive/nlv.hpp"
 #include "matisse/matisse.hpp"
-#include "netlogger/analysis.hpp"
-#include "netlogger/nlv.hpp"
 
 using namespace jamm;  // NOLINT: bench brevity
 
 namespace {
 
-std::vector<netlogger::SeriesPoint> RunFps(int servers, Duration span) {
+std::vector<archive::PointSample> RunFps(int servers, Duration span) {
   netsim::Simulator sim;
   netsim::Network net(sim, 2000);
   auto topo = netsim::BuildMatisseWan(net, servers);
@@ -23,11 +22,12 @@ std::vector<netlogger::SeriesPoint> RunFps(int servers, Duration span) {
   matisse::MatisseApp app(sim, net, topo, config);
   app.Start();
   sim.RunUntil(span);
-  return netlogger::RatePerSecond(app.frame_arrivals(), 0, span,
-                                  2 * kSecond);
+  const archive::OfflineLog log(app.events());
+  return archive::RatePerSecond(log.Points(matisse::event::kEndReadFrame), 0,
+                                span, 2 * kSecond);
 }
 
-void Print(const char* label, const std::vector<netlogger::SeriesPoint>& fps) {
+void Print(const char* label, const std::vector<archive::PointSample>& fps) {
   std::printf("%s\n  t(s): ", label);
   for (const auto& p : fps) std::printf("%5.0f", ToSeconds(p.ts));
   std::printf("\n  fps : ");

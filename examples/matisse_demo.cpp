@@ -7,13 +7,12 @@
 // one data socket instead of four restores throughput.
 #include <cstdio>
 
+#include "archive/nlv.hpp"
 #include "consumers/collector.hpp"
 #include "gateway/gateway.hpp"
 #include "manager/sensor_manager.hpp"
 #include "matisse/matisse.hpp"
-#include "netlogger/analysis.hpp"
 #include "netlogger/merge.hpp"
-#include "netlogger/nlv.hpp"
 #include "sensors/host_sensors.hpp"
 
 using namespace jamm;  // NOLINT: example brevity
@@ -91,19 +90,16 @@ int main() {
               four.merged.size());
 
   // ---- the Figure 7 view: last 8 seconds of the run ------------------
+  const archive::OfflineLog log(four.merged);
   const TimePoint t1 = four.end_time;
   const TimePoint t0 = t1 - 8 * kSecond;
-  netlogger::NlvRenderer nlv(t0, t1, 100);
-  nlv.AddPointRow("TCPD_RETRANSMITS",
-                  netlogger::ExtractPoints(four.merged,
-                                           "TCPD_RETRANSMITS"));
-  nlv.AddLoadlineRow("VMSTAT_SYS_TIME",
-                     netlogger::ExtractSeries(four.merged,
-                                              "VMSTAT_SYS_TIME", "VAL"));
+  archive::NlvRenderer nlv(t0, t1, 100);
+  auto retrans = log.Points("TCPD_RETRANSMITS");
+  nlv.AddPointRow("TCPD_RETRANSMITS", retrans);
+  nlv.AddLoadlineRow("VMSTAT_SYS_TIME", log.Points("VMSTAT_SYS_TIME", "VAL"));
   nlv.AddLoadlineRow("VMSTAT_FREE_MEMORY",
-                     netlogger::ExtractSeries(four.merged,
-                                              "VMSTAT_FREE_MEMORY", "VAL"));
-  auto lifelines = netlogger::BuildLifelines(four.merged, {"FRAME.ID"});
+                     log.Points("VMSTAT_FREE_MEMORY", "VAL"));
+  auto lifelines = log.Lifelines({"FRAME.ID"});
   nlv.AddLifelines({"MPLAY_START_READ_FRAME", "MPLAY_END_READ_FRAME",
                     "MPLAY_START_PUT_IMAGE", "MPLAY_END_PUT_IMAGE"},
                    lifelines);
@@ -111,19 +107,16 @@ int main() {
               nlv.Render().c_str());
 
   // ---- correlation analysis ------------------------------------------
-  std::vector<TimePoint> arrivals =
-      netlogger::ExtractPoints(four.merged, "MPLAY_END_READ_FRAME");
-  auto gaps = netlogger::FindGaps(arrivals, 2 * kSecond);
-  auto retrans = netlogger::ExtractPoints(four.merged, "TCPD_RETRANSMITS");
+  auto gaps = archive::FindGaps(log.Points("MPLAY_END_READ_FRAME"),
+                                2 * kSecond);
   std::printf("frame-arrival gaps >2s: %zu; retransmit events inside "
               "gaps: %zu of %zu\n",
               gaps.size(),
-              netlogger::CountPointsInGaps(retrans, gaps,
-                                           500 * kMillisecond),
+              archive::CountPointsInGaps(retrans, gaps, 500 * kMillisecond),
               retrans.size());
 
-  auto e2e = netlogger::SegmentLatency(lifelines, "MPLAY_START_READ_FRAME",
-                                       "MPLAY_END_READ_FRAME");
+  auto e2e = archive::SegmentLatency(lifelines, "MPLAY_START_READ_FRAME",
+                                     "MPLAY_END_READ_FRAME");
   std::printf("frame read latency: mean %.2fs  p95 %.2fs  (n=%zu)\n\n",
               e2e.mean_s, e2e.p95_s, e2e.count);
 

@@ -8,10 +8,11 @@
 # reconnect/retry paths and runs here too, as does the seeded end-to-end
 # chaos harness (label "chaos"), the segmented archive's lock-striped
 # concurrent ingest/query suite (label "archive"), the archive analysis
-# engine's queries racing ingest/compaction/compression (label
-# "analysis", ISSUE 8), the republisher tree's merge/dedup/pushdown
-# paths (label "federation"), the sharded WAL-backed directory's RCU
-# snapshot reads racing structural writes and the reaper (label
+# engine's queries racing ingest/compaction/compression and the offline
+# nlv views built on it (label "analysis"), the republisher tree's
+# merge/dedup/pushdown paths (label "federation"), the sharded
+# WAL-backed directory's RCU snapshot reads racing structural writes
+# and the reaper (label
 # "directory", ISSUE 9), the flat
 # ULM core (label "ulm", ISSUE 7): the lock-free symbol-interning table
 # and the MPSC ring channel's multi-producer stress tests, and the
@@ -28,7 +29,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build-tsan}"
 
 cmake -B "$build_dir" -S "$repo_root" -DJAMM_SANITIZE=thread
-cmake --build "$build_dir" -j --target telemetry_test gateway_test resilience_test chaos_test archive_test analysis_property_test federation_test directory_test flat_test ulm_test ulm_fuzz_test transport_test security_test security_fuzz_test
+cmake --build "$build_dir" -j --target telemetry_test gateway_test resilience_test chaos_test archive_test analysis_property_test nlv_test federation_test directory_test flat_test ulm_test ulm_fuzz_test transport_test security_test security_fuzz_test
 ctest --test-dir "$build_dir" -L 'concurrency|resilience|chaos|archive|analysis|federation|directory|ulm|security' --output-on-failure
 
 echo "tsan: concurrency/resilience/chaos/archive/analysis/federation/directory/ulm/security-labelled tests clean"

@@ -1,6 +1,7 @@
 #include "archive/analysis.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <utility>
@@ -86,25 +87,16 @@ struct Compiled {
 
   /// Value extraction for loadline/point/agg: present only when the spec
   /// names a field and it parses as a double (same ParseDouble semantics
-  /// as Record::GetDouble, which the brute-force parity tests use).
+  /// as Record::GetDouble, which the brute-force parity tests use). A NaN
+  /// ("VAL=nan" parses) is no value: it has no place in the sorted order
+  /// the statistics are computed over.
   std::optional<double> Value(const ulm::RecordView& view) const {
     if (!value_sym) return std::nullopt;
     auto parsed = view.GetDouble(*value_sym);
-    if (!parsed.ok()) return std::nullopt;
+    if (!parsed.ok() || std::isnan(*parsed)) return std::nullopt;
     return *parsed;
   }
 };
-
-/// Nearest-rank percentile over an ascending-sorted vector.
-double NearestRank(const std::vector<double>& sorted, int pct) {
-  if (sorted.empty()) return 0;
-  if (pct <= 0) return sorted.front();
-  std::size_t rank =
-      (static_cast<std::size_t>(pct) * sorted.size() + 99) / 100;
-  if (rank < 1) rank = 1;
-  if (rank > sorted.size()) rank = sorted.size();
-  return sorted[rank - 1];
-}
 
 /// Canonical sum: ascending order, so the result is bit-identical no
 /// matter how the values were partitioned across segments.
@@ -130,6 +122,16 @@ Result<std::uint64_t> ParseU64(const std::string& text, const char* what) {
 }
 
 }  // namespace
+
+double NearestRank(const std::vector<double>& sorted, int pct) {
+  if (sorted.empty()) return 0;
+  if (pct <= 0) return sorted.front();
+  std::size_t rank =
+      (static_cast<std::size_t>(pct) * sorted.size() + 99) / 100;
+  if (rank < 1) rank = 1;
+  if (rank > sorted.size()) rank = sorted.size();
+  return sorted[rank - 1];
+}
 
 // ------------------------------------------------------------- spec codec
 

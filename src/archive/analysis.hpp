@@ -61,7 +61,7 @@ struct TraceLifeline {
 /// One loadline grid bucket (sparse: only non-empty buckets are emitted).
 /// `count` is matching records in [bucket_start, bucket_start + bucket);
 /// the value statistics cover the subset whose value field parsed as a
-/// double (`value_count` of them; all zero when none did).
+/// double other than NaN (`value_count` of them; all zero when none did).
 struct LoadBucket {
   TimePoint bucket_start = 0;
   std::uint64_t count = 0;
@@ -73,7 +73,7 @@ struct LoadBucket {
 };
 
 /// One scatter point: a matching record's timestamp and (when the value
-/// field parsed) its value.
+/// field parsed to a number other than NaN) its value.
 struct PointSample {
   TimePoint ts = 0;
   bool has_value = false;
@@ -119,6 +119,11 @@ std::string EncodeAnalysisSpec(const AnalysisSpec& spec);
 /// bucket/pct so a garbled predicate errors instead of silently matching
 /// everything.
 Result<AnalysisSpec> ParseAnalysisSpec(std::string_view text);
+
+/// Nearest-rank percentile (`pct` in 0..100) of an ascending-sorted
+/// vector; 0 when empty. The one percentile definition every analysis
+/// statistic uses.
+double NearestRank(const std::vector<double>& sorted, int pct);
 
 /// The pushdown engine. Borrows the archive (must outlive the engine);
 /// every method is thread-safe against concurrent ingest, sealing,

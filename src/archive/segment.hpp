@@ -112,11 +112,6 @@ struct Segment {
       for (std::size_t i = 0; i < chunk.size(); ++i) fn(chunk.View(i));
     }
   }
-  /// Legacy spelling: materializes a Record per visit — prefer ForEachView.
-  template <typename Fn>
-  void ForEachRecord(Fn&& fn) const {
-    ForEachView([&](const ulm::RecordView& view) { fn(view.ToRecord()); });
-  }
 
   bool empty() const { return record_count_ == 0; }
   std::size_t size() const { return record_count_; }

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <set>
@@ -42,7 +43,7 @@ using ulm::Record;
 
 /// Trace-shaped random records: hop chains sharing a TRACE.ID with
 /// per-hop SPAN.IDs, plus traceless noise events; VAL is numeric on most
-/// records, non-numeric or absent on some (exercising the has-value
+/// records, non-numeric, NaN or absent on some (exercising the has-value
 /// split). Timestamps land in [0, 2s).
 std::vector<Record> CorpusRecords(std::uint64_t seed, std::size_t n) {
   Rng rng(seed);
@@ -65,7 +66,7 @@ std::vector<Record> CorpusRecords(std::uint64_t seed, std::size_t n) {
         if (rng.Chance(0.9)) {
           rec.SetField("VAL", rng.Uniform(-50000, 50000) * 0.001);
         } else {
-          rec.SetField("VAL", "n/a");
+          rec.SetField("VAL", rng.Chance(0.5) ? "n/a" : "nan");
         }
         out.push_back(std::move(rec));
       }
@@ -96,7 +97,7 @@ EventArchive MakeArchive(const std::vector<Record>& records,
 //
 // Shared statistics math (ascending-sorted sums, nearest-rank
 // percentiles) is re-derived here from its definition, not shared with
-// the engine.
+// the engine. A value is a field that parses as a double other than NaN.
 
 double RefNearestRank(const std::vector<double>& sorted, int pct) {
   if (sorted.empty()) return 0;
@@ -183,7 +184,7 @@ std::vector<LoadBucket> RefLoadline(const std::vector<Record>& raw,
     ++count;
     if (!spec.value_field.empty()) {
       auto value = rec.GetDouble(spec.value_field);
-      if (value.ok()) values.push_back(*value);
+      if (value.ok() && !std::isnan(*value)) values.push_back(*value);
     }
   }
   std::vector<LoadBucket> out;
@@ -214,7 +215,7 @@ std::vector<PointSample> RefPoints(const std::vector<Record>& raw,
     point.ts = rec.timestamp();
     if (!spec.value_field.empty()) {
       auto value = rec.GetDouble(spec.value_field);
-      if (value.ok()) {
+      if (value.ok() && !std::isnan(*value)) {
         point.has_value = true;
         point.value = *value;
       }
@@ -233,7 +234,7 @@ std::vector<AggRow> RefAggregate(const std::vector<Record>& raw,
     ++count;
     if (!spec.value_field.empty()) {
       auto value = rec.GetDouble(spec.value_field);
-      if (value.ok()) values.push_back(*value);
+      if (value.ok() && !std::isnan(*value)) values.push_back(*value);
     }
   }
   std::vector<AggRow> out;
@@ -385,6 +386,45 @@ TEST(AnalysisPropertyTest, ParityWithBruteForceAcrossShapes) {
         }
       }
     }
+  }
+}
+
+TEST(AnalysisPropertyTest, NanValuesDoNotDependOnArrivalOrder) {
+  // "VAL=nan" parses as a double, but NaN has no place in the sorted order
+  // the statistics are defined over. The engine treats it as no value, so
+  // the same records give the same rows in any arrival order.
+  std::vector<Record> records;
+  for (int i = 0; i < 21; ++i) {
+    Record rec(kSecond, "host0", "prog", "Usage", "LOAD");
+    if (i % 4 == 1) {
+      rec.SetField("VAL", "nan");
+    } else {
+      rec.SetField("VAL", static_cast<std::int64_t>(i));
+    }
+    records.push_back(std::move(rec));
+  }
+  std::vector<Record> reversed(records.rbegin(), records.rend());
+  SegmentConfig config;
+  config.stripes = 1;
+  EventArchive forward_ar = MakeArchive(records, config, false);
+  EventArchive reverse_ar = MakeArchive(reversed, config, false);
+  const AnalysisEngine forward(forward_ar);
+  const AnalysisEngine reverse(reverse_ar);
+  AnalysisSpec spec;
+  spec.value_field = "VAL";
+  const TimePoint t0 = 0, t1 = 2 * kSecond;
+
+  const auto rows = forward.Aggregate(spec, t0, t1);
+  ExpectAggEq(rows, reverse.Aggregate(spec, t0, t1));
+  ExpectBucketsEq(forward.Loadline(spec, t0, t1),
+                  reverse.Loadline(spec, t0, t1));
+  ExpectAggEq(rows, RefAggregate(records, spec, t0, t1));
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].count, 21u);
+  EXPECT_EQ(rows[0].value_count, 16u);
+  EXPECT_EQ(rows[0].max, 20.0);
+  for (const auto& point : forward.Points(spec, t0, t1)) {
+    EXPECT_TRUE(!point.has_value || !std::isnan(point.value));
   }
 }
 

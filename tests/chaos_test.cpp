@@ -293,7 +293,8 @@ TEST(ChaosTest, FederationTreeReconvergesAfterMidTierCrashes) {
   auto revive_site = [&] {
     site = std::make_unique<federation::RepublisherGateway>("site", clock);
     ASSERT_TRUE(
-        site->AddDownstream({"leaf", [&net] { return net.Dial("leaf"); }})
+        site->AddDownstream(
+                {"leaf", [&net] { return net.Dial("leaf"); }, true, ""})
             .ok());
     auto listener = net.Listen("site");
     ASSERT_TRUE(listener.ok());
@@ -916,8 +917,12 @@ TEST(ChaosTest, SecuredGatewayCrashMidAuthAndPolicyReloadRace) {
     if (i >= 7) collect(got_bob, bob.DrainEvents());
     if (i >= 15 && i < 50) collect(got_resumer, resumer.DrainEvents());
     if (i >= 8 && bob_token.empty()) bob_token = bob.token();
-    if (i >= 33 && i <= 35) EXPECT_TRUE(late.DrainEvents().empty());
-    if (i >= 36 && i <= 38) EXPECT_TRUE(bob2.DrainEvents().empty());
+    if (i >= 33 && i <= 35) {
+      EXPECT_TRUE(late.DrainEvents().empty());
+    }
+    if (i >= 36 && i <= 38) {
+      EXPECT_TRUE(bob2.DrainEvents().empty());
+    }
 
     if (i == 5) {
       // Bob's handshake goes on the wire after the step's last poll...

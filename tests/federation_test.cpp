@@ -40,6 +40,17 @@ gateway::FilterSpec CpuGlobSpec() {
   return *spec;
 }
 
+/// A downstream child dialed on `net` by its own name.
+RepublisherGateway::DownstreamSpec Child(transport::InProcNetwork& net,
+                                         const std::string& name,
+                                         bool supports_pushdown = true) {
+  RepublisherGateway::DownstreamSpec spec;
+  spec.name = name;
+  spec.dialer = [&net, name] { return net.Dial(name); };
+  spec.supports_pushdown = supports_pushdown;
+  return spec;
+}
+
 // -------------------------------------------------------------- deduper
 
 TEST(StreamDeduperTest, AdmitsDuplicatesAndStaleExactly) {
@@ -83,17 +94,13 @@ TEST(FederationTest, DepthThreeDeliversLeafEventToRootViaPushdown) {
   lazy.lazy_base_stream = true;
 
   RepublisherGateway site("site", clock, lazy);
-  ASSERT_TRUE(
-      site.AddDownstream({"leaf", [&net] { return net.Dial("leaf"); }, true})
-          .ok());
+  ASSERT_TRUE(site.AddDownstream(Child(net, "leaf")).ok());
   auto site_listener = net.Listen("site");
   ASSERT_TRUE(site_listener.ok());
   gateway::GatewayService site_service(site, std::move(*site_listener));
 
   RepublisherGateway region("region", clock, lazy);
-  ASSERT_TRUE(
-      region.AddDownstream({"site", [&net] { return net.Dial("site"); }, true})
-          .ok());
+  ASSERT_TRUE(region.AddDownstream(Child(net, "site")).ok());
 
   std::vector<std::string> delivered_a, delivered_b;
   auto sub_a = region.SubscribeEncoded(
@@ -227,12 +234,8 @@ TEST(FederationTest, MergesChildrenTimeOrdered) {
   gateway::GatewayService service_b(leaf_b, std::move(*listener_b));
 
   RepublisherGateway site("site", clock);
-  ASSERT_TRUE(
-      site.AddDownstream({"leaf-a", [&net] { return net.Dial("leaf-a"); }})
-          .ok());
-  ASSERT_TRUE(
-      site.AddDownstream({"leaf-b", [&net] { return net.Dial("leaf-b"); }})
-          .ok());
+  ASSERT_TRUE(site.AddDownstream(Child(net, "leaf-a")).ok());
+  ASSERT_TRUE(site.AddDownstream(Child(net, "leaf-b")).ok());
 
   std::vector<TimePoint> order;
   auto sub = site.SubscribeEncoded("root", {}, [&](const ulm::EncodedRecord& enc) {
@@ -268,8 +271,7 @@ TEST(FederationTest, DropsDuplicatesAndStaleWithExactAccounting) {
   gateway::GatewayService service(leaf, std::move(*listener));
 
   RepublisherGateway site("site", clock);
-  ASSERT_TRUE(
-      site.AddDownstream({"leaf", [&net] { return net.Dial("leaf"); }}).ok());
+  ASSERT_TRUE(site.AddDownstream(Child(net, "leaf")).ok());
 
   std::size_t delivered = 0;
   auto sub = site.SubscribeEncoded(
@@ -315,12 +317,9 @@ TEST(FederationTest, LocalEvalFallbackMatchesPushdownOutput) {
                    gateway::EventGateway& leaf,
                    gateway::GatewayService& service,
                    RepublisherGateway& site) {
-    ASSERT_TRUE(site.AddDownstream({prefix + "-leaf",
-                                    [&net, prefix] {
-                                      return net.Dial(prefix + "-leaf");
-                                    },
-                                    supports_pushdown})
-                    .ok());
+    ASSERT_TRUE(
+        site.AddDownstream(Child(net, prefix + "-leaf", supports_pushdown))
+            .ok());
     (void)leaf;
     (void)service;
   };
@@ -408,12 +407,8 @@ TEST(FederationTest, SummaryPushdownMergesChildrenWeighted) {
     return data;
   };
   RepublisherGateway site("site", clock, options);
-  ASSERT_TRUE(
-      site.AddDownstream({"leaf-a", [&net] { return net.Dial("leaf-a"); }})
-          .ok());
-  ASSERT_TRUE(
-      site.AddDownstream({"leaf-b", [&net] { return net.Dial("leaf-b"); }})
-          .ok());
+  ASSERT_TRUE(site.AddDownstream(Child(net, "leaf-a")).ok());
+  ASSERT_TRUE(site.AddDownstream(Child(net, "leaf-b")).ok());
 
   auto merged = site.GetSummary("CPU");
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
@@ -439,8 +434,7 @@ TEST(FederationTest, SummaryFallsBackToLocalWindowOnChildFailure) {
   };
   RepublisherGateway site("site", clock, options);
   site.EnableSummary("CPU");
-  ASSERT_TRUE(
-      site.AddDownstream({"leaf", [&net] { return net.Dial("leaf"); }}).ok());
+  ASSERT_TRUE(site.AddDownstream(Child(net, "leaf")).ok());
 
   // Local windows fill from the merged base stream.
   site.Pump();
@@ -472,8 +466,7 @@ TEST(FederationTest, LastUnsubscribeTearsDownGroupAndLeafStream) {
   RepublisherGateway::Options lazy;
   lazy.lazy_base_stream = true;
   RepublisherGateway site("site", clock, lazy);
-  ASSERT_TRUE(
-      site.AddDownstream({"leaf", [&net] { return net.Dial("leaf"); }}).ok());
+  ASSERT_TRUE(site.AddDownstream(Child(net, "leaf")).ok());
 
   auto sub_a = site.SubscribeEncoded("a", CpuGlobSpec(),
                                      [](const ulm::EncodedRecord&) {});
@@ -581,8 +574,7 @@ TEST(FederationTest, OverviewMonitorEvaluatesMultiHostRuleAtRoot) {
   RepublisherGateway::Options lazy;
   lazy.lazy_base_stream = true;
   RepublisherGateway root("root", clock, lazy);
-  ASSERT_TRUE(
-      root.AddDownstream({"leaf", [&net] { return net.Dial("leaf"); }}).ok());
+  ASSERT_TRUE(root.AddDownstream(Child(net, "leaf")).ok());
   auto root_listener = net.Listen("root");
   ASSERT_TRUE(root_listener.ok());
   gateway::GatewayService root_service(root, std::move(*root_listener));

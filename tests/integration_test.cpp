@@ -9,13 +9,13 @@
 #include <set>
 
 #include "archive/archive.hpp"
+#include "archive/nlv.hpp"
 #include "consumers/archiver.hpp"
 #include "consumers/collector.hpp"
 #include "consumers/overview_monitor.hpp"
 #include "consumers/process_monitor.hpp"
 #include "directory/replication.hpp"
 #include "manager/sensor_manager.hpp"
-#include "netlogger/analysis.hpp"
 #include "netlogger/merge.hpp"
 #include "gateway/service.hpp"
 #include "rpc/httpsim.hpp"
@@ -151,11 +151,10 @@ TEST_F(PipelineTest, DiscoveryCollectionAndMergedLog) {
   EXPECT_TRUE(saw_b);
 
   // nlv-style check: host A's measured CPU is visibly higher.
-  auto series_a = netlogger::ExtractSeries(
-      merged, sensors::event::kVmstatUserTime, "VAL");
+  const archive::OfflineLog log(merged);
   double max_a = 0;
-  for (const auto& p : series_a) {
-    if (p.value > max_a && p.ts > 2 * kSecond) max_a = p.value;
+  for (const auto& p : log.Points(sensors::event::kVmstatUserTime, "VAL")) {
+    if (p.has_value && p.value > max_a && p.ts > 2 * kSecond) max_a = p.value;
   }
   EXPECT_GT(max_a, 40.0);
 }

@@ -4,8 +4,8 @@
 // coupling that feeds Figure 7.
 #include <gtest/gtest.h>
 
+#include "archive/nlv.hpp"
 #include "matisse/matisse.hpp"
-#include "netlogger/analysis.hpp"
 
 namespace jamm::matisse {
 namespace {
@@ -48,15 +48,16 @@ TEST(MatisseTest, LifelinesAreOrderedPerFrame) {
   Rig rig(2);
   rig.app->Start();
   rig.sim.RunFor(5 * kSecond);
-  auto lifelines = netlogger::BuildLifelines(rig.app->events(), {"FRAME.ID"});
+  const archive::OfflineLog log(rig.app->events());
+  auto lifelines = log.Lifelines({"FRAME.ID"});
   ASSERT_GT(lifelines.size(), 2u);
   for (const auto& line : lifelines) {
     // Within a frame: START_READ first; END_READ before START_PUT.
     TimePoint start_read = -1, end_read = -1, start_put = -1;
-    for (const auto& ev : line.events) {
-      if (ev.event_name == event::kStartReadFrame) start_read = ev.ts;
-      if (ev.event_name == event::kEndReadFrame) end_read = ev.ts;
-      if (ev.event_name == event::kStartPutImage) start_put = ev.ts;
+    for (const auto& hop : line.hops) {
+      if (hop.event == event::kStartReadFrame) start_read = hop.ts;
+      if (hop.event == event::kEndReadFrame) end_read = hop.ts;
+      if (hop.event == event::kStartPutImage) start_put = hop.ts;
     }
     ASSERT_GE(start_read, 0) << line.object_id;
     if (end_read >= 0) {
@@ -110,7 +111,7 @@ TEST(MatisseTest, ReadSizesClusterAroundTwoValues) {
   rig.sim.RunFor(15 * kSecond);
   const auto& sizes = rig.app->read_sizes();
   ASSERT_GT(sizes.size(), 100u);
-  auto centers = netlogger::FindClusters1D(sizes, 2);
+  auto centers = archive::FindClusters1D(sizes, 2);
   ASSERT_EQ(centers.size(), 2u);
   // "the (unexpected) clustering of the data around two distinct values":
   // small trickle reads while TCP crawls vs large reads when a recovery
@@ -124,8 +125,7 @@ TEST(MatisseTest, ReadSizesClusterAroundTwoValues) {
   }
   EXPECT_GT(upper, 20u);
   EXPECT_LT(upper, sizes.size() - 20u);
-  EXPECT_GT(netlogger::ClusterTightness(sizes, centers, centers[1] / 3),
-            0.9);
+  EXPECT_GT(archive::ClusterTightness(sizes, centers, centers[1] / 3), 0.9);
 }
 
 TEST(MatisseTest, SensorCouplingReflectsNetworkState) {
@@ -139,9 +139,8 @@ TEST(MatisseTest, SensorCouplingReflectsNetworkState) {
   EXPECT_GT(metrics->cpu_sys_pct, 30.0);
   EXPECT_GT(metrics->tcp_retransmits, 0);
   // TCPD_RETRANSMITS point events present in the log.
-  auto points = netlogger::ExtractPoints(rig.app->events(),
-                                         event::kTcpdRetransmits);
-  EXPECT_FALSE(points.empty());
+  const archive::OfflineLog log(rig.app->events());
+  EXPECT_FALSE(log.Points(event::kTcpdRetransmits).empty());
 }
 
 TEST(MatisseTest, RetransmitsCorrelateWithFrameGaps) {
@@ -150,15 +149,14 @@ TEST(MatisseTest, RetransmitsCorrelateWithFrameGaps) {
   Rig rig(4);
   rig.app->Start();
   rig.sim.RunFor(20 * kSecond);
-  auto arrivals = rig.app->frame_arrivals();
+  const archive::OfflineLog log(rig.app->events());
+  auto arrivals = log.Points(event::kEndReadFrame);
   ASSERT_GT(arrivals.size(), 3u);
-  auto gaps = netlogger::FindGaps(arrivals, 2 * kSecond);
+  auto gaps = archive::FindGaps(arrivals, 2 * kSecond);
   if (gaps.empty()) GTEST_SKIP() << "no long gaps this seed";
-  auto retrans = netlogger::ExtractPoints(rig.app->events(),
-                                          event::kTcpdRetransmits);
   // A decent share of retransmit events falls inside (or near) the gaps.
-  const std::size_t inside =
-      netlogger::CountPointsInGaps(retrans, gaps, 500 * kMillisecond);
+  const std::size_t inside = archive::CountPointsInGaps(
+      log.Points(event::kTcpdRetransmits), gaps, 500 * kMillisecond);
   EXPECT_GT(inside, 0u);
 }
 

@@ -1,17 +1,14 @@
 // Tests for the NetLogger toolkit: client API buffering/flushing and all
-// sink types, merge/sort tools, and the nlv analysis primitives (lifeline,
-// loadline, point, clustering, gap correlation).
+// sink types, and the merge/sort tools. The nlv views are tested in
+// nlv_test.cpp.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 
 #include "common/rng.hpp"
-#include "netlogger/analysis.hpp"
 #include "netlogger/logger.hpp"
 #include "netlogger/merge.hpp"
-#include "netlogger/nlv.hpp"
 #include "netlogger/sinks.hpp"
 
 namespace jamm::netlogger {
@@ -198,190 +195,6 @@ TEST(MergeTest, WriteThenLoadRoundTrips) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, log);
   std::remove(path.c_str());
-}
-
-// --------------------------------------------------------------- analysis
-
-std::vector<ulm::Record> FramePipeline(int nframes, Duration step) {
-  // Synthetic client-server path per frame: request → arrive → done.
-  std::vector<ulm::Record> log;
-  for (int f = 0; f < nframes; ++f) {
-    const TimePoint base = f * step;
-    auto add = [&](Duration offset, const std::string& name) {
-      auto rec = MakeEvent(base + offset, name);
-      rec.SetField("FRAME.ID", static_cast<std::int64_t>(f));
-      log.push_back(rec);
-    };
-    add(0, "REQUEST");
-    add(10 * kMillisecond, "ARRIVE");
-    add(25 * kMillisecond, "DONE");
-  }
-  return log;
-}
-
-TEST(AnalysisTest, BuildLifelinesGroupsById) {
-  auto log = FramePipeline(5, kSecond);
-  auto lifelines = BuildLifelines(log, {"FRAME.ID"});
-  ASSERT_EQ(lifelines.size(), 5u);
-  for (const auto& line : lifelines) {
-    ASSERT_EQ(line.events.size(), 3u);
-    EXPECT_EQ(line.events[0].event_name, "REQUEST");
-    EXPECT_EQ(line.events[2].event_name, "DONE");
-    EXPECT_EQ(line.elapsed(), 25 * kMillisecond);
-  }
-}
-
-TEST(AnalysisTest, LifelineIgnoresRecordsWithoutId) {
-  auto log = FramePipeline(2, kSecond);
-  log.push_back(MakeEvent(99, "NOISE"));
-  auto lifelines = BuildLifelines(log, {"FRAME.ID"});
-  EXPECT_EQ(lifelines.size(), 2u);
-}
-
-TEST(AnalysisTest, CompositeIdFields) {
-  std::vector<ulm::Record> log;
-  auto rec = MakeEvent(1, "E", "hostA");
-  rec.SetField("SET", "s1");
-  rec.SetField("BLOCK", "7");
-  log.push_back(rec);
-  rec = MakeEvent(2, "E", "hostA");
-  rec.SetField("SET", "s1");
-  rec.SetField("BLOCK", "8");
-  log.push_back(rec);
-  auto lifelines = BuildLifelines(log, {"SET", "BLOCK"});
-  EXPECT_EQ(lifelines.size(), 2u);
-}
-
-TEST(AnalysisTest, SegmentLatencyStats) {
-  auto log = FramePipeline(100, 100 * kMillisecond);
-  auto lifelines = BuildLifelines(log, {"FRAME.ID"});
-  auto stats = SegmentLatency(lifelines, "REQUEST", "ARRIVE");
-  EXPECT_EQ(stats.count, 100u);
-  EXPECT_NEAR(stats.mean_s, 0.010, 1e-9);
-  EXPECT_NEAR(stats.min_s, 0.010, 1e-9);
-  EXPECT_NEAR(stats.max_s, 0.010, 1e-9);
-  auto e2e = SegmentLatency(lifelines, "REQUEST", "DONE");
-  EXPECT_NEAR(e2e.mean_s, 0.025, 1e-9);
-  auto missing = SegmentLatency(lifelines, "REQUEST", "NOPE");
-  EXPECT_EQ(missing.count, 0u);
-}
-
-TEST(AnalysisTest, ExtractSeriesAndResample) {
-  std::vector<ulm::Record> log;
-  for (int i = 0; i < 10; ++i) {
-    auto rec = MakeEvent(i * kSecond, "VMSTAT_SYS_TIME");
-    rec.SetField("VAL", static_cast<double>(i));
-    log.push_back(rec);
-  }
-  auto series = ExtractSeries(log, "VMSTAT_SYS_TIME", "VAL");
-  ASSERT_EQ(series.size(), 10u);
-  auto resampled = ResampleMean(series, 5 * kSecond);
-  ASSERT_EQ(resampled.size(), 2u);
-  EXPECT_NEAR(resampled[0].value, 2.0, 1e-9);  // mean of 0..4
-  EXPECT_NEAR(resampled[1].value, 7.0, 1e-9);  // mean of 5..9
-}
-
-TEST(AnalysisTest, ExtractPointsFiltersByName) {
-  std::vector<ulm::Record> log = {MakeEvent(1, "TCPD_RETRANSMITS"),
-                                  MakeEvent(2, "OTHER"),
-                                  MakeEvent(3, "TCPD_RETRANSMITS")};
-  auto points = ExtractPoints(log, "TCPD_RETRANSMITS");
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_EQ(points[0], 1);
-  EXPECT_EQ(points[1], 3);
-}
-
-TEST(AnalysisTest, RatePerSecondBuckets) {
-  std::vector<TimePoint> points;
-  for (int i = 0; i < 12; ++i) points.push_back(i * 250 * kMillisecond);
-  auto rate = RatePerSecond(points, 0, 3 * kSecond, kSecond);
-  ASSERT_EQ(rate.size(), 3u);
-  EXPECT_NEAR(rate[0].value, 4.0, 1e-9);
-  EXPECT_NEAR(rate[1].value, 4.0, 1e-9);
-}
-
-TEST(AnalysisTest, ComputeStatsKnownValues) {
-  auto s = ComputeStats({1, 2, 3, 4, 5});
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
-  EXPECT_DOUBLE_EQ(s.p50, 3.0);
-  EXPECT_NEAR(s.stddev, std::sqrt(2.0), 1e-9);
-  EXPECT_EQ(ComputeStats({}).count, 0u);
-}
-
-TEST(AnalysisTest, FindClustersTwoModes) {
-  // Figure 3's shape: read() sizes clustered around two distinct values.
-  Rng rng(11);
-  std::vector<double> values;
-  for (int i = 0; i < 500; ++i) values.push_back(rng.Normal(8192, 50));
-  for (int i = 0; i < 500; ++i) values.push_back(rng.Normal(49000, 80));
-  auto centers = FindClusters1D(values, 2);
-  ASSERT_EQ(centers.size(), 2u);
-  EXPECT_NEAR(centers[0], 8192, 200);
-  EXPECT_NEAR(centers[1], 49000, 300);
-  EXPECT_GT(ClusterTightness(values, centers, 500), 0.99);
-}
-
-TEST(AnalysisTest, FindClustersDegenerateInputs) {
-  EXPECT_TRUE(FindClusters1D({}, 2).empty());
-  auto one = FindClusters1D({5.0}, 3);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_DOUBLE_EQ(one[0], 5.0);
-}
-
-TEST(AnalysisTest, FindGapsAndCorrelation) {
-  std::vector<TimePoint> frames;
-  for (int i = 0; i < 10; ++i) frames.push_back(i * kSecond);
-  for (int i = 0; i < 10; ++i) frames.push_back(15 * kSecond + i * kSecond);
-  auto gaps = FindGaps(frames, 2 * kSecond);
-  ASSERT_EQ(gaps.size(), 1u);
-  EXPECT_EQ(gaps[0].start, 9 * kSecond);
-  EXPECT_EQ(gaps[0].end, 15 * kSecond);
-  std::vector<TimePoint> retransmits = {10 * kSecond, 12 * kSecond,
-                                        40 * kSecond};
-  EXPECT_EQ(CountPointsInGaps(retransmits, gaps, 0), 2u);
-}
-
-// -------------------------------------------------------------------- nlv
-
-TEST(NlvTest, RendersAllPrimitives) {
-  NlvRenderer nlv(0, 10 * kSecond, 50);
-  nlv.AddPointRow("TCPD_RETRANSMITS", {1 * kSecond, 2 * kSecond}, 'X');
-  std::vector<SeriesPoint> load;
-  for (int i = 0; i < 10; ++i) {
-    load.push_back({i * kSecond, static_cast<double>(i)});
-  }
-  nlv.AddLoadlineRow("VMSTAT_SYS_TIME", load);
-  auto log = FramePipeline(3, 3 * kSecond);
-  auto lifelines = BuildLifelines(log, {"FRAME.ID"});
-  nlv.AddLifelines({"REQUEST", "ARRIVE", "DONE"}, lifelines);
-  const std::string out = nlv.Render();
-  EXPECT_NE(out.find("TCPD_RETRANSMITS"), std::string::npos);
-  EXPECT_NE(out.find("X"), std::string::npos);
-  EXPECT_NE(out.find("VMSTAT_SYS_TIME"), std::string::npos);
-  EXPECT_NE(out.find("REQUEST"), std::string::npos);
-  // Lifeline row order is bottom-up: DONE above ARRIVE above REQUEST.
-  EXPECT_LT(out.find("DONE"), out.find("REQUEST"));
-  EXPECT_NE(out.find("0s"), std::string::npos);
-  EXPECT_NE(out.find("10.00s"), std::string::npos);
-}
-
-TEST(NlvTest, PointsOutsideRangeIgnored) {
-  NlvRenderer nlv(10 * kSecond, 20 * kSecond, 20);
-  nlv.AddPointRow("P", {0, 25 * kSecond}, 'X');
-  const std::string out = nlv.Render();
-  EXPECT_EQ(out.find('X'), std::string::npos);
-}
-
-TEST(NlvTest, CsvEmitters) {
-  std::vector<SeriesPoint> series = {{kSecond, 1.5}, {2 * kSecond, 2.5}};
-  const std::string csv = SeriesToCsv(series);
-  EXPECT_NE(csv.find("time_s,value"), std::string::npos);
-  EXPECT_NE(csv.find("1.000000,1.500000"), std::string::npos);
-  const std::string pcsv = PointsToCsv({3 * kSecond}, kSecond);
-  EXPECT_NE(pcsv.find("2.000000"), std::string::npos);
 }
 
 }  // namespace

@@ -567,11 +567,11 @@ TEST_P(FederationEquivalence, PushdownAndLocalEvalAreByteIdentical) {
   federation::RepublisherGateway site_f("f-site", clock);
   ASSERT_TRUE(site_p.AddDownstream(
                         {"p-leaf", [&net] { return net.Dial("p-leaf"); },
-                         /*supports_pushdown=*/true})
+                         /*supports_pushdown=*/true, /*auth_payload=*/""})
                   .ok());
   ASSERT_TRUE(site_f.AddDownstream(
                         {"f-leaf", [&net] { return net.Dial("f-leaf"); },
-                         /*supports_pushdown=*/false})
+                         /*supports_pushdown=*/false, /*auth_payload=*/""})
                   .ok());
 
   auto spec = gateway::FilterSpec::Parse(GetParam().spec);
@@ -680,7 +680,8 @@ TEST(FederationSummaryProperty, MergedLeafWindowsMatchGlobalWindow) {
     for (int leaf = 0; leaf < leaves; ++leaf) {
       const std::string name = "leaf-" + std::to_string(leaf);
       ASSERT_TRUE(
-          site.AddDownstream({name, [&net] { return net.Dial("x"); }}).ok());
+          site.AddDownstream({name, [&net] { return net.Dial("x"); }, true, ""})
+              .ok());
     }
 
     auto merged = site.GetSummary("CPU");
