@@ -7,9 +7,10 @@
 // glob query must scan only covering segments, not the whole archive.
 //
 // The segmented store is measured three ways: record-at-a-time Ingest
-// (the seed's API shape), IngestBatch over owned Record vectors (the PR 6
-// production path, now a conversion shim that transcribes each Record
-// into the flat arena at ingest), and IngestBatch over FlatBatch frames
+// (the seed's API shape: each Record converted, then ingested as a view),
+// owned Record frames (the batched production path before flat frames:
+// each frame transcribed into one flat chunk, then ingested — the
+// conversion shim), and IngestBatch over FlatBatch frames
 // (ISSUE 7) — the zero-copy arena splice the archiver pump and gateway
 // frames feed directly. The headline speedup compares the best batched
 // mode against the legacy store at the same thread count.
@@ -104,6 +105,17 @@ const std::vector<ulm::Record>& AllEvents() {
   return events;
 }
 
+/// Record-at-a-time ingest into the segmented store: each Record is
+/// converted into a reused per-thread FlatRecord and ingested as a view.
+struct RecordIngest {
+  archive::EventArchive& archive;
+  void Ingest(const ulm::Record& rec) {
+    thread_local ulm::FlatRecord scratch;
+    scratch.AssignRecord(rec);
+    archive.Ingest(scratch.View());
+  }
+};
+
 template <typename Store>
 double IngestEventsPerSec(Store& store, int threads) {
   const auto& events = AllEvents();
@@ -155,7 +167,14 @@ double IngestBatchedPerSec(archive::EventArchive& ar, int threads) {
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&ar, frames = &per_thread[static_cast<std::size_t>(
                                      t)]] {
-      for (auto& frame : *frames) ar.IngestBatch(std::move(frame));
+      for (auto& frame : *frames) {
+        // The shim: one flat chunk per owned Record frame.
+        ulm::FlatBatch batch;
+        batch.Reserve(frame.size(), frame.size() * 64);
+        for (const auto& rec : frame) (void)batch.Append(rec);
+        frame.clear();
+        ar.IngestBatch(std::move(batch));
+      }
     });
   }
   for (auto& w : workers) w.join();
@@ -217,9 +236,11 @@ IngestCell RunSegmented(int threads, std::size_t segment_records, Mode mode) {
     config.max_span = 1000 * kHour;  // record bound governs the sweep
     config.stripes = 8;
     archive::EventArchive ar("bench", 1, config);
-    per_s.push_back(mode == Mode::kBatch   ? IngestBatchedPerSec(ar, threads)
-                    : mode == Mode::kFlat ? IngestFlatPerSec(ar, threads)
-                                          : IngestEventsPerSec(ar, threads));
+    RecordIngest records{ar};
+    per_s.push_back(mode == Mode::kBatch ? IngestBatchedPerSec(ar, threads)
+                    : mode == Mode::kFlat
+                        ? IngestFlatPerSec(ar, threads)
+                        : IngestEventsPerSec(records, threads));
     if (ar.size() != kEvents) {
       std::fprintf(stderr, "segmented store lost records: %zu of %d\n",
                    ar.size(), kEvents);
@@ -360,7 +381,8 @@ int main(int argc, char** argv) {
   config.max_span = 1000 * kHour;
   config.stripes = 8;
   archive::EventArchive ar("bench", 1, config);
-  (void)IngestEventsPerSec(ar, 4);
+  RecordIngest records{ar};
+  (void)IngestEventsPerSec(records, 4);
   ar.SealActive();
   std::vector<QueryCell> queries;
   queries.push_back(RunQuery(ar, "narrow_glob", 0.001, "EVT_3"));

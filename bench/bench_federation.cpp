@@ -174,7 +174,7 @@ TreeRow MeasureTree(int depth, int fanout) {
     const int host = i % kHosts;
     const int species = i % kEventSpecies;
     ts += kMillisecond;
-    ulm::Record rec(ts, "host" + std::to_string(host), "sensor", "Usage",
+    ulm::FlatRecord rec(ts, "host" + std::to_string(host), "sensor", "Usage",
                     SpeciesName(species));
     rec.SetField("VAL", static_cast<double>(i % 100));
     tree->leaves[static_cast<std::size_t>(host) % leaves]->Publish(rec);
@@ -189,7 +189,7 @@ TreeRow MeasureTree(int depth, int fanout) {
   std::vector<double> trips;
   for (int trip = 0; trip < kLatencyTrips; ++trip) {
     ts += kSecond;
-    ulm::Record rec(ts, "host0", "sensor", "Usage", "CPU");
+    ulm::FlatRecord rec(ts, "host0", "sensor", "Usage", "CPU");
     rec.SetField("VAL", 1.0);
     const std::uint64_t before = delivered;
     const double s0 = NowSeconds();
@@ -240,7 +240,7 @@ std::uint64_t LeafWireRecords(bool pushdown) {
   TimePoint ts = kSecond;
   for (int i = 0; i < kTreeEvents; ++i) {
     ts += kMillisecond;
-    ulm::Record rec(ts, "host" + std::to_string(i % kHosts), "sensor",
+    ulm::FlatRecord rec(ts, "host" + std::to_string(i % kHosts), "sensor",
                     "Usage", SpeciesName(i % kEventSpecies));
     rec.SetField("VAL", static_cast<double>(i % 100));
     leaf.Publish(rec);

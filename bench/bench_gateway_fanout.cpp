@@ -36,28 +36,30 @@ Outcome Run(int consumers, bool with_gateway) {
   // is where the fan-out happens relative to the monitored host's uplink.
   gateway::EventGateway fanout("gw", clock);
   for (int c = 0; c < consumers; ++c) {
-    (void)fanout.Subscribe("consumer-" + std::to_string(c), {},
-                           [&out](const ulm::Record&) {
-                             ++out.consumer_events;
-                           });
+    (void)fanout.SubscribeEncoded("consumer-" + std::to_string(c), {},
+                                  [&out](const ulm::EncodedRecord&) {
+                                    ++out.consumer_events;
+                                  });
   }
 
+  ulm::FlatRecord flat;  // what the sensor manager hands the gateway
   for (int second = 0; second < 60; ++second) {
     std::vector<ulm::Record> events;
     vmstat.Poll(events);
     for (const auto& rec : events) {
+      flat.AssignRecord(rec);
       const std::uint64_t wire_bytes = rec.ToAscii().size() + 8;
       if (with_gateway) {
         // Host → gateway once; gateway multiplies off-host.
         ++out.host_events_sent;
         out.host_bytes_sent += wire_bytes;
-        fanout.Publish(rec);
+        fanout.Publish(flat);
       } else {
         // Host itself serves every consumer.
         out.host_events_sent += static_cast<std::uint64_t>(consumers);
         out.host_bytes_sent += wire_bytes *
                                static_cast<std::uint64_t>(consumers);
-        fanout.Publish(rec);
+        fanout.Publish(flat);
       }
     }
     clock.Advance(kSecond);

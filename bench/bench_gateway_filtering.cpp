@@ -36,14 +36,15 @@ int main() {
   for (const char* mode : modes) {
     auto spec = gateway::FilterSpec::Parse(mode);
     std::string key = mode;
-    (void)gateway.Subscribe(key, *spec, [&delivered, key](const ulm::Record&) {
-      ++delivered[key];
-    });
+    (void)gateway.SubscribeEncoded(
+        key, *spec,
+        [&delivered, key](const ulm::EncodedRecord&) { ++delivered[key]; });
   }
 
   // One hour: load wave (sys CPU swings across 50%), sparse retransmit
   // bursts.
   std::uint64_t published = 0;
+  ulm::FlatRecord flat;  // what the sensor manager hands the gateway
   for (int second = 0; second < 3600; ++second) {
     const double wave = 45 + 25 * std::sin(second / 120.0);
     host.SetBaseLoad(10, wave);
@@ -52,7 +53,8 @@ int main() {
     netstat.Poll(events);
     vmstat.Poll(events);
     for (const auto& rec : events) {
-      gateway.Publish(rec);
+      flat.AssignRecord(rec);
+      gateway.Publish(flat);
       ++published;
     }
     clock.Advance(kSecond);

@@ -68,15 +68,30 @@ std::vector<ulm::Record> BenchEvents() {
   return events;
 }
 
+/// The corpus as the flat records the gateway publishes (built outside
+/// every timed region).
+std::vector<ulm::FlatRecord> FlatCorpus(
+    const std::vector<ulm::Record>& events) {
+  std::vector<ulm::FlatRecord> corpus;
+  corpus.reserve(events.size());
+  for (const auto& rec : events) {
+    corpus.push_back(ulm::FlatRecord::FromRecord(rec));
+  }
+  return corpus;
+}
+
 // ------------------------------------------------- Part A: encode-once
 
 /// One timed pass: kFanoutPublishes events through a gateway with `nsubs`
 /// binary-format subscribers. `encode_once` false re-encodes per
-/// subscriber (the baseline the tentpole replaced).
+/// subscriber with the Record codec from the bench's own corpus (the
+/// baseline the tentpole replaced).
 double TimedFanoutPass(const std::vector<ulm::Record>& events, int nsubs,
                        bool encode_once) {
   SimClock clock;
   gateway::EventGateway gw("gw", clock);
+  std::vector<ulm::FlatRecord> corpus = FlatCorpus(events);
+  const ulm::Record* current = nullptr;  // the Record being published
   std::uint64_t sink = 0;
   for (int c = 0; c < nsubs; ++c) {
     gateway::EventGateway::EncodedCallback cb;
@@ -85,15 +100,17 @@ double TimedFanoutPass(const std::vector<ulm::Record>& events, int nsubs,
         sink += enc.Binary().size();  // shared cache: 1 encode per publish
       };
     } else {
-      cb = [&sink](const ulm::EncodedRecord& enc) {
-        sink += ulm::EncodeBinary(enc.record()).size();  // per-subscriber
+      cb = [&sink, &current](const ulm::EncodedRecord&) {
+        sink += ulm::EncodeBinary(*current).size();  // per-subscriber
       };
     }
     (void)gw.SubscribeEncoded("c" + std::to_string(c), {}, std::move(cb));
   }
   const double t0 = NowSeconds();
   for (int i = 0; i < kFanoutPublishes; ++i) {
-    gw.Publish(events[static_cast<std::size_t>(i) % events.size()]);
+    const std::size_t k = static_cast<std::size_t>(i) % events.size();
+    current = &events[k];
+    gw.Publish(corpus[k]);
   }
   const double elapsed = NowSeconds() - t0;
   if (sink == 0) std::fprintf(stderr, "impossible: no deliveries\n");
@@ -151,13 +168,14 @@ WireRow TimedWirePass(const std::vector<ulm::Record>& events,
   service.PollOnce();
   (void)(*channel)->Receive(kSecond);  // gw.ok
 
+  std::vector<ulm::FlatRecord> corpus = FlatCorpus(events);
   WireRow row{batch, burst, 0, 0};
   std::uint64_t decoded = 0;
   auto drain = [&] {
     while (auto msg = (*channel)->TryReceive()) {
       ++row.frames;
       if (msg->type == transport::kEventBatchMessageType) {
-        auto records = transport::DecodeEventBatch(*msg);
+        auto records = ulm::DecodeBinaryStream(msg->payload);
         if (records.ok()) decoded += records->size();
       } else {
         if (ulm::Record::FromAscii(msg->payload).ok()) ++decoded;
@@ -166,7 +184,7 @@ WireRow TimedWirePass(const std::vector<ulm::Record>& events,
   };
   const double t0 = NowSeconds();
   for (int i = 0; i < kWireEvents; ++i) {
-    gw.Publish(events[static_cast<std::size_t>(i) % events.size()]);
+    gw.Publish(corpus[static_cast<std::size_t>(i) % corpus.size()]);
     if (i % burst == burst - 1) drain();
   }
   clock.Advance(service.batch_max_age());
@@ -205,12 +223,22 @@ archive::EventArchive MakePipelineArchive() {
   return archive::EventArchive("bench", 1, config);
 }
 
+/// One owned Record frame as the flat chunk the archive stores — the
+/// per-record conversion the pre-flat archive ran at ingest.
+ulm::FlatBatch FrameToBatch(const std::vector<ulm::Record>& frame) {
+  ulm::FlatBatch batch;
+  batch.Reserve(frame.size(), frame.size() * 64);
+  for (const auto& rec : frame) (void)batch.Append(rec);
+  return batch;
+}
+
 /// The pre-ISSUE-7 shape of one sensor→manager→gateway→republisher→archive
 /// trip, reconstructed faithfully: a string-keyed Record is COPIED at each
 /// hand-off (manager queue, gateway cache/fan-out, federation republish),
 /// hop stamps go through string-keyed SetField, routing and summary
-/// bookkeeping compare event-name strings, and the archive takes owned
-/// Record frames (the PR 6 batched path).
+/// bookkeeping compare event-name strings, each event is encoded once for
+/// its subscribers, and the archive takes owned Record frames converted
+/// into one flat chunk per frame.
 double TimedLegacyPipelinePass(const std::vector<ulm::Record>& events) {
   auto ar = MakePipelineArchive();
   std::map<std::string, std::uint64_t> summary;
@@ -233,20 +261,21 @@ double TimedLegacyPipelinePass(const std::vector<ulm::Record>& events) {
     summary[hop2.event_name()]++;              // string-keyed summary
     last_event = hop2;                         // gateway caches: two full
     last_by_event[hop2.event_name()] = hop2;   // Record copies per publish
-    ulm::EncodedRecord enc(hop2);
+    std::string binary;                        // encoded once, on demand
     for (const auto& w : want) {               // per-subscriber routing
-      if (hop2.event_name() == w) sink += enc.Binary().size();
+      if (hop2.event_name() != w) continue;
+      if (binary.empty()) binary = ulm::EncodeBinary(hop2);
+      sink += binary.size();
     }
     ulm::Record hop3 = hop2;                   // republisher hand-off
     hop3.SetField("HOP.FED", "1");
     frame.push_back(std::move(hop3));
     if (frame.size() == kFlatFrame) {
-      ar.IngestBatch(std::move(frame));
-      frame = {};
-      frame.reserve(kFlatFrame);
+      ar.IngestBatch(FrameToBatch(frame));
+      frame.clear();
     }
   }
-  if (!frame.empty()) ar.IngestBatch(std::move(frame));
+  if (!frame.empty()) ar.IngestBatch(FrameToBatch(frame));
   const double elapsed = NowSeconds() - t0;
   if (sink == 0 || ar.size() != static_cast<std::size_t>(kFlatEvents)) {
     std::fprintf(stderr, "legacy pipeline lost records\n");
@@ -275,9 +304,7 @@ double TimedFlatPipelinePass(const std::vector<ulm::Record>& events) {
     want.push_back(s % 2 ? ulm::InternSymbol(events[0].event_name())
                          : ulm::InternSymbol("other.event"));
   }
-  std::vector<ulm::FlatRecord> corpus;  // the sensors' native output
-  corpus.reserve(events.size());
-  for (const auto& rec : events) corpus.push_back(ulm::FlatRecord::FromRecord(rec));
+  std::vector<ulm::FlatRecord> corpus = FlatCorpus(events);  // native output
   ulm::FlatRecord scratch;
   ulm::FlatBatch batch;
   std::uint64_t sink = 0;

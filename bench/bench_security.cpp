@@ -23,7 +23,7 @@
 #include "security/certificate.hpp"
 #include "security/crypto.hpp"
 #include "security/token.hpp"
-#include "ulm/record.hpp"
+#include "ulm/flat.hpp"
 
 using namespace jamm;            // NOLINT: bench brevity
 using namespace jamm::security;  // NOLINT
@@ -193,16 +193,16 @@ double BenchPipeline(bool secured) {
 
   std::size_t delivered = 0;
   for (int s = 0; s < kSubscribers; ++s) {
-    auto sub = gw.Subscribe("consumer" + std::to_string(s), {},
-                            [&delivered](const ulm::Record&) { ++delivered; },
-                            principal);
+    auto sub = gw.SubscribeEncoded(
+        "consumer" + std::to_string(s), {},
+        [&delivered](const ulm::EncodedRecord&) { ++delivered; }, principal);
     if (!sub.ok()) {
       std::fprintf(stderr, "pipeline subscribe denied\n");
       std::exit(1);
     }
   }
 
-  const ulm::Record rec(clock.Now(), "h1", "bench", "Usage", "CPU_LOAD");
+  ulm::FlatRecord rec(clock.Now(), "h1", "bench", "Usage", "CPU_LOAD");
   std::vector<double> per_s;
   for (int pass = 0; pass < kPasses; ++pass) {
     const std::size_t before = delivered;

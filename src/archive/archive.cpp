@@ -93,12 +93,6 @@ void EventArchive::SetCompactionPolicy(CompactionPolicy policy) {
   compaction_ = std::move(policy);
 }
 
-bool EventArchive::IsAbnormal(const ulm::Record& rec) {
-  const std::string& lvl = rec.lvl();
-  return lvl == ulm::level::kError || lvl == ulm::level::kWarning ||
-         lvl == ulm::level::kAlert || lvl == ulm::level::kEmergency;
-}
-
 bool EventArchive::IsAbnormal(ulm::Symbol lvl) {
   static const std::array<ulm::Symbol, 4> kAbnormal = {
       ulm::InternSymbol(ulm::level::kError),
@@ -148,8 +142,10 @@ void EventArchive::Ingest(const ulm::RecordView& view) {
   Stripe& stripe = StripeForThisThread();
   std::lock_guard lock(stripe.mu);
   ++stripe.ingested;
-  // Same clause order as the legacy Ingest below, so both paths draw
-  // identical per-stripe rng streams for the same records.
+  // Order matters twice over: with sampling off (the common case) the
+  // first clause short-circuits past the IsAbnormal level compares, and
+  // with sampling on, IsAbnormal-then-Chance preserves the per-stripe rng
+  // stream the seed sampling tests pin down (IngestBatch draws the same).
   const bool keep = normal_fraction_ >= 1.0 ||
                     (keep_abnormal_ && IsAbnormal(view.lvl_sym())) ||
                     stripe.rng.Chance(normal_fraction_);
@@ -160,32 +156,6 @@ void EventArchive::Ingest(const ulm::RecordView& view) {
   }
   if (!stripe.active) stripe.active = NewSegment();
   stripe.active->Append(view);
-  if (stripe.active->size() >= config_.max_records ||
-      stripe.active->Span() >= config_.max_span) {
-    SealLocked(stripe);
-  }
-}
-
-void EventArchive::Ingest(const ulm::Record& rec) {
-  auto& tm = Instruments();
-  tm.ingested.Increment();
-  Stripe& stripe = StripeForThisThread();
-  std::lock_guard lock(stripe.mu);
-  ++stripe.ingested;
-  // Order matters twice over: with sampling off (the common case) the
-  // first clause short-circuits past the IsAbnormal level compares, and
-  // with sampling on, IsAbnormal-then-Chance preserves the per-stripe rng
-  // stream the seed sampling tests pin down.
-  const bool keep = normal_fraction_ >= 1.0 ||
-                    (keep_abnormal_ && IsAbnormal(rec)) ||
-                    stripe.rng.Chance(normal_fraction_);
-  if (!keep) {
-    ++stripe.dropped;
-    tm.dropped.Increment();
-    return;
-  }
-  if (!stripe.active) stripe.active = NewSegment();
-  stripe.active->Append(rec);
   if (stripe.active->size() >= config_.max_records ||
       stripe.active->Span() >= config_.max_span) {
     SealLocked(stripe);
@@ -228,39 +198,6 @@ void EventArchive::IngestBatch(ulm::FlatBatch&& batch) {
   }
 }
 
-void EventArchive::IngestBatch(std::vector<ulm::Record>&& batch) {
-  if (batch.empty()) return;
-  auto& tm = Instruments();
-  tm.ingested.Add(batch.size());
-  Stripe& stripe = StripeForThisThread();
-  std::lock_guard lock(stripe.mu);
-  stripe.ingested += batch.size();
-  if (normal_fraction_ < 1.0) {
-    // Sampling on: per-record keep decisions, in frame order so the
-    // per-stripe rng stream matches record-at-a-time ingest exactly.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const bool keep = (keep_abnormal_ && IsAbnormal(batch[i])) ||
-                        stripe.rng.Chance(normal_fraction_);
-      if (keep) {
-        if (kept != i) batch[kept] = std::move(batch[i]);
-        ++kept;
-      } else {
-        ++stripe.dropped;
-        tm.dropped.Increment();
-      }
-    }
-    batch.resize(kept);
-    if (batch.empty()) return;
-  }
-  if (!stripe.active) stripe.active = NewSegment();
-  stripe.active->AppendFrame(std::move(batch));
-  if (stripe.active->size() >= config_.max_records ||
-      stripe.active->Span() >= config_.max_span) {
-    SealLocked(stripe);
-  }
-}
-
 std::size_t EventArchive::SealActive() {
   std::size_t sealed = 0;
   for (auto& stripe : stripes_) {
@@ -276,7 +213,7 @@ std::size_t EventArchive::SealActive() {
 double EventArchive::HashUnit(const ulm::RecordView& view) const {
   // FNV-1a over the record's canonical binary encoding, mixed with the
   // sampling seed: stable across processes and Save/Load round trips (the
-  // flat encoding is byte-identical to the legacy one, so compaction
+  // flat encoding is byte-identical to the Record one, so compaction
   // decisions survived the flat-core migration unchanged).
   const std::string bytes = ulm::EncodeBinary(view);
   std::uint64_t h = 1469598103934665603ull ^ sampling_seed_;
@@ -404,7 +341,7 @@ std::vector<ulm::Record> EventArchive::Collect(
       [&](const Segment& segment) {
         Hits hits;
         // Predicates run on the view (symbol compares, no allocation);
-        // only matching records pay the legacy-Record materialization.
+        // only matching records pay the Record materialization.
         segment.ForEachView([&](const ulm::RecordView& view) {
           if (view.timestamp() >= t0 && view.timestamp() < t1 &&
               matches(view)) {

@@ -127,16 +127,14 @@ class EventArchive {
 
   /// Store (subject to sampling). Never fails on policy drops — a dropped
   /// event is policy, not an error. Thread-safe: concurrent callers land
-  /// on distinct lock stripes. The view form is the flat hot path (ISSUE
-  /// 7): the keep decision is symbol compares and the kept record is one
-  /// arena copy; the legacy form converts on the way in.
+  /// on distinct lock stripes. The keep decision is symbol compares and
+  /// the kept record is one arena copy.
   void Ingest(const ulm::RecordView& view);
-  void Ingest(const ulm::Record& rec);
 
   /// Batched ingest — the archiver's production path, since the gateway
   /// delivers events in batched frames (ISSUE 3). One stripe-lock
-  /// acquisition covers the whole batch. The flat form splices the
-  /// batch's arena into the active segment in O(1) when sampling is off
+  /// acquisition covers the whole batch, whose arena is spliced into the
+  /// active segment in O(1) when sampling is off
   /// (no per-record work at all); sampling applies per record in batch
   /// order, with keep decisions drawn from the same per-stripe rng stream
   /// as Ingest, so batched and record-at-a-time ingest of the same
@@ -144,8 +142,6 @@ class EventArchive {
   /// segment seals after the batch lands, so the record-count bound is
   /// "at least" here. Thread-safe.
   void IngestBatch(ulm::FlatBatch&& batch);
-  /// Legacy batched form: per-record conversion into a flat chunk.
-  void IngestBatch(std::vector<ulm::Record>&& batch);
 
   /// Seal every non-empty active segment now (flush before save/handoff);
   /// returns segments sealed. Thread-safe.
@@ -249,9 +245,8 @@ class EventArchive {
     std::uint64_t loaded_records = 0;  // base for ingested() after a load
   };
 
-  static bool IsAbnormal(const ulm::Record& rec);
-  /// Symbol form — the flat ingest path's keep decision is four 4-byte
-  /// compares against the pre-interned abnormal level symbols.
+  /// The ingest keep decision is four 4-byte compares against the
+  /// pre-interned abnormal level symbols.
   static bool IsAbnormal(ulm::Symbol lvl);
 
   Stripe& StripeForThisThread() const;

@@ -9,9 +9,11 @@ namespace jamm::archive {
 
 // ---------------------------------------------------------- offline log
 
-OfflineLog::OfflineLog(std::vector<ulm::Record> records)
+OfflineLog::OfflineLog(const std::vector<ulm::Record>& records)
     : archive_("offline-log"), engine_(archive_) {
-  archive_.IngestBatch(std::move(records));
+  ulm::FlatBatch batch;
+  for (const ulm::Record& rec : records) (void)batch.Append(rec);
+  archive_.IngestBatch(std::move(batch));
   const auto [first, last] = archive_.TimeSpan();
   t0_ = first;
   t1_ = last + 1;

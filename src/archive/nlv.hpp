@@ -30,7 +30,7 @@ namespace jamm::archive {
 /// cover the whole log: [first timestamp, last timestamp + 1).
 class OfflineLog {
  public:
-  explicit OfflineLog(std::vector<ulm::Record> records);
+  explicit OfflineLog(const std::vector<ulm::Record>& records);
   OfflineLog(const OfflineLog&) = delete;
   OfflineLog& operator=(const OfflineLog&) = delete;
 

@@ -125,37 +125,11 @@ void Segment::Append(const ulm::RecordView& view) {
   IndexView(view);
 }
 
-void Segment::Append(const ulm::Record& rec) {
-  ulm::FlatBatch* tail = &TailChunk();
-  if (!tail->Append(rec)) {
-    tail_open_ = false;  // tail arena full (~4 GiB): rotate chunks
-    tail = &TailChunk();
-    if (!tail->Append(rec)) return;  // single unstorable record
-  }
-  IndexView(tail->View(tail->size() - 1));
-}
-
 void Segment::AppendFlatFrame(ulm::FlatBatch&& batch) {
   if (batch.empty()) return;
   for (std::size_t i = 0; i < batch.size(); ++i) IndexView(batch.View(i));
   chunks.push_back(std::move(batch));
   tail_open_ = false;
-}
-
-void Segment::AppendFrame(std::vector<ulm::Record>&& frame) {
-  if (frame.empty()) return;
-  ulm::FlatBatch batch;
-  batch.Reserve(frame.size(), frame.size() * kValueBytesPerRecordHint);
-  for (const auto& rec : frame) {
-    if (!batch.Append(rec)) {
-      // Frame larger than one 4 GiB arena: splice what fits, keep going.
-      AppendFlatFrame(std::move(batch));
-      batch = ulm::FlatBatch();
-      if (!batch.Append(rec)) continue;  // single unstorable record
-    }
-  }
-  AppendFlatFrame(std::move(batch));
-  frame.clear();
 }
 
 std::string CompressPayload(const Segment& segment) {

@@ -15,7 +15,7 @@
 // value bytes instead of a heap string per field, and the per-record
 // index fold is 4-byte symbol compares instead of string compares.
 // Iteration hands out RecordViews; the wire format below is unchanged
-// (flat EncodeBinary is byte-identical to the legacy codec).
+// (flat EncodeBinary is byte-identical to the Record codec).
 //
 // Persistence is per-segment with a checksummed header (layout below), so
 // one corrupt segment is skipped on load instead of poisoning the whole
@@ -85,15 +85,12 @@ struct Segment {
   /// pruning never decompresses. Only sealed segments are ever compressed.
   std::string compressed;
 
-  /// Copy one record into the tail chunk (legacy form converts/interns).
+  /// Copy one record into the tail chunk.
   void Append(const ulm::RecordView& view);
-  void Append(const ulm::Record& rec);
   /// Splice a whole owned flat batch in as one chunk: O(1) in the records
   /// themselves, one index/min-max pass over them. Batch order becomes
   /// arrival order.
   void AppendFlatFrame(ulm::FlatBatch&& batch);
-  /// Legacy batched form: converts the frame into one flat chunk.
-  void AppendFrame(std::vector<ulm::Record>&& frame);
 
   /// Visit every record in arrival order as a RecordView. For an
   /// uncompressed segment there is no materialization; a compressed

@@ -35,27 +35,29 @@ ArchiverAgent::~ArchiverAgent() { UnsubscribeAll(); }
 Status ArchiverAgent::SubscribeTo(gateway::EventGateway& gw,
                                   const gateway::FilterSpec& spec,
                                   const std::string& principal) {
-  auto sub = gw.Subscribe(
-      name_, spec, [this](const ulm::Record& rec) { IngestRecord(rec); },
+  auto sub = gw.SubscribeEncoded(
+      name_, spec,
+      [this](const ulm::EncodedRecord& enc) { IngestView(enc.view()); },
       principal);
   if (!sub.ok()) return sub.status();
   subscriptions_.emplace_back(&gw, *sub);
   return Status::Ok();
 }
 
-void ArchiverAgent::IngestRecord(const ulm::Record& record) {
+void ArchiverAgent::IngestView(const ulm::RecordView& view) {
   auto& tm = Instruments();
   tm.events_received.Increment();
   telemetry::ScopedTimer ingest_timer(&tm.ingest_us);
   // Traced records get their final hop stamped so the archived copy
-  // shows the full sensor → manager → gateway → archiver path.
-  if (telemetry::HasTrace(record)) {
-    ulm::Record stamped = record;
-    telemetry::StampHop(stamped, "archiver",
-                        clock_ ? clock_->Now() : record.timestamp());
-    archive_.Ingest(stamped);
+  // shows the full sensor → manager → gateway → archiver path. The view
+  // borrows the gateway's record, which other subscribers still see, so
+  // the stamp goes on a copy.
+  if (telemetry::HasTrace(view)) {
+    stamp_scratch_.Assign(view);
+    telemetry::StampHop(stamp_scratch_, "archiver", HopTime(view.timestamp()));
+    archive_.Ingest(stamp_scratch_.View());
   } else {
-    archive_.Ingest(record);
+    archive_.Ingest(view);
   }
   // Sealing a segment changes what the directory entry advertises
   // (contents, segment count, time span), so keep it current.
@@ -85,17 +87,17 @@ std::size_t ArchiverAgent::PumpRemote() {
   for (auto& rec : remote_->DrainEvents()) {
     remote_buffer_.Push(std::move(rec));
   }
-  // The remote path converts straight into one flat batch — a shared
-  // arena the archive splices into its active segment wholesale: one
+  // The remote path copies straight into one flat batch — a shared arena
+  // the archive splices into its active segment wholesale: one
   // stripe-lock acquisition per pump and no per-record heap traffic past
-  // this point (ISSUE 7).
+  // this point. The records are the archiver's own, so traced
+  // ones are stamped in place.
   ulm::FlatBatch batch;
   while (auto rec = remote_buffer_.Pop()) {
-    if (telemetry::HasTrace(*rec)) {
-      telemetry::StampHop(*rec, "archiver",
-                          clock_ ? clock_->Now() : rec->timestamp());
+    if (telemetry::HasTrace(rec->View())) {
+      telemetry::StampHop(*rec, "archiver", HopTime(rec->timestamp()));
     }
-    (void)batch.Append(*rec);  // one pump never nears the 4 GiB arena cap
+    (void)batch.Append(rec->View());  // a pump never nears the 4 GiB cap
   }
   if (batch.empty()) return 0;
   auto& tm = Instruments();

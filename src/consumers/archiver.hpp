@@ -72,7 +72,10 @@ class ArchiverAgent {
   void UnsubscribeAll();
 
  private:
-  void IngestRecord(const ulm::Record& record);
+  void IngestView(const ulm::RecordView& view);
+  TimePoint HopTime(TimePoint record_ts) const {
+    return clock_ ? clock_->Now() : record_ts;
+  }
 
   std::string name_;
   archive::EventArchive& archive_;
@@ -80,7 +83,10 @@ class ArchiverAgent {
   const Clock* clock_;
   std::vector<std::pair<gateway::EventGateway*, std::string>> subscriptions_;
   std::unique_ptr<gateway::GatewayClient> remote_;
-  resilience::ReplayBuffer<ulm::Record> remote_buffer_{1024};
+  resilience::ReplayBuffer<ulm::FlatRecord> remote_buffer_{1024};
+  /// Local-path stamping copy: the gateway's record is borrowed, so a
+  /// traced view is copied here (capacity reused) before HOP.ARCHIVER.
+  ulm::FlatRecord stamp_scratch_;
   directory::DirectoryPool* published_pool_ = nullptr;
   directory::Dn published_suffix_;
   std::uint64_t published_seals_ = 0;

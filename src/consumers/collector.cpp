@@ -40,9 +40,11 @@ Result<std::size_t> EventCollector::DiscoverAndSubscribe(
 Status EventCollector::SubscribeTo(gateway::EventGateway& gw,
                                    const gateway::FilterSpec& spec,
                                    const std::string& principal) {
-  auto sub = gw.Subscribe(
+  auto sub = gw.SubscribeEncoded(
       name_, spec,
-      [this](const ulm::Record& rec) { collected_.push_back(rec); },
+      [this](const ulm::EncodedRecord& enc) {
+        collected_.emplace_back().Assign(enc.view());
+      },
       principal);
   if (!sub.ok()) return sub.status();
   subscriptions_.emplace_back(&gw, *sub);
@@ -78,7 +80,9 @@ std::size_t EventCollector::PumpRemote() {
 }
 
 std::vector<ulm::Record> EventCollector::Merged() const {
-  std::vector<ulm::Record> out = collected_;
+  std::vector<ulm::Record> out;
+  out.reserve(collected_.size());
+  for (const ulm::FlatRecord& rec : collected_) out.push_back(rec.ToRecord());
   netlogger::SortByTime(out);
   return out;
 }

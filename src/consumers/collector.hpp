@@ -63,7 +63,8 @@ class EventCollector {
   /// Events evicted from the outage buffer.
   std::uint64_t remote_dropped() const { return remote_buffer_.dropped(); }
 
-  /// Everything collected so far, time-merged.
+  /// Everything collected so far, time-merged — the NetLogger log form
+  /// (the one place collected records become Records).
   std::vector<ulm::Record> Merged() const;
 
   /// Merge and write an nlv-ready log file.
@@ -78,10 +79,10 @@ class EventCollector {
  private:
   std::string name_;
   GatewayResolver resolver_;
-  std::vector<ulm::Record> collected_;
+  std::vector<ulm::FlatRecord> collected_;
   std::vector<std::pair<gateway::EventGateway*, std::string>> subscriptions_;
   std::unique_ptr<gateway::GatewayClient> remote_;
-  resilience::ReplayBuffer<ulm::Record> remote_buffer_{1024};
+  resilience::ReplayBuffer<ulm::FlatRecord> remote_buffer_{1024};
 };
 
 }  // namespace jamm::consumers

@@ -1,7 +1,7 @@
 #include "consumers/overview_monitor.hpp"
 
 #include "common/strings.hpp"
-#include "ulm/record.hpp"
+#include "ulm/flat.hpp"
 
 namespace jamm::consumers {
 
@@ -14,7 +14,7 @@ Status OverviewMonitor::SubscribeTo(gateway::GatewaySurface& gw,
   gateway::FilterSpec spec;  // all events
   auto sub = gw.SubscribeEncoded(
       name_, spec,
-      [this](const ulm::EncodedRecord& enc) { HandleEvent(enc.record()); },
+      [this](const ulm::EncodedRecord& enc) { HandleEvent(enc.view()); },
       principal);
   if (!sub.ok()) return sub.status();
   subscriptions_.emplace_back(&gw, *sub);
@@ -35,8 +35,8 @@ Status OverviewMonitor::AttachRemote(
 std::size_t OverviewMonitor::Pump() {
   std::size_t processed = 0;
   for (auto& client : remotes_) {
-    for (const ulm::Record& rec : client->DrainEvents()) {
-      HandleEvent(rec);
+    for (const ulm::FlatRecord& rec : client->DrainEvents()) {
+      HandleEvent(rec.View());
       ++processed;
     }
   }
@@ -54,17 +54,17 @@ void OverviewMonitor::AddRule(
   rules_.push_back(std::move(rule));
 }
 
-void OverviewMonitor::HandleEvent(const ulm::Record& rec) {
+void OverviewMonitor::HandleEvent(const ulm::RecordView& view) {
   for (auto& rule : rules_) {
     bool touched = false;
     for (std::size_t i = 0; i < rule.conditions.size(); ++i) {
       const RuleCondition& cond = rule.conditions[i];
-      if (!cond.host.empty() && cond.host != rec.host()) continue;
+      if (!cond.host.empty() && cond.host != view.host()) continue;
       if (!cond.event_glob.empty() &&
-          !GlobMatch(cond.event_glob, rec.event_name())) {
+          !GlobMatch(cond.event_glob, view.event_name())) {
         continue;
       }
-      rule.satisfied[i] = cond.predicate(rec);
+      rule.satisfied[i] = cond.predicate(view);
       touched = true;
     }
     if (!touched) continue;
@@ -84,8 +84,8 @@ void OverviewMonitor::HandleEvent(const ulm::Record& rec) {
 
 void OverviewMonitor::EmitAlert(const std::string& rule_name) {
   if (!alert_sink_) return;
-  ulm::Record alert(alert_sink_->clock().Now(), name_, "overview",
-                    std::string(ulm::level::kAlert), kOverviewAlertEvent);
+  ulm::FlatRecord alert(alert_sink_->clock().Now(), name_, "overview",
+                        ulm::level::kAlert, kOverviewAlertEvent);
   alert.SetField("RULE", rule_name);
   alert.SetField("MONITOR", name_);
   alert_sink_->Publish(alert);

@@ -67,7 +67,7 @@ class OverviewMonitor {
 
   /// Predicate over the most recent record a (host, event glob) source
   /// produced; absent state means the condition is not (yet) satisfied.
-  using Condition = std::function<bool(const ulm::Record&)>;
+  using Condition = std::function<bool(const ulm::RecordView&)>;
 
   struct RuleCondition {
     std::string host;        // "" = any host may satisfy it
@@ -94,7 +94,7 @@ class OverviewMonitor {
     std::uint64_t fire_count = 0;
   };
 
-  void HandleEvent(const ulm::Record& rec);
+  void HandleEvent(const ulm::RecordView& view);
   void EmitAlert(const std::string& rule_name);
 
   std::string name_;

@@ -42,9 +42,11 @@ Status ProcessMonitorConsumer::Watch(gateway::EventGateway& gw,
   gateway::FilterSpec spec;
   spec.mode = gateway::FilterSpec::Mode::kAll;
   spec.event_glob = "PROC_*";
-  auto sub = gw.Subscribe(name_, spec, [this, raw](const ulm::Record& rec) {
-    HandleEvent(*raw, rec);
-  });
+  auto sub = gw.SubscribeEncoded(
+      name_, spec,
+      [this, raw](const ulm::EncodedRecord& enc) {
+        HandleEvent(*raw, enc.view());
+      });
   if (!sub.ok()) return sub.status();
   raw->subscription_id = *sub;
   watched_.push_back(std::move(watch));
@@ -52,17 +54,17 @@ Status ProcessMonitorConsumer::Watch(gateway::EventGateway& gw,
 }
 
 void ProcessMonitorConsumer::HandleEvent(Watched& watch,
-                                         const ulm::Record& rec) {
-  const auto proc = rec.GetField("PROC");
+                                         const ulm::RecordView& view) {
+  const auto proc = view.GetField("PROC");
   if (!proc || *proc != watch.process_name) return;
-  const std::string& ev = rec.event_name();
+  const std::string_view ev = view.event_name();
   if (ev != sensors::event::kProcDiedNormal &&
       ev != sensors::event::kProcDiedAbnormal) {
     return;
   }
   ++stats_.deaths_seen;
   const std::string description =
-      watch.process_name + " on " + rec.host() + " " +
+      watch.process_name + " on " + std::string(view.host()) + " " +
       (ev == sensors::event::kProcDiedAbnormal ? "crashed" : "exited");
   if (watch.supervisor && watch.host && !watch.quarantined) {
     auto decision = watch.supervisor->OnFailure();
@@ -98,8 +100,8 @@ void ProcessMonitorConsumer::Quarantine(Watched& watch,
   watch.restart_pending = false;
   ++stats_.quarantines;
   Instruments().quarantines.Increment();
-  ulm::Record rec(clock_.Now(), watch.host ? watch.host->host() : "", name_,
-                  std::string(ulm::level::kAlert), kProcQuarantined);
+  ulm::FlatRecord rec(clock_.Now(), watch.host ? watch.host->host() : "",
+                      name_, ulm::level::kAlert, kProcQuarantined);
   rec.SetField("PROC", watch.process_name);
   rec.SetField("REASON", description);
   watch.gw->Publish(rec);

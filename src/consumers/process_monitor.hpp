@@ -85,7 +85,7 @@ class ProcessMonitorConsumer {
     bool quarantined = false;
   };
 
-  void HandleEvent(Watched& watch, const ulm::Record& rec);
+  void HandleEvent(Watched& watch, const ulm::RecordView& view);
   void Quarantine(Watched& watch, const std::string& description);
   void DoRestart(Watched& watch);
 

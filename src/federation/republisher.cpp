@@ -21,18 +21,6 @@ std::uint64_t Fnv1a(std::string_view text) {
   return h;
 }
 
-std::string SourceKey(const ulm::Record& rec) {
-  std::string key;
-  key.reserve(rec.host().size() + rec.prog().size() +
-              rec.event_name().size() + 2);
-  key += rec.host();
-  key += '|';
-  key += rec.prog();
-  key += '|';
-  key += rec.event_name();
-  return key;
-}
-
 /// Process-wide fed.* counters, resolved once (the registry returns stable
 /// references; see MetricsRegistry).
 struct FedCounters {
@@ -61,13 +49,16 @@ FedCounters& Counters() {
 
 // ------------------------------------------------------------ StreamDeduper
 
-StreamDeduper::Verdict StreamDeduper::Admit(const ulm::Record& rec) {
-  SourceState& state = sources_[SourceKey(rec)];
-  if (state.has_last && rec.timestamp() < state.last_ts) {
+StreamDeduper::Verdict StreamDeduper::Admit(const ulm::RecordView& view) {
+  SourceState& state =
+      sources_[{view.host_sym(), view.prog_sym(), view.event_sym()}];
+  if (state.has_last && view.timestamp() < state.last_ts) {
     return Verdict::kStale;
   }
-  const std::uint64_t hash = Fnv1a(rec.ToAscii());
-  if (state.has_last && rec.timestamp() == state.last_ts) {
+  ascii_.clear();
+  view.AppendAscii(ascii_);
+  const std::uint64_t hash = Fnv1a(ascii_);
+  if (state.has_last && view.timestamp() == state.last_ts) {
     for (std::uint64_t seen : state.hashes_at_last_ts) {
       if (seen == hash) return Verdict::kDuplicate;
     }
@@ -75,7 +66,7 @@ StreamDeduper::Verdict StreamDeduper::Admit(const ulm::Record& rec) {
     return Verdict::kAdmit;
   }
   state.has_last = true;
-  state.last_ts = rec.timestamp();
+  state.last_ts = view.timestamp();
   state.hashes_at_last_ts.clear();
   state.hashes_at_last_ts.push_back(hash);
   return Verdict::kAdmit;
@@ -215,11 +206,11 @@ std::size_t RepublisherGateway::Pump() {
   std::size_t processed = 0;
 
   // Base stream: merge every child's feed, time-order, dedup, republish.
-  std::vector<std::pair<std::size_t, ulm::Record>> merged;
+  std::vector<std::pair<std::size_t, ulm::FlatRecord>> merged;
   for (std::size_t i = 0; i < downstreams_.size(); ++i) {
     Downstream& d = downstreams_[i];
     if (!d.base) continue;
-    for (ulm::Record& rec : d.base->DrainEvents()) {
+    for (ulm::FlatRecord& rec : d.base->DrainEvents()) {
       merged.emplace_back(i, std::move(rec));
     }
     // Harvest the child-minted capability token for future connections
@@ -237,7 +228,7 @@ std::size_t RepublisherGateway::Pump() {
     ++processed;
     ++stats_.records_in;
     counters.records_in.Increment();
-    switch (base_dedup_.Admit(rec)) {
+    switch (base_dedup_.Admit(rec.View())) {
       case StreamDeduper::Verdict::kStale:
         ++stats_.stale_dropped;
         counters.stale_dropped.Increment();
@@ -255,21 +246,22 @@ std::size_t RepublisherGateway::Pump() {
   // Pushdown groups: each group's feeds are already filtered at the
   // source; merge, order, dedup per group, deliver to members.
   for (auto& [key, group] : groups_) {
-    std::vector<ulm::Record> records;
+    std::vector<ulm::FlatRecord> records;
     for (auto& [child, client] : group.feeds) {
-      for (ulm::Record& rec : client->DrainEvents()) {
+      for (ulm::FlatRecord& rec : client->DrainEvents()) {
         records.push_back(std::move(rec));
       }
     }
     std::stable_sort(records.begin(), records.end(),
-                     [](const ulm::Record& a, const ulm::Record& b) {
+                     [](const ulm::FlatRecord& a, const ulm::FlatRecord& b) {
                        return a.timestamp() < b.timestamp();
                      });
-    for (const ulm::Record& rec : records) {
+    for (const ulm::FlatRecord& rec : records) {
       ++processed;
       ++stats_.records_in;
       counters.records_in.Increment();
-      switch (group.dedup.Admit(rec)) {
+      const ulm::RecordView view = rec.View();
+      switch (group.dedup.Admit(view)) {
         case StreamDeduper::Verdict::kStale:
           ++stats_.stale_dropped;
           counters.stale_dropped.Increment();
@@ -281,7 +273,7 @@ std::size_t RepublisherGateway::Pump() {
         case StreamDeduper::Verdict::kAdmit:
           ++stats_.pushdown_records;
           counters.pushdown_records.Increment();
-          DeliverToGroup(group, rec);
+          DeliverToGroup(group, view);
           break;
       }
     }
@@ -290,23 +282,27 @@ std::size_t RepublisherGateway::Pump() {
 }
 
 void RepublisherGateway::AdmitBaseRecord(const std::string& child,
-                                         const ulm::Record& rec) {
+                                         ulm::FlatRecord& rec) {
   ++stats_.republished;
   Counters().republished.Increment();
-  local_.Publish(rec);
   // Fallback path: groups whose spec this child cannot evaluate see its
-  // slice of the base stream through a local stateful filter instead.
+  // slice of the base stream through a local stateful filter instead. They
+  // run BEFORE the local publish, which stamps HOP.GATEWAY in place: a
+  // local-eval member must see the record exactly as a pushdown feed
+  // would have delivered it.
+  const ulm::RecordView view = rec.View();
   for (auto& [key, group] : groups_) {
     auto it = group.local_eval.find(child);
-    if (it != group.local_eval.end() && it->second.ShouldDeliver(rec)) {
-      DeliverToGroup(group, rec);
+    if (it != group.local_eval.end() && it->second.ShouldDeliver(view)) {
+      DeliverToGroup(group, view);
     }
   }
+  local_.Publish(rec);
 }
 
 std::size_t RepublisherGateway::DeliverToGroup(PushdownGroup& group,
-                                               const ulm::Record& rec) {
-  ulm::EncodedRecord encoded(rec);
+                                               const ulm::RecordView& view) {
+  ulm::EncodedRecord encoded(view);
   std::size_t delivered = 0;
   for (const std::shared_ptr<GroupMember>& member : group.members) {
     if (!member->active) continue;
@@ -316,22 +312,13 @@ std::size_t RepublisherGateway::DeliverToGroup(PushdownGroup& group,
   return delivered;
 }
 
-void RepublisherGateway::Publish(const ulm::Record& rec) {
+void RepublisherGateway::Publish(ulm::FlatRecord& rec) {
   ++stats_.records_in;
   ++stats_.republished;
   FedCounters& counters = Counters();
   counters.records_in.Increment();
   counters.republished.Increment();
   local_.Publish(rec);
-}
-
-void RepublisherGateway::PublishFlat(ulm::FlatRecord& rec) {
-  ++stats_.records_in;
-  ++stats_.republished;
-  FedCounters& counters = Counters();
-  counters.records_in.Increment();
-  counters.republished.Increment();
-  local_.PublishFlat(rec);
 }
 
 Result<std::string> RepublisherGateway::SubscribeEncoded(

@@ -34,34 +34,39 @@
 #include <string>
 #include <vector>
 
+#include <array>
+
 #include "common/clock.hpp"
 #include "common/status.hpp"
 #include "gateway/filter.hpp"
 #include "gateway/gateway.hpp"
 #include "gateway/service.hpp"
 #include "gateway/summary.hpp"
-#include "ulm/record.hpp"
+#include "ulm/flat.hpp"
 
 namespace jamm::federation {
 
 /// Drops exact duplicates and stale (time-travelling) records from one
-/// merged stream. Keyed per source (host|prog|event): a record older than
-/// the source's newest is stale; a record at the newest timestamp is a
-/// duplicate iff its full ASCII form was already admitted at that
-/// timestamp (same-timestamp records with different payloads are legal).
+/// merged stream. Keyed per source by the (host, prog, event) symbols: a
+/// record older than the source's newest is stale; a record at the newest
+/// timestamp is a duplicate iff its full ASCII form was already admitted
+/// at that timestamp (same-timestamp records with different payloads are
+/// legal).
 class StreamDeduper {
  public:
   enum class Verdict { kAdmit, kDuplicate, kStale };
-  Verdict Admit(const ulm::Record& rec);
+  Verdict Admit(const ulm::RecordView& view);
   std::size_t source_count() const { return sources_.size(); }
 
  private:
+  using SourceKey = std::array<ulm::Symbol, 3>;  // host, prog, event
   struct SourceState {
     TimePoint last_ts = 0;
     bool has_last = false;
-    std::vector<std::uint64_t> hashes_at_last_ts;  // FNV-1a of ToAscii()
+    std::vector<std::uint64_t> hashes_at_last_ts;  // FNV-1a of the ASCII
   };
-  std::map<std::string, SourceState> sources_;
+  std::map<SourceKey, SourceState> sources_;
+  std::string ascii_;  // reused AppendAscii buffer
 };
 
 class RepublisherGateway : public gateway::GatewaySurface {
@@ -126,11 +131,8 @@ class RepublisherGateway : public gateway::GatewaySurface {
   const Clock& clock() const override { return local_.clock(); }
 
   /// Local injection — the republisher's own events (gw.overload from the
-  /// service fronting it, overview alerts) enter the fan-out here. The
-  /// flat form hands the record straight to the local gateway's flat
-  /// fan-out (no legacy materialization).
-  void Publish(const ulm::Record& rec) override;
-  void PublishFlat(ulm::FlatRecord& rec) override;
+  /// service fronting it, overview alerts) enter the local fan-out here.
+  void Publish(ulm::FlatRecord& rec) override;
 
   Result<std::string> SubscribeEncoded(
       const std::string& consumer, gateway::FilterSpec spec,
@@ -246,9 +248,10 @@ class RepublisherGateway : public gateway::GatewaySurface {
   void AttachChildToGroup(PushdownGroup& group, const std::string& group_key,
                           Downstream& child);
   /// Encode once, deliver to every active member.
-  std::size_t DeliverToGroup(PushdownGroup& group, const ulm::Record& rec);
-  /// Admit one base-stream record from `child`: republish + fallback eval.
-  void AdmitBaseRecord(const std::string& child, const ulm::Record& rec);
+  std::size_t DeliverToGroup(PushdownGroup& group, const ulm::RecordView& view);
+  /// Admit one base-stream record from `child`: fallback eval, then
+  /// republish (which stamps the record in place).
+  void AdmitBaseRecord(const std::string& child, ulm::FlatRecord& rec);
   bool GroupNeedsChildBase(const std::string& child) const;
 
   std::string name_;

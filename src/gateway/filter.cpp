@@ -84,26 +84,6 @@ bool EventFilter::GlobAllows(ulm::Symbol event_sym) {
   return allowed;
 }
 
-bool EventFilter::ShouldDeliver(const ulm::Record& rec) {
-  if (!spec_.event_glob.empty() &&
-      !GlobMatch(spec_.event_glob, rec.event_name())) {
-    return false;
-  }
-  if (spec_.mode == FilterSpec::Mode::kAll) return true;
-
-  // The value-based modes need the value field; records without it pass
-  // through (they are status events a value filter has no opinion on).
-  auto value = rec.GetDouble(spec_.value_field);
-  if (!value.ok()) return true;
-
-  // Interned key so the legacy overload shares per-source state with the
-  // flat one (mixed publishes must see one filter history).
-  const SourceKey key = {ulm::InternSymbol(rec.host()),
-                         ulm::InternSymbol(rec.prog()),
-                         ulm::InternSymbol(rec.event_name())};
-  return Decide(key, *value);
-}
-
 bool EventFilter::ShouldDeliver(const ulm::RecordView& view) {
   if (!GlobAllows(view.event_sym())) return false;
   if (spec_.mode == FilterSpec::Mode::kAll) return true;

@@ -21,7 +21,6 @@
 
 #include "common/status.hpp"
 #include "ulm/flat.hpp"
-#include "ulm/record.hpp"
 
 namespace jamm::gateway {
 
@@ -51,12 +50,9 @@ class EventFilter {
   const FilterSpec& spec() const { return spec_; }
 
   /// True if this record should be delivered to the subscriber. Updates
-  /// internal per-source state. Both overloads share that state (per
-  /// host/prog/event symbols), so mixed legacy/flat publishes see one
-  /// consistent filter history.
-  bool ShouldDeliver(const ulm::Record& rec);
-  /// Flat fast path: symbol compares and a cached per-event glob verdict
-  /// — no string concatenation, no allocation per record.
+  /// internal per-source state (keyed by host/prog/event symbols). Symbol
+  /// compares and a cached per-event glob verdict — no string
+  /// concatenation, no allocation per record.
   bool ShouldDeliver(const ulm::RecordView& view);
 
  private:

@@ -42,27 +42,13 @@ GatewayTelemetry& Instruments() {
 EventGateway::EventGateway(std::string name, const Clock& clock)
     : name_(std::move(name)), clock_(clock) {}
 
-void EventGateway::Publish(const ulm::Record& rec) {
-  // One conversion into the reusable scratch, then the flat fan-out does
-  // everything. Re-entrant publishes (a callback publishing an alert back
-  // into this gateway) get a local record — the outer fan-out still holds
-  // views into the scratch arena.
-  if (fanout_depth_ == 0) {
-    publish_scratch_.AssignRecord(rec);
-    PublishFlat(publish_scratch_);
-  } else {
-    ulm::FlatRecord local = ulm::FlatRecord::FromRecord(rec);
-    PublishFlat(local);
-  }
-}
-
-void EventGateway::PublishFlat(ulm::FlatRecord& rec) {
+void EventGateway::Publish(ulm::FlatRecord& rec) {
   auto& tm = Instruments();
   ++stats_.events_in;
   tm.events_in.Increment();
 
-  // Traced records get this hop stamped IN PLACE — the flat pipeline
-  // passes one record by reference, so tracing no longer forces a copy.
+  // Traced records get this hop stamped IN PLACE — the pipeline passes
+  // one record by reference, so tracing never forces a copy.
   if (telemetry::HasTrace(rec.View())) {
     telemetry::StampHop(rec, "gateway", clock_.Now());
   }
@@ -98,8 +84,7 @@ void EventGateway::PublishFlat(ulm::FlatRecord& rec) {
                                                      : nullptr);
   // Encode-once fan-out (ISSUE 3): one view-backed EncodedRecord shared
   // by every callback this publish, so N subscribers of one wire format
-  // cost one (flat-transcoded) serialization, not N. Legacy callbacks
-  // that need a Record pay one materialization, cached alongside.
+  // cost one (flat-transcoded) serialization, not N.
   const ulm::EncodedRecord encoded(view);
   std::uint64_t delivered = 0, filtered = 0;
   ++fanout_depth_;
@@ -140,10 +125,9 @@ Status EventGateway::CheckAccess(Action action,
   return Status::Ok();
 }
 
-Result<std::string> EventGateway::AddSubscription(const std::string& consumer,
-                                                  FilterSpec spec,
-                                                  EncodedCallback callback,
-                                                  const std::string& principal) {
+Result<std::string> EventGateway::SubscribeEncoded(
+    const std::string& consumer, FilterSpec spec, EncodedCallback callback,
+    const std::string& principal) {
   JAMM_RETURN_IF_ERROR(CheckAccess(Action::kSubscribe, principal));
   if (!callback) {
     return Status::InvalidArgument("subscription needs a callback");
@@ -155,28 +139,6 @@ Result<std::string> EventGateway::AddSubscription(const std::string& consumer,
   subs_by_id_.emplace(id, std::move(sub));
   Instruments().subscriptions.Add(1);
   return id;
-}
-
-Result<std::string> EventGateway::Subscribe(const std::string& consumer,
-                                            FilterSpec spec,
-                                            EventCallback callback,
-                                            const std::string& principal) {
-  if (!callback) {
-    return Status::InvalidArgument("subscription needs a callback");
-  }
-  return AddSubscription(
-      consumer, std::move(spec),
-      [cb = std::move(callback)](const ulm::EncodedRecord& enc) {
-        cb(enc.record());
-      },
-      principal);
-}
-
-Result<std::string> EventGateway::SubscribeEncoded(
-    const std::string& consumer, FilterSpec spec, EncodedCallback callback,
-    const std::string& principal) {
-  return AddSubscription(consumer, std::move(spec), std::move(callback),
-                         principal);
 }
 
 Status EventGateway::Unsubscribe(const std::string& subscription_id) {

@@ -42,11 +42,11 @@ enum class Action { kSubscribe, kQuery, kSummary, kStartSensor };
 /// republisher levels stack to arbitrary depth out of existing pieces.
 class GatewaySurface {
  public:
-  using EventCallback = std::function<void(const ulm::Record&)>;
-  /// Encode-once variant (ISSUE 3): the callback receives the shared
+  /// Subscription callback (encode-once): it receives the shared
   /// per-publish EncodedRecord, so every subscriber wanting the same wire
-  /// format reuses one serialization. The EncodedRecord is only valid for
-  /// the duration of the callback — copy what you keep.
+  /// format reuses one serialization, and enc.view() is the record itself.
+  /// The EncodedRecord is only valid for the duration of the callback —
+  /// copy what you keep.
   using EncodedCallback = std::function<void(const ulm::EncodedRecord&)>;
 
   virtual ~GatewaySurface() = default;
@@ -54,16 +54,12 @@ class GatewaySurface {
   virtual const std::string& name() const = 0;
   virtual const Clock& clock() const = 0;
 
-  /// Events enter the surface here; implementations fan them out.
-  virtual void Publish(const ulm::Record& rec) = 0;
-
-  /// Flat-path entry (ISSUE 7): the record arrives by reference, is
-  /// stamped in place when traced, and fans out as a RecordView with zero
-  /// copies. Non-const because hop stamping mutates the record — which is
-  /// the point: the pipeline annotates one record instead of copying it
-  /// at every layer. Surfaces without a native flat path (federation
-  /// republishers) fall back to the legacy Publish via one conversion.
-  virtual void PublishFlat(ulm::FlatRecord& rec) { Publish(rec.ToRecord()); }
+  /// Events enter the surface here; implementations fan them out. The
+  /// record arrives by reference, is stamped in place when traced, and
+  /// fans out as a RecordView with zero copies. Non-const because hop
+  /// stamping mutates the record — which is the point: the pipeline
+  /// annotates one record instead of copying it at every layer.
+  virtual void Publish(ulm::FlatRecord& rec) = 0;
 
   virtual Result<std::string> SubscribeEncoded(
       const std::string& consumer, FilterSpec spec, EncodedCallback callback,
@@ -94,20 +90,14 @@ class EventGateway : public GatewaySurface {
   // ------------------------------------------------------- producer side
 
   /// Sensors' events enter here (the sensor manager pushes each poll's
-  /// output). One call per record regardless of consumer count. The
-  /// legacy overload converts into a reusable scratch FlatRecord and
-  /// forwards — there is ONE fan-out implementation, the flat one.
-  void Publish(const ulm::Record& rec) override;
-  void PublishFlat(ulm::FlatRecord& rec) override;
+  /// output). One call per record regardless of consumer count.
+  void Publish(ulm::FlatRecord& rec) override;
 
   // ------------------------------------------------------- consumer side
 
   /// Open a streaming subscription ("the consumer opens an event channel
   /// and the events are returned in a stream"). Returns the subscription
   /// id used to unsubscribe.
-  Result<std::string> Subscribe(const std::string& consumer, FilterSpec spec,
-                                EventCallback callback,
-                                const std::string& principal = "");
   Result<std::string> SubscribeEncoded(
       const std::string& consumer, FilterSpec spec, EncodedCallback callback,
       const std::string& principal = "") override;
@@ -186,14 +176,9 @@ class EventGateway : public GatewaySurface {
     std::string id;
     std::string consumer;
     EventFilter filter;
-    EncodedCallback callback;  // legacy EventCallbacks are adapted
+    EncodedCallback callback;
     bool active = true;        // false = unsubscribed, awaiting sweep
   };
-
-  Result<std::string> AddSubscription(const std::string& consumer,
-                                      FilterSpec spec,
-                                      EncodedCallback callback,
-                                      const std::string& principal);
 
   std::string name_;
   const Clock& clock_;
@@ -207,13 +192,12 @@ class EventGateway : public GatewaySurface {
   std::map<std::string, std::shared_ptr<Subscription>> subs_by_id_;
   // Symbol-keyed caches (ISSUE 7): the per-publish writes are flat-record
   // assignments that reuse capacity, so the query caches stop allocating
-  // on the hot path. Query materializes legacy Records on demand.
+  // on the hot path. Query materializes Records on demand.
   std::map<ulm::Symbol, SummaryWindow> summaries_;    // event sym → window
   std::map<ulm::Symbol, ulm::Symbol> summary_fields_; // event sym → field sym
   ulm::FlatRecord last_event_;
   bool has_last_event_ = false;
   std::map<ulm::Symbol, ulm::FlatRecord> last_by_event_;  // event sym → last
-  ulm::FlatRecord publish_scratch_;  // legacy Publish conversion buffer
   AccessChecker access_checker_;
   SensorControl sensor_control_;
   mutable Stats stats_;

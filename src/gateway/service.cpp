@@ -440,8 +440,8 @@ void GatewayService::DrainQueues() {
         // (and chaos tests) see drops without scraping /metrics.
         auto& tm = ServiceInstruments();
         tm.overload_events.Increment();
-        ulm::Record rec(gateway_.clock().Now(), "", "gateway-service",
-                        std::string(ulm::level::kWarning), kOverloadEvent);
+        ulm::FlatRecord rec(gateway_.clock().Now(), "", "gateway-service",
+                            ulm::level::kWarning, kOverloadEvent);
         rec.SetField("CONSUMER", queue->consumer);
         rec.SetField("DROPPED",
                      static_cast<std::int64_t>(queue->overload_drops_pending));
@@ -488,6 +488,7 @@ struct ClientTelemetry {
   telemetry::Counter& batches_received;
   telemetry::Counter& batch_records_received;
   telemetry::Counter& batch_decode_errors;
+  telemetry::Counter& event_decode_errors;
 };
 
 ClientTelemetry& ClientInstruments() {
@@ -499,7 +500,8 @@ ClientTelemetry& ClientInstruments() {
                            m.counter("gateway.client.pending_dropped"),
                            m.counter("gateway.client.batches_received"),
                            m.counter("gateway.client.batch_records_received"),
-                           m.counter("gateway.client.batch_decode_errors")};
+                           m.counter("gateway.client.batch_decode_errors"),
+                           m.counter("gateway.client.event_decode_errors")};
   return t;
 }
 
@@ -580,40 +582,46 @@ bool GatewayClient::AdoptControl(const transport::Message& msg) {
   return true;
 }
 
-void GatewayClient::BufferEvent(const transport::Message& msg) {
-  auto rec = ulm::Record::FromAscii(msg.payload);
-  if (!rec.ok()) return;
-  if (!pending_events_.Push(std::move(*rec))) {
-    ClientInstruments().pending_dropped.Increment();
+template <typename Sink>
+bool GatewayClient::DecodeEvents(const transport::Message& msg, Sink&& sink) {
+  auto& t = ClientInstruments();
+  if (msg.type == transport::kEventMessageType) {
+    auto rec = ulm::FlatRecord::FromAscii(msg.payload);
+    if (!rec.ok()) {
+      // One bad event is skipped and counted, never fatal to the stream.
+      t.event_decode_errors.Increment();
+      return true;
+    }
+    sink(std::move(*rec));
+    return true;
   }
+  if (msg.type != transport::kEventBatchMessageType) return false;
+  // The decoder keeps the prefix it decoded before a bad frame; a corrupt
+  // batch is dropped whole instead (the next batch is independently
+  // decodable), so decode into scratch and copy out only on success.
+  batch_scratch_.Clear();
+  if (!batch_scratch_.DecodeBinaryStreamInto(msg.payload).ok()) {
+    t.batch_decode_errors.Increment();
+    return true;
+  }
+  t.batches_received.Increment();
+  t.batch_records_received.Add(batch_scratch_.size());
+  for (std::size_t i = 0; i < batch_scratch_.size(); ++i) {
+    ulm::FlatRecord rec;
+    rec.Assign(batch_scratch_.View(i));
+    sink(std::move(rec));
+  }
+  return true;
 }
 
 bool GatewayClient::BufferIfEvent(const transport::Message& msg) {
-  if (msg.type == transport::kEventMessageType) {
-    BufferEvent(msg);
-    return true;
-  }
-  if (msg.type == transport::kEventBatchMessageType) {
-    auto& t = ClientInstruments();
-    auto records = transport::DecodeEventBatch(msg);
-    if (!records.ok()) {
-      // A corrupt batch is dropped whole; the error is counted, not fatal
-      // to the stream (the next batch is independently decodable).
-      t.batch_decode_errors.Increment();
-      return true;
+  // Unpacked into the RECORD-bounded pending buffer: capacity semantics
+  // are identical for batched and unbatched subscriptions.
+  return DecodeEvents(msg, [this](ulm::FlatRecord&& rec) {
+    if (!pending_events_.Push(std::move(rec))) {
+      ClientInstruments().pending_dropped.Increment();
     }
-    t.batches_received.Increment();
-    t.batch_records_received.Add(records->size());
-    // Unpacked into the RECORD-bounded pending buffer: capacity semantics
-    // are identical for batched and unbatched subscriptions.
-    for (auto& rec : *records) {
-      if (!pending_events_.Push(std::move(rec))) {
-        t.pending_dropped.Increment();
-      }
-    }
-    return true;
-  }
-  return false;
+  });
 }
 
 Status GatewayClient::Reconnect() {
@@ -856,7 +864,7 @@ Result<SummaryData> GatewayClient::Summary(const std::string& event_name,
   return DecodeSummary(msg->payload);
 }
 
-Result<ulm::Record> GatewayClient::NextEvent(Duration timeout) {
+Result<ulm::FlatRecord> GatewayClient::NextEvent(Duration timeout) {
   const SteadyPoint deadline = DeadlineIn(timeout);
   int reconnects = 0;
   while (true) {
@@ -884,15 +892,11 @@ Result<ulm::Record> GatewayClient::NextEvent(Duration timeout) {
       }
       return msg.status();
     }
-    if (msg->type == transport::kEventMessageType) {
-      return ulm::Record::FromAscii(msg->payload);
-    }
-    if (msg->type == transport::kEventBatchMessageType) {
+    if (BufferIfEvent(*msg)) {
       // Unpack into the pending buffer and pop from the front so batch
       // records interleave with buffered singles in arrival order.
-      (void)BufferIfEvent(*msg);
       if (auto rec = pending_events_.Pop()) return std::move(*rec);
-      continue;  // empty or undecodable batch: keep waiting
+      continue;  // empty or undecodable: keep waiting
     }
     if (AdoptControl(*msg)) continue;
     if (msg->type == "gw.error") {
@@ -908,30 +912,17 @@ Result<ulm::Record> GatewayClient::NextEvent(Duration timeout) {
   }
 }
 
-std::vector<ulm::Record> GatewayClient::DrainEvents() {
+std::vector<ulm::FlatRecord> GatewayClient::DrainEvents() {
   if ((!channel_ || !channel_->IsOpen()) && dialer_) {
     (void)Reconnect();  // restore the stream; events resume next pump
   }
-  std::vector<ulm::Record> out = pending_events_.DrainAll();
+  std::vector<ulm::FlatRecord> out = pending_events_.DrainAll();
   if (!channel_) return out;
+  auto append = [&out](ulm::FlatRecord&& rec) {
+    out.push_back(std::move(rec));
+  };
   while (auto msg = channel_->TryReceive()) {
-    if (msg->type == transport::kEventMessageType) {
-      auto rec = ulm::Record::FromAscii(msg->payload);
-      if (rec.ok()) out.push_back(std::move(*rec));
-      continue;
-    }
-    if (msg->type == transport::kEventBatchMessageType) {
-      auto& t = ClientInstruments();
-      auto records = transport::DecodeEventBatch(*msg);
-      if (!records.ok()) {
-        t.batch_decode_errors.Increment();
-        continue;
-      }
-      t.batches_received.Increment();
-      t.batch_records_received.Add(records->size());
-      for (auto& rec : *records) out.push_back(std::move(rec));
-      continue;
-    }
+    if (DecodeEvents(*msg, append)) continue;
     if (AdoptControl(*msg)) continue;
     if (IsControlReply(msg->type)) {
       ClientInstruments().stale_replies.Increment();

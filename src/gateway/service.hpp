@@ -308,13 +308,14 @@ class GatewayClient {
 
   /// Next streamed event, blocking up to `timeout` total (an absolute
   /// deadline: interleaved control traffic does not reset the clock).
-  /// Stale control replies are skipped; only gw.error surfaces. On a dead
-  /// connection a dialer-backed client reconnects and resubscribes, then
-  /// keeps waiting within the same deadline.
-  Result<ulm::Record> NextEvent(Duration timeout);
+  /// Stale control replies and undecodable events are skipped; only
+  /// gw.error surfaces. On a dead connection a dialer-backed client
+  /// reconnects and resubscribes, then keeps waiting within the same
+  /// deadline.
+  Result<ulm::FlatRecord> NextEvent(Duration timeout);
   /// Drain any already-arrived events without blocking. A dialer-backed
   /// client whose connection died re-establishes it first.
-  std::vector<ulm::Record> DrainEvents();
+  std::vector<ulm::FlatRecord> DrainEvents();
 
   /// Re-dial and replay authentication + recorded subscriptions
   /// (pipelined; replies are adopted as they arrive). Needs a Dialer.
@@ -361,10 +362,16 @@ class GatewayClient {
                                      Duration timeout);
   /// Adopt `msg` if it answers the oldest pipelined control request.
   bool AdoptControl(const transport::Message& msg);
-  void BufferEvent(const transport::Message& msg);
-  /// True for single-event and batch event traffic; records land in
-  /// pending_events_ (bounded in RECORDS, so one huge batch cannot blow
-  /// the memory cap a record cap implies).
+  /// The one decoder of event traffic: a gw.event (ASCII) or
+  /// gw.event.batch (binary) message becomes FlatRecords handed to `sink`
+  /// in arrival order. Returns false for non-event messages. An
+  /// undecodable message is skipped whole and counted
+  /// (gateway.client.event_decode_errors / batch_decode_errors).
+  template <typename Sink>
+  bool DecodeEvents(const transport::Message& msg, Sink&& sink);
+  /// True for event traffic; records land in pending_events_ (bounded in
+  /// RECORDS, so one huge batch cannot blow the memory cap a record cap
+  /// implies).
   bool BufferIfEvent(const transport::Message& msg);
   Result<std::string> SubscribeWithFormat(const std::string& consumer,
                                           const FilterSpec& spec,
@@ -387,7 +394,8 @@ class GatewayClient {
   std::deque<Awaited> awaited_;
   std::string queue_spec_;  // applied to subsequent subscribes
   std::uint64_t next_sub_key_ = 1;
-  resilience::ReplayBuffer<ulm::Record> pending_events_;
+  resilience::ReplayBuffer<ulm::FlatRecord> pending_events_;
+  ulm::FlatBatch batch_scratch_;  // gw.event.batch decode target
 };
 
 }  // namespace jamm::gateway

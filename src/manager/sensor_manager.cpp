@@ -305,7 +305,7 @@ void SensorManager::Tick() {
         telemetry::StampHop(publish_scratch_, "sensor", rec.timestamp());
         telemetry::StampHop(publish_scratch_, "manager", now);
       }
-      if (options_.gateway) options_.gateway->PublishFlat(publish_scratch_);
+      if (options_.gateway) options_.gateway->Publish(publish_scratch_);
       ++stats_.events_forwarded;
       tm.events_forwarded.Increment();
     }
@@ -407,9 +407,8 @@ void SensorManager::PublishManagerEvent(std::string_view event_name,
                                         std::string_view lvl,
                                         std::string_view detail) {
   if (!options_.gateway) return;
-  ulm::Record rec(options_.clock->Now(), options_.host->host(),
-                  "sensor-manager", std::string(lvl),
-                  std::string(event_name));
+  ulm::FlatRecord rec(options_.clock->Now(), options_.host->host(),
+                      "sensor-manager", lvl, event_name);
   rec.SetField("DETAIL", detail);
   options_.gateway->Publish(rec);
 }

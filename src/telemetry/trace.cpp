@@ -90,15 +90,6 @@ std::optional<std::uint64_t> HexToId(std::string_view hex) {
   return id;
 }
 
-void Inject(const TraceContext& ctx, ulm::Record& rec) {
-  if (!ctx.valid()) return;
-  rec.SetField(field::kTraceId, IdToHex(ctx.trace_id));
-  rec.SetField(field::kSpanId, IdToHex(ctx.span_id));
-  if (ctx.parent_span_id != 0) {
-    rec.SetField(field::kParentSpanId, IdToHex(ctx.parent_span_id));
-  }
-}
-
 void Inject(const TraceContext& ctx, ulm::FlatRecord& rec) {
   if (!ctx.valid()) return;
   const TraceSyms& syms = Syms();
@@ -150,22 +141,11 @@ bool HasTrace(const ulm::RecordView& view) {
   return view.HasField(Syms().trace_id);
 }
 
-TraceContext EnsureTrace(ulm::Record& rec) {
-  if (auto existing = Extract(rec)) return *existing;
-  TraceContext ctx = TraceContext::NewRoot();
-  Inject(ctx, rec);
-  return ctx;
-}
-
 TraceContext EnsureTrace(ulm::FlatRecord& rec) {
   if (auto existing = Extract(rec.View())) return *existing;
   TraceContext ctx = TraceContext::NewRoot();
   Inject(ctx, rec);
   return ctx;
-}
-
-void StampHop(ulm::Record& rec, std::string_view hop, TimePoint ts) {
-  rec.SetField(std::string(field::kHopPrefix) + ToUpper(hop), ts);
 }
 
 void StampHop(ulm::FlatRecord& rec, std::string_view hop, TimePoint ts) {
@@ -202,11 +182,6 @@ void Span::End() {
   if (ended_) return;
   ended_ = true;
   if (latency_) latency_->Record(ElapsedUs());
-}
-
-void Span::Annotate(ulm::Record& rec, TimePoint ts) const {
-  Inject(ctx_, rec);
-  StampHop(rec, name_, ts);
 }
 
 }  // namespace jamm::telemetry

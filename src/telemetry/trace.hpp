@@ -53,10 +53,10 @@ std::string IdToHex(std::uint64_t id);
 std::optional<std::uint64_t> HexToId(std::string_view hex);
 
 /// Write TRACE.ID/SPAN.ID (and SPAN.PARENT when set) into the record.
-void Inject(const TraceContext& ctx, ulm::Record& rec);
 void Inject(const TraceContext& ctx, ulm::FlatRecord& rec);
 
-/// Read the context back; nullopt when the record carries no trace.
+/// Read the context back; nullopt when the record carries no trace. The
+/// Record forms read archive query results.
 std::optional<TraceContext> Extract(const ulm::Record& rec);
 std::optional<TraceContext> Extract(const ulm::RecordView& view);
 
@@ -66,15 +66,12 @@ bool HasTrace(const ulm::RecordView& view);
 
 /// Extract, or mint-and-inject a new root when absent. The entry point of
 /// the pipeline (the sensor manager) calls this on every outbound record.
-TraceContext EnsureTrace(ulm::Record& rec);
 TraceContext EnsureTrace(ulm::FlatRecord& rec);
 
 /// Stamp a per-hop timestamp: HOP.<NAME> = ts (µs since epoch). `hop` is
-/// uppercased; restamping the same hop overwrites.
-void StampHop(ulm::Record& rec, std::string_view hop, TimePoint ts);
-/// Flat-path variant: stamps in place (the flat pipeline passes records
-/// by reference, so hops never force a copy). The HOP.<NAME> key interns
-/// once per distinct hop name.
+/// uppercased; restamping the same hop overwrites. Stamps in place (the
+/// pipeline passes records by reference, so hops never force a copy). The
+/// HOP.<NAME> key interns once per distinct hop name.
 void StampHop(ulm::FlatRecord& rec, std::string_view hop, TimePoint ts);
 
 struct Hop {
@@ -86,8 +83,7 @@ struct Hop {
 std::vector<Hop> Hops(const ulm::Record& rec);
 
 /// RAII span: measures wall-clock elapsed time and records it (in µs)
-/// into a latency histogram at End()/destruction. Use Annotate() to tag
-/// records produced while the span is open.
+/// into a latency histogram at End()/destruction.
 class Span {
  public:
   Span(std::string name, TraceContext ctx, Histogram* latency = nullptr);
@@ -104,9 +100,6 @@ class Span {
 
   /// Wall-clock microseconds since the span started.
   std::uint64_t ElapsedUs() const;
-
-  /// Inject this span's context and stamp HOP.<name> with `ts`.
-  void Annotate(ulm::Record& rec, TimePoint ts) const;
 
  private:
   std::string name_;

@@ -27,11 +27,4 @@ Result<ulm::Record> DecodeEventMessage(const Message& msg) {
   return Status::InvalidArgument("not an event message: " + msg.type);
 }
 
-Result<std::vector<ulm::Record>> DecodeEventBatch(const Message& msg) {
-  if (msg.type != kEventBatchMessageType) {
-    return Status::InvalidArgument("not an event batch: " + msg.type);
-  }
-  return ulm::DecodeBinaryStream(msg.payload);
-}
-
 }  // namespace jamm::transport

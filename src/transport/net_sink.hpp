@@ -4,7 +4,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "netlogger/sinks.hpp"
 #include "transport/message.hpp"
@@ -36,8 +35,5 @@ class NetSink final : public netlogger::LogSink {
 
 /// Decode an event message produced by NetSink (either encoding).
 Result<ulm::Record> DecodeEventMessage(const Message& msg);
-
-/// Decode a kEventBatchMessageType payload back into its records.
-Result<std::vector<ulm::Record>> DecodeEventBatch(const Message& msg);
 
 }  // namespace jamm::transport

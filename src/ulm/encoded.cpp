@@ -1,21 +1,12 @@
 #include "ulm/encoded.hpp"
 
-#include "ulm/binary.hpp"
-#include "ulm/xml.hpp"
-
 namespace jamm::ulm {
-
-const Record& EncodedRecord::record() const {
-  if (rec_ != nullptr) return *rec_;
-  if (!materialized_) materialized_ = view_.ToRecord();
-  return *materialized_;
-}
 
 const std::string& EncodedRecord::Ascii() const {
   ++accesses_;
   if (!ascii_) {
     ++encodes_;
-    ascii_ = rec_ != nullptr ? rec_->ToAscii() : view_.ToAscii();
+    ascii_ = view_.ToAscii();
   }
   return *ascii_;
 }
@@ -24,13 +15,9 @@ const std::string& EncodedRecord::Binary() const {
   ++accesses_;
   if (!binary_) {
     ++encodes_;
-    if (rec_ != nullptr) {
-      binary_ = EncodeBinary(*rec_);
-    } else {
-      std::string out;
-      view_.EncodeBinary(out);
-      binary_ = std::move(out);
-    }
+    std::string out;
+    view_.EncodeBinary(out);
+    binary_ = std::move(out);
   }
   return *binary_;
 }
@@ -39,7 +26,7 @@ const std::string& EncodedRecord::Xml() const {
   ++accesses_;
   if (!xml_) {
     ++encodes_;
-    xml_ = rec_ != nullptr ? ToXml(*rec_) : view_.ToXml();
+    xml_ = view_.ToXml();
   }
   return *xml_;
 }

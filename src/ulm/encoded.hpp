@@ -1,20 +1,13 @@
-// Encode-once record wrapper (ISSUE 3, extended for the flat core in
-// ISSUE 7). The gateway fan-out used to re-serialize every published
-// record once per subscriber — O(subscribers × encode) on the hottest
-// path in the system. An EncodedRecord wraps one published record and
-// lazily caches each wire form (ASCII / binary / XML) the first time any
-// subscriber asks for it, so N subscribers of the same format cost one
-// encode plus N-1 string reads.
+// Encode-once record wrapper. The gateway fan-out used to re-serialize
+// every published record once per subscriber — O(subscribers × encode) on
+// the hottest path in the system. An EncodedRecord wraps one published
+// record's RecordView and lazily caches each wire form (ASCII / binary /
+// XML) the first time any subscriber asks for it, so N subscribers of the
+// same format cost one encode plus N-1 string reads. The encoders are the
+// flat transcoders, byte-identical to the Record codecs.
 //
-// Two backings, one behavior:
-//   * legacy — borrows a `Record`; encoders run the string-keyed codecs.
-//   * flat   — holds a `RecordView` by value (it is a few words);
-//     encoders run the flat transcoders, which emit byte-identical wire
-//     forms, and record() materializes a legacy Record only if some
-//     subscriber actually needs one.
-//
-// Lifetime: the wrapper borrows whatever backs it (the Record, or the
-// arena behind the view); both live only for the duration of one
+// Lifetime: the wrapper holds the view by value (it is a few words) and
+// borrows the arena behind it, which lives only for the duration of one
 // Publish() fan-out. Callbacks must copy what they keep. Single-threaded
 // like the poll-driven fan-out that creates it.
 #pragma once
@@ -24,24 +17,16 @@
 #include <string>
 
 #include "ulm/flat.hpp"
-#include "ulm/record.hpp"
 
 namespace jamm::ulm {
 
 class EncodedRecord {
  public:
-  explicit EncodedRecord(const Record& rec) : rec_(&rec) {}
   explicit EncodedRecord(const RecordView& view) : view_(view) {}
 
   EncodedRecord(const EncodedRecord&) = delete;
   EncodedRecord& operator=(const EncodedRecord&) = delete;
 
-  /// The legacy Record. For a view-backed wrapper this materializes (and
-  /// caches) a copy on first call — only legacy-API consumers pay it.
-  const Record& record() const;
-
-  /// True when backed by a flat view (record() would copy).
-  bool is_flat() const { return rec_ == nullptr; }
   const RecordView& view() const { return view_; }
 
   /// Each accessor encodes at most once per EncodedRecord; later calls
@@ -58,9 +43,7 @@ class EncodedRecord {
   std::uint64_t encodes() const { return encodes_; }
 
  private:
-  const Record* rec_ = nullptr;  // null ⇒ view-backed
   RecordView view_;
-  mutable std::optional<Record> materialized_;
   mutable std::optional<std::string> ascii_;
   mutable std::optional<std::string> binary_;
   mutable std::optional<std::string> xml_;

@@ -226,6 +226,23 @@ void FlatRecord::Clear() {
   fields_.clear();
 }
 
+void FlatRecord::Assign(const RecordView& view) {
+  Clear();
+  ts_ = view.timestamp();
+  host_ = view.host_sym();
+  prog_ = view.prog_sym();
+  lvl_ = view.lvl_sym();
+  event_ = view.event_sym();
+  const std::uint32_t n = view.field_count();
+  std::size_t bytes = 0;
+  for (std::uint32_t i = 0; i < n; ++i) bytes += view.field_value(i).size();
+  values_.reserve(bytes);
+  fields_.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    AddFieldUnchecked(view.field_key(i), view.field_value(i));
+  }
+}
+
 FlatRecord FlatRecord::FromRecord(const Record& rec) {
   FlatRecord flat;
   flat.AssignRecord(rec);

@@ -1,8 +1,9 @@
-// Arena-backed flat ULM records (ISSUE 7, ROADMAP item 2).
+// Arena-backed flat ULM records — the one record type on the live
+// pipeline: sensor manager → gateway → wire client → republisher →
+// archiver → archive all carry these.
 //
-// The legacy `Record` stores every field as a pair of heap strings and is
-// copied at each hop — sensor → manager → gateway → subscriber → archive.
-// At millions of records per second the allocator and the string compares
+// The string-keyed `Record` stores every field as a pair of heap strings;
+// at millions of records per second the allocator and the string compares
 // dominate. The flat core splits a record into:
 //
 //   * Symbols — event name / host / prog / lvl / field KEYS interned once
@@ -14,10 +15,11 @@
 // A RecordView is the non-owning face of either: 40-odd bytes passed by
 // value/reference through the pipeline with zero allocation. The codecs
 // here are flat↔wire TRANSCODERS built on the same primitives as the
-// legacy codecs (ulm/record.cpp, ulm/binary.cpp, ulm/xml.cpp), so a view
+// Record codecs (ulm/record.cpp, ulm/binary.cpp, ulm/xml.cpp), so a view
 // serializes byte-identically to the equivalent Record — property tests
-// enforce this, and it is what lets flat and legacy paths interoperate on
-// the wire indefinitely.
+// enforce this. `Record` remains the type of the NetLogger/offline API and
+// of archive query results; ToRecord/AssignRecord/FromRecord convert at
+// those edges.
 //
 // Aliasing rules (DESIGN.md §15):
 //   * A RecordView borrows its owner. Views from FlatRecord::View() are
@@ -105,15 +107,15 @@ class RecordView {
   Result<std::int64_t> GetInt(Symbol key) const;
   Result<double> GetDouble(Symbol key) const;
 
-  /// Flat→wire transcoders, byte-identical to the legacy codecs applied
+  /// Flat→wire transcoders, byte-identical to the Record codecs applied
   /// to the equivalent Record.
   void AppendAscii(std::string& out) const;
   std::string ToAscii() const;
   void EncodeBinary(std::string& out) const;
   std::string ToXml() const;
 
-  /// Materialize a legacy Record (copies everything). The bridge for
-  /// code still on the string-keyed API.
+  /// Materialize a Record (copies everything) — for query results and
+  /// the NetLogger API, which stay string-keyed.
   Record ToRecord() const;
 
  private:
@@ -189,10 +191,13 @@ class FlatRecord {
   /// Reset to empty, keeping arena/vector capacity for reuse.
   void Clear();
 
-  /// Conversions to/from the legacy Record. AssignRecord refills this
-  /// FlatRecord in place, reusing arena/vector capacity — the bridge the
-  /// gateway uses so legacy Publish costs one conversion and zero
-  /// steady-state allocations.
+  /// Copy `view` into this record, reusing arena/vector capacity. `view`
+  /// must not borrow this record's own arena.
+  void Assign(const RecordView& view);
+
+  /// Conversions to/from Record. AssignRecord refills this FlatRecord in
+  /// place, reusing arena/vector capacity — the sensor manager converts
+  /// each polled sensor Record once with it.
   static FlatRecord FromRecord(const Record& rec);
   void AssignRecord(const Record& rec);
   Record ToRecord() const { return View().ToRecord(); }

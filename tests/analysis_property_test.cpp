@@ -33,6 +33,7 @@
 #include "transport/inproc.hpp"
 #include "ulm/flat.hpp"
 #include "ulm/record.hpp"
+#include "record_helpers.hpp"
 
 namespace jamm::archive {
 namespace {
@@ -85,7 +86,7 @@ std::vector<Record> CorpusRecords(std::uint64_t seed, std::size_t n) {
 EventArchive MakeArchive(const std::vector<Record>& records,
                          SegmentConfig config, bool compress) {
   EventArchive ar("prop", 1, config);
-  for (const auto& rec : records) ar.Ingest(rec);
+  for (const auto& rec : records) test::Ingest(ar, rec);
   if (compress) {
     ar.SealActive();
     EXPECT_GT(ar.CompressSealed(), 0u);
@@ -535,7 +536,7 @@ class AnalysisRpcTest : public ::testing::Test {
     config.max_records = 64;
     config.compress_sealed = true;
     ar_ = std::make_unique<EventArchive>("main", 1, config);
-    for (const auto& rec : CorpusRecords(77, 400)) ar_->Ingest(rec);
+    for (const auto& rec : CorpusRecords(77, 400)) test::Ingest(*ar_, rec);
     EXPECT_TRUE(RegisterArchiveService(registry_, *ar_).ok());
     auto listener = net_.Listen("arch-rpc");
     EXPECT_TRUE(listener.ok());

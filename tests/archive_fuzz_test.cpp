@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "ulm/flat.hpp"
 #include "ulm/record.hpp"
+#include "record_helpers.hpp"
 
 namespace jamm::archive {
 namespace {
@@ -35,7 +36,7 @@ std::string CorpusArchiveBytes(Rng& rng, std::size_t segments,
                       rng.Chance(0.1) ? "Error" : "Usage",
                       "Ev" + std::to_string(rng.Uniform(0, 9)));
       rec.SetField("VAL", static_cast<std::int64_t>(rng.Next() >> 40));
-      ar.Ingest(rec);
+      test::Ingest(ar, rec);
     }
   }
   if (compress) {

@@ -26,6 +26,7 @@
 #include "rpc/registry.hpp"
 #include "rpc/wire.hpp"
 #include "transport/inproc.hpp"
+#include "record_helpers.hpp"
 
 namespace jamm::archive {
 namespace {
@@ -67,7 +68,7 @@ TEST(SegmentedArchiveTest, SealsAtRecordBound) {
   config.stripes = 1;
   EventArchive ar("a", 1, config);
   for (int i = 0; i < 25; ++i) {
-    ar.Ingest(Event(i * kSecond, "E", i));
+    test::Ingest(ar, Event(i * kSecond, "E", i));
   }
   EXPECT_EQ(ar.size(), 25u);
   EXPECT_EQ(ar.seal_count(), 2u);    // two full segments sealed
@@ -83,7 +84,7 @@ TEST(SegmentedArchiveTest, SealsAtSpanBound) {
   config.stripes = 1;
   EventArchive ar("a", 1, config);
   for (int i = 0; i <= 30; ++i) {
-    ar.Ingest(Event(i * kSecond, "E", i));
+    test::Ingest(ar, Event(i * kSecond, "E", i));
   }
   // Spans of 10 s force a seal roughly every 11 records.
   EXPECT_GE(ar.seal_count(), 2u);
@@ -102,8 +103,9 @@ class PrunedQueryTest : public ::testing::Test {
     // own event name and host.
     for (int s = 0; s < 3; ++s) {
       for (int i = 0; i < 10; ++i) {
-        ar_.Ingest(Event(s * kHour + i * kSecond, "EVT_" + std::string(1, 'A' + s),
-                         s * 100 + i, "host" + std::to_string(s)));
+        test::Ingest(ar_, Event(s * kHour + i * kSecond,
+                                "EVT_" + std::string(1, 'A' + s), s * 100 + i,
+                                "host" + std::to_string(s)));
       }
       ar_.SealActive();
     }
@@ -170,10 +172,10 @@ TEST(CompactionTest, TiersKeepAbnormalAndNest) {
   config.max_records = 1000000;
   EventArchive ar("a", 42, config);
   for (int i = 0; i < 400; ++i) {
-    ar.Ingest(Event(i * kSecond, "N", i));
+    test::Ingest(ar, Event(i * kSecond, "N", i));
   }
   for (int i = 0; i < 10; ++i) {
-    ar.Ingest(Event(i * kSecond, "BAD", 1000 + i, "h1", "Error"));
+    test::Ingest(ar, Event(i * kSecond, "BAD", 1000 + i, "h1", "Error"));
   }
   ar.SealActive();
   CompactionPolicy policy;
@@ -210,7 +212,7 @@ TEST(CompactionTest, DecisionsSurviveSaveLoadRoundTrip) {
   config.max_records = 64;
   EventArchive ar("a", 7, config);
   for (int i = 0; i < 300; ++i) {
-    ar.Ingest(Event(i * kSecond, "E" + std::to_string(i % 5), i));
+    test::Ingest(ar, Event(i * kSecond, "E" + std::to_string(i % 5), i));
   }
   ar.SealActive();
   CompactionPolicy policy;
@@ -239,8 +241,8 @@ TEST(SegmentedPersistenceTest, SaveLoadSaveIsByteIdentical) {
   config.max_records = 16;
   EventArchive ar("a", 3, config);
   for (int i = 0; i < 100; ++i) {
-    ar.Ingest(Event(i * kSecond, "E" + std::to_string(i % 3), i,
-                    "host" + std::to_string(i % 2)));
+    test::Ingest(ar, Event(i * kSecond, "E" + std::to_string(i % 3), i,
+                           "host" + std::to_string(i % 2)));
   }
   const std::string bytes = ar.SaveToBytes();
   auto loaded = EventArchive::LoadFromBytes("a", bytes, 3, config);
@@ -257,7 +259,7 @@ TEST(SegmentedPersistenceTest, CorruptSegmentIsSkippedNotFatal) {
   config.max_records = 10;
   EventArchive ar("a", 1, config);
   for (int i = 0; i < 30; ++i) {
-    ar.Ingest(Event(i * kSecond, "E", i));
+    test::Ingest(ar, Event(i * kSecond, "E", i));
   }
   std::string bytes = ar.SaveToBytes();
   // The file ends inside the last segment's payload; flipping its final
@@ -278,7 +280,7 @@ TEST(SegmentedPersistenceTest, TruncationIsReportedNeverSilent) {
   config.max_records = 10;
   EventArchive ar("a", 1, config);
   for (int i = 0; i < 30; ++i) {
-    ar.Ingest(Event(i * kSecond, "E", i));
+    test::Ingest(ar, Event(i * kSecond, "E", i));
   }
   const std::string bytes = ar.SaveToBytes();
 
@@ -311,8 +313,8 @@ TEST(ArchiveConcurrencyTest, ParallelIngestLosesNothing) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&ar, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        ar.Ingest(Event((t * kPerThread + i) * kMillisecond, "E",
-                        t * 1000000 + i));
+        test::Ingest(ar, Event((t * kPerThread + i) * kMillisecond, "E",
+                               t * 1000000 + i));
       }
     });
   }
@@ -354,8 +356,8 @@ TEST(ArchiveConcurrencyTest, QueriesDuringIngestNeverDuplicate) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&ar, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        ar.Ingest(Event((t * kPerThread + i) * kMillisecond, "E",
-                        t * 1000000 + i));
+        test::Ingest(ar, Event((t * kPerThread + i) * kMillisecond, "E",
+                               t * 1000000 + i));
       }
     });
   }
@@ -386,8 +388,8 @@ class ArchiveRpcTest : public ::testing::Test {
  protected:
   ArchiveRpcTest() : clock_(0), registry_(clock_), ar_("main", 1, Config()) {
     for (int i = 0; i < 100; ++i) {
-      ar_.Ingest(Event(i * kSecond, "EVT_" + std::to_string(i % 4), i,
-                       "host" + std::to_string(i % 2)));
+      test::Ingest(ar_, Event(i * kSecond, "EVT_" + std::to_string(i % 4), i,
+                              "host" + std::to_string(i % 2)));
     }
     EXPECT_TRUE(RegisterArchiveService(registry_, ar_).ok());
     auto listener = net_.Listen("arch-rpc");
@@ -489,7 +491,7 @@ TEST(ArchiveIntegrationTest, GatewayCrashToClientQueryExactAccounting) {
   std::set<double> delivered;
   auto publish = [&](int lo, int hi) {
     for (int i = lo; i < hi; ++i) {
-      gw->Publish(Event(i * kSecond, "E" + std::to_string(i % 3), i));
+      test::Publish(*gw, Event(i * kSecond, "E" + std::to_string(i % 3), i));
       delivered.insert(i);
     }
   };
@@ -570,14 +572,14 @@ TEST(ArchiverDirectoryTest, EntryRefreshesOnSeal) {
   EXPECT_FALSE(entry->Has(directory::schema::kAttrSpanMin));
 
   // Four events: no seal yet, so the published entry stays as-is.
-  for (int i = 0; i < 4; ++i) gw.Publish(Event(i * kSecond, "E", i));
+  for (int i = 0; i < 4; ++i) test::Publish(gw, Event(i * kSecond, "E", i));
   entry = pool.Lookup(dn);
   ASSERT_TRUE(entry.ok());
   EXPECT_EQ(entry->Get(directory::schema::kAttrSegments), "0");
 
   // The fifth event seals the segment, and the agent refreshes the entry
   // with the new segment count, contents, and time span on its own.
-  gw.Publish(Event(4 * kSecond, "E", 4));
+  test::Publish(gw, Event(4 * kSecond, "E", 4));
   ASSERT_EQ(archive.seal_count(), 1u);
   entry = pool.Lookup(dn);
   ASSERT_TRUE(entry.ok());

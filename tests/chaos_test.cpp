@@ -35,6 +35,7 @@
 #include "manager/sensor_manager.hpp"
 #include "resilience/fault.hpp"
 #include "transport/inproc.hpp"
+#include "record_helpers.hpp"
 
 namespace jamm {
 namespace {
@@ -162,9 +163,10 @@ TEST(ChaosTest, CrashLoopingProcessIsQuarantinedWithinWindow) {
   std::vector<ulm::Record> quarantine_events;
   gateway::FilterSpec spec;
   spec.event_glob = consumers::kProcQuarantined;
-  ASSERT_TRUE(gw.Subscribe("ops", spec, [&](const ulm::Record& rec) {
-                  quarantine_events.push_back(rec);
-                }).ok());
+  auto keep_quarantine_events = [&](const ulm::EncodedRecord& enc) {
+    quarantine_events.push_back(enc.view().ToRecord());
+  };
+  ASSERT_TRUE(gw.SubscribeEncoded("ops", spec, keep_quarantine_events).ok());
 
   consumers::ProcessActions actions;
   actions.restart.emplace();
@@ -186,7 +188,7 @@ TEST(ChaosTest, CrashLoopingProcessIsQuarantinedWithinWindow) {
       ulm::Record death(now, "server1", "procmon", "Error",
                         sensors::event::kProcDiedAbnormal);
       death.SetField("PROC", "dpss");
-      gw.Publish(death);
+      test::Publish(gw, death);
     }
     monitor.Tick();  // executes backoff restarts that came due
     if (quarantined_at < 0 && monitor.IsQuarantined("dpss")) {
@@ -241,7 +243,7 @@ TEST(ChaosTest, SlowConsumerStaysBoundedUnderChaos) {
     for (int i = 0; i < 300; ++i) {
       ulm::Record rec(now, "h", "sensor", "Usage", "CPU");
       rec.SetField("VAL", static_cast<std::int64_t>(published++));
-      gw.Publish(rec);
+      test::Publish(gw, rec);
     }
     service.PollOnce();
     if (consumer_schedule.AliveAt(now)) {
@@ -341,7 +343,7 @@ TEST(ChaosTest, FederationTreeReconvergesAfterMidTierCrashes) {
       ulm::Record rec(clock.Now(), "h1", "sensor", "Usage", "CPU");
       rec.SetField("SEQ", published++);
       rec.SetField("VAL", static_cast<double>(published % 100));
-      leaf.Publish(rec);
+      test::Publish(leaf, rec);
     }
     leaf_service.PollOnce();
     if (site_up) {
@@ -349,7 +351,7 @@ TEST(ChaosTest, FederationTreeReconvergesAfterMidTierCrashes) {
       site_service->PollOnce();
     }
     for (const auto& event : root.DrainEvents()) {
-      auto seq = event.GetInt("SEQ");
+      auto seq = event.View().GetInt(ulm::InternSymbol("SEQ"));
       ASSERT_TRUE(seq.ok());
       seqs.push_back(*seq);
     }
@@ -807,9 +809,9 @@ TEST(ChaosTest, SecuredGatewayCrashMidAuthAndPolicyReloadRace) {
   std::string bob_token;
 
   auto collect = [](std::vector<std::int64_t>& into,
-                    std::vector<ulm::Record> events) {
+                    std::vector<ulm::FlatRecord> events) {
     for (const auto& event : events) {
-      auto seq = event.GetInt("SEQ");
+      auto seq = event.View().GetInt(ulm::InternSymbol("SEQ"));
       ASSERT_TRUE(seq.ok());
       into.push_back(*seq);
     }
@@ -904,7 +906,7 @@ TEST(ChaosTest, SecuredGatewayCrashMidAuthAndPolicyReloadRace) {
     if (up) {
       ulm::Record rec(clock.Now(), "h1", "sensor", "Usage", "CPU_LOAD");
       rec.SetField("SEQ", published);
-      gw->Publish(rec);
+      test::Publish(*gw, rec);
       service->PollOnce();
       want_alice.push_back(published);
       if (bob_streaming) want_bob.push_back(published);

@@ -13,6 +13,7 @@
 #include "consumers/process_monitor.hpp"
 #include "directory/schema.hpp"
 #include "netlogger/merge.hpp"
+#include "record_helpers.hpp"
 
 namespace jamm::consumers {
 namespace {
@@ -31,7 +32,7 @@ ulm::Record Event(TimePoint ts, const std::string& name, double value,
 
 TEST(ArchiveTest, IngestAndRangeQuery) {
   archive::EventArchive ar("main");
-  for (int i = 0; i < 10; ++i) ar.Ingest(Event(i * kSecond, "E", i));
+  for (int i = 0; i < 10; ++i) test::Ingest(ar, Event(i * kSecond, "E", i));
   EXPECT_EQ(ar.size(), 10u);
   auto mid = ar.QueryRange(3 * kSecond, 7 * kSecond);
   ASSERT_EQ(mid.size(), 4u);
@@ -42,9 +43,9 @@ TEST(ArchiveTest, IngestAndRangeQuery) {
 
 TEST(ArchiveTest, QueryByEventGlobAndHost) {
   archive::EventArchive ar("main");
-  ar.Ingest(Event(1, "VMSTAT_SYS_TIME", 1, "hostA"));
-  ar.Ingest(Event(2, "TCPD_RETRANSMITS", 1, "hostB"));
-  ar.Ingest(Event(3, "VMSTAT_FREE_MEMORY", 1, "hostA"));
+  test::Ingest(ar, Event(1, "VMSTAT_SYS_TIME", 1, "hostA"));
+  test::Ingest(ar, Event(2, "TCPD_RETRANSMITS", 1, "hostB"));
+  test::Ingest(ar, Event(3, "VMSTAT_FREE_MEMORY", 1, "hostA"));
   EXPECT_EQ(ar.QueryEvents("VMSTAT_*", 0, 10).size(), 2u);
   EXPECT_EQ(ar.QueryEvents("", 0, 10).size(), 3u);
   EXPECT_EQ(ar.QueryHost("hostA", 0, 10).size(), 2u);
@@ -56,9 +57,9 @@ TEST(ArchiveTest, SamplingKeepsAbnormalDropsNormalFraction) {
   // system operation".
   archive::EventArchive ar("sampled", /*sampling_seed=*/7);
   ar.SetSamplingPolicy(0.1, /*keep_abnormal=*/true);
-  for (int i = 0; i < 1000; ++i) ar.Ingest(Event(i, "NORMAL", 1));
+  for (int i = 0; i < 1000; ++i) test::Ingest(ar, Event(i, "NORMAL", 1));
   for (int i = 0; i < 50; ++i) {
-    ar.Ingest(Event(10000 + i, "CRASH", 1, "h1", "Error"));
+    test::Ingest(ar, Event(10000 + i, "CRASH", 1, "h1", "Error"));
   }
   EXPECT_EQ(ar.QueryEvents("CRASH", 0, 1ll << 40).size(), 50u);  // all kept
   const std::size_t normal = ar.QueryEvents("NORMAL", 0, 1ll << 40).size();
@@ -70,9 +71,9 @@ TEST(ArchiveTest, SamplingKeepsAbnormalDropsNormalFraction) {
 
 TEST(ArchiveTest, ContentsSummaryCountsEvents) {
   archive::EventArchive ar("main");
-  ar.Ingest(Event(1, "A", 1));
-  ar.Ingest(Event(2, "A", 1));
-  ar.Ingest(Event(3, "B", 1));
+  test::Ingest(ar, Event(1, "A", 1));
+  test::Ingest(ar, Event(2, "A", 1));
+  test::Ingest(ar, Event(3, "B", 1));
   const std::string summary = ar.ContentsSummary();
   EXPECT_NE(summary.find("A(2)"), std::string::npos);
   EXPECT_NE(summary.find("B(1)"), std::string::npos);
@@ -83,7 +84,7 @@ TEST(ArchiveTest, SaveLoadRoundTrip) {
       (std::filesystem::temp_directory_path() / "jamm_archive_test.log")
           .string();
   archive::EventArchive ar("main");
-  for (int i = 0; i < 5; ++i) ar.Ingest(Event(i * kSecond, "E", i));
+  for (int i = 0; i < 5; ++i) test::Ingest(ar, Event(i * kSecond, "E", i));
   ASSERT_TRUE(ar.SaveTo(path).ok());
   auto loaded = archive::EventArchive::LoadFrom("main", path);
   ASSERT_TRUE(loaded.ok());
@@ -138,9 +139,9 @@ TEST_F(CollectorTest, DiscoversViaDirectoryAndMerges) {
   EXPECT_EQ(*subscribed, 2u);
 
   // Events arrive out of order across gateways; Merged() sorts.
-  gw_b_.Publish(Event(5 * kSecond, "NETSTAT_RETRANS", 0, "hostB"));
-  gw_a_.Publish(Event(2 * kSecond, "VMSTAT_SYS_TIME", 10, "hostA"));
-  gw_a_.Publish(Event(8 * kSecond, "VMSTAT_SYS_TIME", 12, "hostA"));
+  test::Publish(gw_b_, Event(5 * kSecond, "NETSTAT_RETRANS", 0, "hostB"));
+  test::Publish(gw_a_, Event(2 * kSecond, "VMSTAT_SYS_TIME", 10, "hostA"));
+  test::Publish(gw_a_, Event(8 * kSecond, "VMSTAT_SYS_TIME", 12, "hostA"));
 
   auto merged = collector.Merged();
   ASSERT_EQ(merged.size(), 3u);
@@ -175,8 +176,8 @@ TEST_F(CollectorTest, WriteMergedProducesNlvReadyFile) {
   EventCollector collector(
       "c", [this](const std::string& addr) { return Resolve(addr); });
   ASSERT_TRUE(collector.SubscribeTo(gw_a_, {}).ok());
-  gw_a_.Publish(Event(1, "E", 1, "hostA"));
-  gw_a_.Publish(Event(2, "E", 2, "hostA"));
+  test::Publish(gw_a_, Event(1, "E", 1, "hostA"));
+  test::Publish(gw_a_, Event(2, "E", 2, "hostA"));
   ASSERT_TRUE(collector.WriteMerged(path).ok());
   auto loaded = netlogger::LoadLogFile(path);
   ASSERT_TRUE(loaded.ok());
@@ -188,9 +189,9 @@ TEST_F(CollectorTest, UnsubscribeAllStopsCollection) {
   EventCollector collector(
       "c", [this](const std::string& addr) { return Resolve(addr); });
   ASSERT_TRUE(collector.SubscribeTo(gw_a_, {}).ok());
-  gw_a_.Publish(Event(1, "E", 1));
+  test::Publish(gw_a_, Event(1, "E", 1));
   collector.UnsubscribeAll();
-  gw_a_.Publish(Event(2, "E", 2));
+  test::Publish(gw_a_, Event(2, "E", 2));
   EXPECT_EQ(collector.collected_count(), 1u);
   EXPECT_EQ(gw_a_.subscription_count(), 0u);
 }
@@ -201,8 +202,8 @@ TEST_F(CollectorTest, ArchiverIngestsAndPublishes) {
   archive::EventArchive ar("main-archive");
   ArchiverAgent agent("main-archive", ar, "inproc:archive");
   ASSERT_TRUE(agent.SubscribeTo(gw_a_).ok());
-  gw_a_.Publish(Event(1, "VMSTAT_SYS_TIME", 10, "hostA"));
-  gw_a_.Publish(Event(2, "TCPD_RETRANSMITS", 1, "hostA", "Warning"));
+  test::Publish(gw_a_, Event(1, "VMSTAT_SYS_TIME", 10, "hostA"));
+  test::Publish(gw_a_, Event(2, "TCPD_RETRANSMITS", 1, "hostA", "Warning"));
   EXPECT_EQ(ar.size(), 2u);
 
   ASSERT_TRUE(agent.PublishTo(pool_, suffix_).ok());
@@ -216,7 +217,7 @@ TEST_F(CollectorTest, ArchiverIngestsAndPublishes) {
             std::string::npos);
 
   // Re-publish refreshes contents.
-  gw_a_.Publish(Event(3, "TCPD_RETRANSMITS", 1, "hostA", "Warning"));
+  test::Publish(gw_a_, Event(3, "TCPD_RETRANSMITS", 1, "hostA", "Warning"));
   ASSERT_TRUE(agent.PublishTo(pool_, suffix_).ok());
   entry = pool_.Lookup(directory::schema::ArchiveDn(suffix_, "main-archive"));
   EXPECT_NE(entry->Get(directory::schema::kAttrContents)
@@ -244,7 +245,7 @@ TEST(ProcessMonitorTest, RestartsAndNotifiesOnDeath) {
   ulm::Record death(kSecond, "server1", "procmon", "Error",
                     sensors::event::kProcDiedAbnormal);
   death.SetField("PROC", "dpss");
-  gw.Publish(death);
+  test::Publish(gw, death);
 
   EXPECT_EQ(monitor.stats().deaths_seen, 1u);
   EXPECT_EQ(monitor.stats().restarts, 1u);
@@ -265,11 +266,11 @@ TEST(ProcessMonitorTest, IgnoresOtherProcessesAndEvents) {
   ulm::Record other(1, "server1", "procmon", "Warning",
                     sensors::event::kProcDiedNormal);
   other.SetField("PROC", "not-dpss");
-  gw.Publish(other);
+  test::Publish(gw, other);
   ulm::Record started(2, "server1", "procmon", "Usage",
                       sensors::event::kProcStarted);
   started.SetField("PROC", "dpss");
-  gw.Publish(started);
+  test::Publish(gw, started);
   EXPECT_EQ(monitor.stats().deaths_seen, 0u);
   EXPECT_EQ(monitor.stats().restarts, 0u);
 }
@@ -283,9 +284,10 @@ TEST(ProcessMonitorTest, CrashLoopBacksOffThenQuarantines) {
   std::vector<ulm::Record> quarantined;
   gateway::FilterSpec spec;
   spec.event_glob = kProcQuarantined;
-  ASSERT_TRUE(gw.Subscribe("ops", spec, [&](const ulm::Record& rec) {
-                  quarantined.push_back(rec);
-                }).ok());
+  auto keep_quarantined = [&](const ulm::EncodedRecord& enc) {
+    quarantined.push_back(enc.view().ToRecord());
+  };
+  ASSERT_TRUE(gw.SubscribeEncoded("ops", spec, keep_quarantined).ok());
 
   ProcessActions actions;
   actions.restart.emplace();
@@ -300,7 +302,7 @@ TEST(ProcessMonitorTest, CrashLoopBacksOffThenQuarantines) {
     ulm::Record death(clock.Now(), "server1", "procmon", "Error",
                       sensors::event::kProcDiedAbnormal);
     death.SetField("PROC", "dpss");
-    gw.Publish(death);
+    test::Publish(gw, death);
   };
 
   // First death of a calm period: restarted inline, no Tick needed.
@@ -355,7 +357,7 @@ TEST(OverviewMonitorTest, PagesOnlyWhenBothServersDown) {
   ASSERT_TRUE(monitor.SubscribeTo(gw_backup).ok());
 
   int pages = 0;
-  auto down = [](const ulm::Record& rec) {
+  auto down = [](const ulm::RecordView& rec) {
     return rec.event_name() == sensors::event::kProcDiedAbnormal ||
            rec.event_name() == sensors::event::kProcDiedNormal;
   };
@@ -370,17 +372,21 @@ TEST(OverviewMonitorTest, PagesOnlyWhenBothServersDown) {
     return rec;
   };
 
-  gw_primary.Publish(proc_event("primary", sensors::event::kProcDiedAbnormal));
+  test::Publish(gw_primary,
+                proc_event("primary", sensors::event::kProcDiedAbnormal));
   EXPECT_EQ(pages, 0);  // only primary down
-  gw_backup.Publish(proc_event("backup", sensors::event::kProcDiedAbnormal));
+  test::Publish(gw_backup,
+                proc_event("backup", sensors::event::kProcDiedAbnormal));
   EXPECT_EQ(pages, 1);  // both down → page
-  gw_backup.Publish(proc_event("backup", sensors::event::kProcDiedAbnormal));
+  test::Publish(gw_backup,
+                proc_event("backup", sensors::event::kProcDiedAbnormal));
   EXPECT_EQ(pages, 1);  // still down → no duplicate page
 
   // Backup restarts → rule re-arms; both down again → second page.
-  gw_backup.Publish(proc_event("backup", sensors::event::kProcStarted));
+  test::Publish(gw_backup, proc_event("backup", sensors::event::kProcStarted));
   EXPECT_EQ(pages, 1);
-  gw_backup.Publish(proc_event("backup", sensors::event::kProcDiedAbnormal));
+  test::Publish(gw_backup,
+                proc_event("backup", sensors::event::kProcDiedAbnormal));
   EXPECT_EQ(pages, 2);
   EXPECT_EQ(monitor.fires("both-servers-down"), 2u);
 }
@@ -391,18 +397,18 @@ TEST(OverviewMonitorTest, ValueConditionsAcrossHosts) {
   OverviewMonitor monitor("overview");
   ASSERT_TRUE(monitor.SubscribeTo(gw).ok());
   int fires = 0;
-  auto overloaded = [](const ulm::Record& rec) {
-    auto v = rec.GetDouble("VAL");
+  auto overloaded = [](const ulm::RecordView& rec) {
+    auto v = rec.GetDouble(ulm::InternSymbol("VAL"));
     return v.ok() && *v > 90;
   };
   monitor.AddRule("cluster-overloaded",
                   {{"n1", "VMSTAT_SYS_TIME", overloaded},
                    {"n2", "VMSTAT_SYS_TIME", overloaded}},
                   [&](const std::string&) { ++fires; });
-  gw.Publish(Event(1, "VMSTAT_SYS_TIME", 95, "n1"));
-  gw.Publish(Event(2, "VMSTAT_SYS_TIME", 50, "n2"));
+  test::Publish(gw, Event(1, "VMSTAT_SYS_TIME", 95, "n1"));
+  test::Publish(gw, Event(2, "VMSTAT_SYS_TIME", 50, "n2"));
   EXPECT_EQ(fires, 0);
-  gw.Publish(Event(3, "VMSTAT_SYS_TIME", 92, "n2"));
+  test::Publish(gw, Event(3, "VMSTAT_SYS_TIME", 92, "n2"));
   EXPECT_EQ(fires, 1);
 }
 

@@ -8,6 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "archive/archive.hpp"
+#include "common/config.hpp"
+#include "consumers/archiver.hpp"
 #include "consumers/overview_monitor.hpp"
 #include "directory/replication.hpp"
 #include "directory/schema.hpp"
@@ -17,11 +20,15 @@
 #include "gateway/filter.hpp"
 #include "gateway/gateway.hpp"
 #include "gateway/service.hpp"
+#include "manager/sensor_manager.hpp"
 #include "security/akenti.hpp"
 #include "security/certificate.hpp"
 #include "security/token.hpp"
+#include "sysmon/simhost.hpp"
+#include "telemetry/trace.hpp"
 #include "transport/inproc.hpp"
 #include "ulm/record.hpp"
+#include "record_helpers.hpp"
 
 namespace jamm::federation {
 namespace {
@@ -53,23 +60,39 @@ RepublisherGateway::DownstreamSpec Child(transport::InProcNetwork& net,
 
 // -------------------------------------------------------------- deduper
 
+StreamDeduper::Verdict Admit(StreamDeduper& dedup, const ulm::Record& rec) {
+  return dedup.Admit(ulm::FlatRecord::FromRecord(rec).View());
+}
+
 TEST(StreamDeduperTest, AdmitsDuplicatesAndStaleExactly) {
   StreamDeduper dedup;
   const ulm::Record a = ValueEvent(5 * kSecond, "CPU", 10);
-  EXPECT_EQ(dedup.Admit(a), StreamDeduper::Verdict::kAdmit);
+  EXPECT_EQ(Admit(dedup, a), StreamDeduper::Verdict::kAdmit);
   // Exact duplicate at the same timestamp: dropped.
-  EXPECT_EQ(dedup.Admit(a), StreamDeduper::Verdict::kDuplicate);
+  EXPECT_EQ(Admit(dedup, a), StreamDeduper::Verdict::kDuplicate);
   // Same timestamp, different payload: legal, admitted.
-  EXPECT_EQ(dedup.Admit(ValueEvent(5 * kSecond, "CPU", 11)),
+  EXPECT_EQ(Admit(dedup, ValueEvent(5 * kSecond, "CPU", 11)),
             StreamDeduper::Verdict::kAdmit);
   // Time travel within the source: stale.
-  EXPECT_EQ(dedup.Admit(ValueEvent(3 * kSecond, "CPU", 9)),
+  EXPECT_EQ(Admit(dedup, ValueEvent(3 * kSecond, "CPU", 9)),
             StreamDeduper::Verdict::kStale);
   // Progress re-arms the source.
-  EXPECT_EQ(dedup.Admit(ValueEvent(6 * kSecond, "CPU", 12)),
+  EXPECT_EQ(Admit(dedup, ValueEvent(6 * kSecond, "CPU", 12)),
             StreamDeduper::Verdict::kAdmit);
   // Other sources are independent.
-  EXPECT_EQ(dedup.Admit(ValueEvent(1 * kSecond, "CPU", 1, "h2")),
+  EXPECT_EQ(Admit(dedup, ValueEvent(1 * kSecond, "CPU", 1, "h2")),
+            StreamDeduper::Verdict::kAdmit);
+  EXPECT_EQ(dedup.source_count(), 2u);
+}
+
+// Regression: the source key used to join host, prog and event with an
+// unescaped '|', so host "a|b"/prog "c" and host "a"/prog "b|c" shared one
+// source state and the second source's older record was dropped as stale.
+TEST(StreamDeduperTest, PipesInNamesDoNotMergeSources) {
+  StreamDeduper dedup;
+  EXPECT_EQ(Admit(dedup, ValueEvent(20 * kSecond, "CPU", 1, "a|b", "c")),
+            StreamDeduper::Verdict::kAdmit);
+  EXPECT_EQ(Admit(dedup, ValueEvent(10 * kSecond, "CPU", 2, "a", "b|c")),
             StreamDeduper::Verdict::kAdmit);
   EXPECT_EQ(dedup.source_count(), 2u);
 }
@@ -129,8 +152,9 @@ TEST(FederationTest, DepthThreeDeliversLeafEventToRootViaPushdown) {
   EXPECT_EQ(leaf.subscription_count(), 1u);
   EXPECT_EQ(site.pushdown_group_count(), 1u);
 
-  leaf.Publish(ValueEvent(clock.Now(), "CPU", 42, "host-1"));
-  leaf.Publish(ValueEvent(clock.Now(), "MEM", 7, "host-1"));  // filtered out
+  test::Publish(leaf, ValueEvent(clock.Now(), "CPU", 42, "host-1"));
+  test::Publish(leaf,
+                ValueEvent(clock.Now(), "MEM", 7, "host-1"));  // filtered out
   for (int i = 0; i < 6; ++i) tick();
 
   ASSERT_EQ(delivered_a.size(), 1u);
@@ -208,7 +232,7 @@ TEST(FederationTest, ExpiredChildTokenFallsBackToCertBundle) {
   site.Pump();         // ...and RecoverChildAuth replays the cert bundle
   service.PollOnce();  // fresh cert auth + replayed subscribe accepted
 
-  leaf.Publish(ValueEvent(clock.Now(), "CPU_LOAD", 42));
+  test::Publish(leaf, ValueEvent(clock.Now(), "CPU_LOAD", 42));
   service.PollOnce();
   clock.Advance(60 * kMillisecond);  // age-flush the partial event batch
   service.PollOnce();
@@ -239,7 +263,7 @@ TEST(FederationTest, MergesChildrenTimeOrdered) {
 
   std::vector<TimePoint> order;
   auto sub = site.SubscribeEncoded("root", {}, [&](const ulm::EncodedRecord& enc) {
-    order.push_back(enc.record().timestamp());
+    order.push_back(enc.view().timestamp());
   });
   ASSERT_TRUE(sub.ok());
 
@@ -247,9 +271,9 @@ TEST(FederationTest, MergesChildrenTimeOrdered) {
   service_a.PollOnce();
   service_b.PollOnce();
 
-  leaf_a.Publish(ValueEvent(1 * kSecond, "CPU", 1, "ha"));
-  leaf_a.Publish(ValueEvent(3 * kSecond, "CPU", 3, "ha"));
-  leaf_b.Publish(ValueEvent(2 * kSecond, "CPU", 2, "hb"));
+  test::Publish(leaf_a, ValueEvent(1 * kSecond, "CPU", 1, "ha"));
+  test::Publish(leaf_a, ValueEvent(3 * kSecond, "CPU", 3, "ha"));
+  test::Publish(leaf_b, ValueEvent(2 * kSecond, "CPU", 2, "hb"));
   clock.Advance(100 * kMillisecond);
   service_a.PollOnce();  // age-flush partial batches
   service_b.PollOnce();
@@ -281,14 +305,14 @@ TEST(FederationTest, DropsDuplicatesAndStaleWithExactAccounting) {
   service.PollOnce();
 
   const ulm::Record rec = ValueEvent(5 * kSecond, "CPU", 10);
-  leaf.Publish(rec);
-  leaf.Publish(rec);  // exact duplicate
+  test::Publish(leaf, rec);
+  test::Publish(leaf, rec);  // exact duplicate
   clock.Advance(100 * kMillisecond);
   service.PollOnce();
   site.Pump();
   // Out-of-order arrivals WITHIN one pump are repaired by the time-sort;
   // a record older than what already crossed a pump boundary is stale.
-  leaf.Publish(ValueEvent(3 * kSecond, "CPU", 9));
+  test::Publish(leaf, ValueEvent(3 * kSecond, "CPU", 9));
   clock.Advance(100 * kMillisecond);
   service.PollOnce();
   site.Pump();
@@ -364,10 +388,10 @@ TEST(FederationTest, LocalEvalFallbackMatchesPushdownOutput) {
   const double values[] = {10, 60, 55, 40, 80, 80, 45, 51};
   TimePoint ts = kSecond;
   for (double v : values) {
-    leaf_p.Publish(ValueEvent(ts, "CPU", v));
-    leaf_f.Publish(ValueEvent(ts, "CPU", v));
-    leaf_p.Publish(ValueEvent(ts, "MEM", v));  // never matches the glob
-    leaf_f.Publish(ValueEvent(ts, "MEM", v));
+    test::Publish(leaf_p, ValueEvent(ts, "CPU", v));
+    test::Publish(leaf_f, ValueEvent(ts, "CPU", v));
+    test::Publish(leaf_p, ValueEvent(ts, "MEM", v));  // never matches the glob
+    test::Publish(leaf_f, ValueEvent(ts, "MEM", v));
     ts += kSecond;
   }
   for (int i = 0; i < 3; ++i) {
@@ -439,8 +463,8 @@ TEST(FederationTest, SummaryFallsBackToLocalWindowOnChildFailure) {
   // Local windows fill from the merged base stream.
   site.Pump();
   service.PollOnce();
-  leaf.Publish(ValueEvent(clock.Now(), "CPU", 30));
-  leaf.Publish(ValueEvent(clock.Now(), "CPU", 50));
+  test::Publish(leaf, ValueEvent(clock.Now(), "CPU", 30));
+  test::Publish(leaf, ValueEvent(clock.Now(), "CPU", 50));
   clock.Advance(100 * kMillisecond);
   service.PollOnce();
   site.Pump();
@@ -581,8 +605,8 @@ TEST(FederationTest, OverviewMonitorEvaluatesMultiHostRuleAtRoot) {
 
   consumers::OverviewMonitor monitor("pager");
   monitor.PublishAlertsTo(root);
-  auto above_90 = [](const ulm::Record& rec) {
-    auto value = rec.GetDouble("VAL");
+  auto above_90 = [](const ulm::RecordView& rec) {
+    auto value = rec.GetDouble(ulm::InternSymbol("VAL"));
     return value.ok() && *value > 90;
   };
   monitor.AddRule("both-hot",
@@ -598,8 +622,8 @@ TEST(FederationTest, OverviewMonitorEvaluatesMultiHostRuleAtRoot) {
   std::size_t alerts = 0;
   auto alert_sub = root.SubscribeEncoded(
       "ops", {}, [&](const ulm::EncodedRecord& enc) {
-        if (enc.record().event_name() == consumers::kOverviewAlertEvent) {
-          EXPECT_EQ(enc.record().GetField("RULE"), "both-hot");
+        if (enc.view().event_name() == consumers::kOverviewAlertEvent) {
+          EXPECT_EQ(enc.view().GetField("RULE"), "both-hot");
           ++alerts;
         }
       });
@@ -614,14 +638,168 @@ TEST(FederationTest, OverviewMonitorEvaluatesMultiHostRuleAtRoot) {
   };
   for (int i = 0; i < 4; ++i) tick();
 
-  leaf.Publish(ValueEvent(clock.Now(), "CPU", 95, "primary"));
+  test::Publish(leaf, ValueEvent(clock.Now(), "CPU", 95, "primary"));
   for (int i = 0; i < 4; ++i) tick();
   EXPECT_EQ(monitor.fires("both-hot"), 0u);  // only one host is hot
 
-  leaf.Publish(ValueEvent(clock.Now(), "CPU", 97, "backup"));
+  test::Publish(leaf, ValueEvent(clock.Now(), "CPU", 97, "backup"));
   for (int i = 0; i < 4; ++i) tick();
   EXPECT_EQ(monitor.fires("both-hot"), 1u);
   EXPECT_EQ(alerts, 1u);
+}
+
+
+// A local-eval group sees a record exactly as received: the republisher's
+// own publish stamps HOP.GATEWAY in place, so fallback delivery runs first.
+// Leaf and republisher run on different clocks, so a restamp would show in
+// the delivered bytes.
+TEST(FederationTest, TracedLocalEvalMatchesPushdownBytes) {
+  auto deliver = [](bool supports_pushdown) {
+    SimClock leaf_clock(10 * kSecond);
+    SimClock fed_clock(99 * kSecond);
+    transport::InProcNetwork net;
+    gateway::EventGateway leaf("leaf", leaf_clock);
+    auto listener = net.Listen("leaf");
+    EXPECT_TRUE(listener.ok());
+    gateway::GatewayService leaf_service(leaf, std::move(*listener));
+    RepublisherGateway site("site", fed_clock);
+    EXPECT_TRUE(
+        site.AddDownstream(Child(net, "leaf", supports_pushdown)).ok());
+    std::vector<std::string> got;
+    EXPECT_TRUE(site.SubscribeEncoded("c", CpuGlobSpec(),
+                                      [&](const ulm::EncodedRecord& enc) {
+                                        got.push_back(enc.Ascii());
+                                      })
+                    .ok());
+    auto tick = [&] {
+      leaf_service.PollOnce();
+      site.Pump();
+      leaf_clock.Advance(60 * kMillisecond);
+    };
+    for (int i = 0; i < 4; ++i) tick();
+    ulm::FlatRecord rec(leaf_clock.Now(), "h1", "sensor", "Usage", "CPU");
+    rec.SetField("VAL", 42.0);
+    telemetry::Inject(telemetry::TraceContext{0x1234, 0x5678, 0}, rec);
+    telemetry::StampHop(rec, "sensor", leaf_clock.Now());
+    leaf.Publish(rec);
+    for (int i = 0; i < 4; ++i) tick();
+    return got;
+  };
+  const std::vector<std::string> pushed = deliver(true);
+  ASSERT_EQ(pushed.size(), 1u);
+  EXPECT_NE(pushed[0].find("HOP.GATEWAY="), std::string::npos);
+  EXPECT_EQ(deliver(false), pushed);
+}
+
+// ------------------------------------------------------ end-to-end digest
+
+constexpr char kDigestSensors[] = R"([sensor]
+name = iostat
+kind = iostat
+interval_ms = 1000
+mode = always
+
+[sensor]
+name = netstat
+kind = netstat
+interval_ms = 1000
+mode = always
+
+[sensor]
+name = vmstat
+kind = vmstat
+interval_ms = 1000
+mode = always
+)";
+
+/// FNV-1a over every record's ASCII line, with the trace ids (seeded from
+/// the wall clock) masked.
+std::string MaskedDigest(const std::vector<ulm::Record>& records) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (ulm::Record rec : records) {
+    for (const char* key : {"TRACE.ID", "SPAN.ID", "SPAN.PARENT"}) {
+      if (rec.HasField(key)) rec.SetField(key, "*");
+    }
+    for (unsigned char c : rec.ToAscii() + "\n") {
+      hash ^= c;
+      hash *= 1099511628211ull;
+    }
+  }
+  return telemetry::IdToHex(hash);
+}
+
+// A seeded run through sensor manager → leaf gateway + batched service →
+// two republisher tiers → ArchiverAgent, archived over both the remote
+// (wire) path and the local (in-process) path. The digest pins every
+// archived byte against the Record-bridged pipeline this one replaced: the
+// constant was computed by this same test on that code.
+TEST(FederationArchiveDigestTest, ManagerToArchiveThroughTwoTiersIsPinned) {
+  SimClock clock(1000 * kSecond);
+  transport::InProcNetwork net;
+  sysmon::SimHost host("dpss1.lbl.gov", clock, /*seed=*/7);
+  host.SetBaseLoad(30, 5);
+
+  gateway::EventGateway leaf("leaf", clock);
+  auto leaf_listener = net.Listen("leaf");
+  ASSERT_TRUE(leaf_listener.ok());
+  gateway::GatewayService leaf_service(leaf, std::move(*leaf_listener));
+  manager::SensorManager::Options mo;
+  mo.clock = &clock;
+  mo.host = &host;
+  mo.gateway = &leaf;
+  mo.config_refresh = 0;
+  manager::SensorManager manager(std::move(mo));
+  auto config = Config::ParseString(kDigestSensors);
+  ASSERT_TRUE(config.ok());
+  ASSERT_TRUE(manager.ApplyConfig(*config).ok());
+
+  RepublisherGateway::Options ro;
+  ro.batch_records = 8;
+  RepublisherGateway site("site", clock, ro);
+  ASSERT_TRUE(site.AddDownstream(Child(net, "leaf")).ok());
+  auto site_listener = net.Listen("site");
+  ASSERT_TRUE(site_listener.ok());
+  gateway::GatewayService site_service(site, std::move(*site_listener));
+  RepublisherGateway root("root", clock, ro);
+  ASSERT_TRUE(root.AddDownstream(Child(net, "site")).ok());
+  auto root_listener = net.Listen("root");
+  ASSERT_TRUE(root_listener.ok());
+  gateway::GatewayService root_service(root, std::move(*root_listener));
+
+  archive::EventArchive archive("digest");
+  consumers::ArchiverAgent remote("remote", archive, "", &clock);
+  ASSERT_TRUE(remote
+                  .AttachRemote(std::make_unique<gateway::GatewayClient>(
+                                    [&net] { return net.Dial("root"); }),
+                                {}, 8)
+                  .ok());
+  consumers::ArchiverAgent local("local", archive, "", &clock);
+  ASSERT_TRUE(local.SubscribeTo(root.local()).ok());
+
+  auto pump = [&] {
+    leaf_service.PollOnce();
+    site.Pump();
+    site_service.PollOnce();
+    root.Pump();
+    root_service.PollOnce();
+    remote.PumpRemote();
+  };
+  Rng rng(11);
+  for (int s = 0; s < 40; ++s) {
+    host.AddDiskIo(rng.Uniform(0, 4096), rng.Uniform(0, 2048));
+    if (rng.Chance(0.3)) host.AddTcpRetransmits(rng.Uniform(1, 9));
+    manager.Tick();
+    pump();
+    clock.Advance(kSecond);
+  }
+  for (int i = 0; i < 4; ++i) {
+    pump();
+    clock.Advance(kSecond);
+  }
+
+  const auto records = archive.QueryRange(0, clock.Now() + kHour);
+  EXPECT_GT(records.size(), 400u);
+  EXPECT_EQ(MaskedDigest(records), "0412aa41589654b4");
 }
 
 }  // namespace

@@ -16,14 +16,15 @@
 #include "transport/net_sink.hpp"
 #include "transport/tcp.hpp"
 #include "ulm/binary.hpp"
+#include "record_helpers.hpp"
 
 namespace jamm::gateway {
 namespace {
 
-ulm::Record ValueEvent(TimePoint ts, const std::string& event, double value,
-                       const std::string& host = "h1",
-                       const std::string& prog = "sensor") {
-  ulm::Record rec(ts, host, prog, "Usage", event);
+ulm::FlatRecord ValueEvent(TimePoint ts, const std::string& event,
+                           double value, const std::string& host = "h1",
+                           const std::string& prog = "sensor") {
+  ulm::FlatRecord rec(ts, host, prog, "Usage", event);
   rec.SetField("VAL", value);
   return rec;
 }
@@ -71,61 +72,65 @@ TEST(FilterSpecTest, RoundTripsToString) {
 
 // ------------------------------------------------------------- EventFilter
 
+bool Deliver(EventFilter& filter, const ulm::FlatRecord& rec) {
+  return filter.ShouldDeliver(rec.View());
+}
+
 TEST(EventFilterTest, OnChangeSuppressesRepeats) {
   // The paper's example: netstat emits the retransmission counter every
   // second; consumers only want changes.
   EventFilter filter(*FilterSpec::Parse("on-change"));
-  EXPECT_TRUE(filter.ShouldDeliver(ValueEvent(1, "NETSTAT_RETRANS", 10)));
-  EXPECT_FALSE(filter.ShouldDeliver(ValueEvent(2, "NETSTAT_RETRANS", 10)));
-  EXPECT_FALSE(filter.ShouldDeliver(ValueEvent(3, "NETSTAT_RETRANS", 10)));
-  EXPECT_TRUE(filter.ShouldDeliver(ValueEvent(4, "NETSTAT_RETRANS", 14)));
-  EXPECT_FALSE(filter.ShouldDeliver(ValueEvent(5, "NETSTAT_RETRANS", 14)));
+  EXPECT_TRUE(Deliver(filter, ValueEvent(1, "NETSTAT_RETRANS", 10)));
+  EXPECT_FALSE(Deliver(filter, ValueEvent(2, "NETSTAT_RETRANS", 10)));
+  EXPECT_FALSE(Deliver(filter, ValueEvent(3, "NETSTAT_RETRANS", 10)));
+  EXPECT_TRUE(Deliver(filter, ValueEvent(4, "NETSTAT_RETRANS", 14)));
+  EXPECT_FALSE(Deliver(filter, ValueEvent(5, "NETSTAT_RETRANS", 14)));
 }
 
 TEST(EventFilterTest, OnChangeTracksSourcesIndependently) {
   EventFilter filter(*FilterSpec::Parse("on-change"));
-  EXPECT_TRUE(filter.ShouldDeliver(ValueEvent(1, "E", 5, "hostA")));
-  EXPECT_TRUE(filter.ShouldDeliver(ValueEvent(2, "E", 5, "hostB")));
-  EXPECT_FALSE(filter.ShouldDeliver(ValueEvent(3, "E", 5, "hostA")));
-  EXPECT_FALSE(filter.ShouldDeliver(ValueEvent(4, "E", 5, "hostB")));
+  EXPECT_TRUE(Deliver(filter, ValueEvent(1, "E", 5, "hostA")));
+  EXPECT_TRUE(Deliver(filter, ValueEvent(2, "E", 5, "hostB")));
+  EXPECT_FALSE(Deliver(filter, ValueEvent(3, "E", 5, "hostA")));
+  EXPECT_FALSE(Deliver(filter, ValueEvent(4, "E", 5, "hostB")));
 }
 
 TEST(EventFilterTest, ThresholdCrossings) {
   // "if CPU load becomes greater than 50%" — deliver on crossings.
   EventFilter filter(*FilterSpec::Parse("threshold:50"));
-  EXPECT_FALSE(filter.ShouldDeliver(ValueEvent(1, "CPU", 30)));  // below
-  EXPECT_FALSE(filter.ShouldDeliver(ValueEvent(2, "CPU", 45)));
-  EXPECT_TRUE(filter.ShouldDeliver(ValueEvent(3, "CPU", 60)));   // crossed up
-  EXPECT_FALSE(filter.ShouldDeliver(ValueEvent(4, "CPU", 70)));  // stays above
-  EXPECT_TRUE(filter.ShouldDeliver(ValueEvent(5, "CPU", 40)));   // crossed down
+  EXPECT_FALSE(Deliver(filter, ValueEvent(1, "CPU", 30)));  // below
+  EXPECT_FALSE(Deliver(filter, ValueEvent(2, "CPU", 45)));
+  EXPECT_TRUE(Deliver(filter, ValueEvent(3, "CPU", 60)));   // crossed up
+  EXPECT_FALSE(Deliver(filter, ValueEvent(4, "CPU", 70)));  // stays above
+  EXPECT_TRUE(Deliver(filter, ValueEvent(5, "CPU", 40)));   // crossed down
 }
 
 TEST(EventFilterTest, ThresholdFirstSampleAboveDelivers) {
   EventFilter filter(*FilterSpec::Parse("threshold:50"));
-  EXPECT_TRUE(filter.ShouldDeliver(ValueEvent(1, "CPU", 80)));
+  EXPECT_TRUE(Deliver(filter, ValueEvent(1, "CPU", 80)));
 }
 
 TEST(EventFilterTest, DeltaPercent) {
   // "if load changes by more than 20%" — relative to last delivered.
   EventFilter filter(*FilterSpec::Parse("delta:20"));
-  EXPECT_TRUE(filter.ShouldDeliver(ValueEvent(1, "CPU", 50)));   // first
-  EXPECT_FALSE(filter.ShouldDeliver(ValueEvent(2, "CPU", 55)));  // +10%
-  EXPECT_FALSE(filter.ShouldDeliver(ValueEvent(3, "CPU", 59)));  // +18% of 50
-  EXPECT_TRUE(filter.ShouldDeliver(ValueEvent(4, "CPU", 60)));   // +20%
-  EXPECT_FALSE(filter.ShouldDeliver(ValueEvent(5, "CPU", 65)));  // +8.3% of 60
-  EXPECT_TRUE(filter.ShouldDeliver(ValueEvent(6, "CPU", 48)));   // -20%
+  EXPECT_TRUE(Deliver(filter, ValueEvent(1, "CPU", 50)));   // first
+  EXPECT_FALSE(Deliver(filter, ValueEvent(2, "CPU", 55)));  // +10%
+  EXPECT_FALSE(Deliver(filter, ValueEvent(3, "CPU", 59)));  // +18% of 50
+  EXPECT_TRUE(Deliver(filter, ValueEvent(4, "CPU", 60)));   // +20%
+  EXPECT_FALSE(Deliver(filter, ValueEvent(5, "CPU", 65)));  // +8.3% of 60
+  EXPECT_TRUE(Deliver(filter, ValueEvent(6, "CPU", 48)));   // -20%
 }
 
 TEST(EventFilterTest, EventGlobRestricts) {
   EventFilter filter(*FilterSpec::Parse("all|VMSTAT_*"));
-  EXPECT_TRUE(filter.ShouldDeliver(ValueEvent(1, "VMSTAT_SYS_TIME", 1)));
-  EXPECT_FALSE(filter.ShouldDeliver(ValueEvent(2, "TCPD_RETRANSMITS", 1)));
+  EXPECT_TRUE(Deliver(filter, ValueEvent(1, "VMSTAT_SYS_TIME", 1)));
+  EXPECT_FALSE(Deliver(filter, ValueEvent(2, "TCPD_RETRANSMITS", 1)));
 }
 
 TEST(EventFilterTest, ValuelessRecordsPassValueFilters) {
   EventFilter filter(*FilterSpec::Parse("threshold:50"));
-  ulm::Record status(1, "h", "p", "Error", "PROC_DIED_ABNORMAL");
-  EXPECT_TRUE(filter.ShouldDeliver(status));
+  const ulm::FlatRecord status(1, "h", "p", "Error", "PROC_DIED_ABNORMAL");
+  EXPECT_TRUE(filter.ShouldDeliver(status.View()));
 }
 
 // ----------------------------------------------------------- SummaryWindow
@@ -220,14 +225,16 @@ class GatewayTest : public ::testing::Test {
 
 TEST_F(GatewayTest, FanOutToMultipleSubscribers) {
   std::vector<ulm::Record> a, b;
-  ASSERT_TRUE(gw_.Subscribe("consA", {}, [&](const ulm::Record& r) {
-                   a.push_back(r);
-                 }).ok());
-  ASSERT_TRUE(gw_.Subscribe("consB", {}, [&](const ulm::Record& r) {
-                   b.push_back(r);
-                 }).ok());
-  gw_.Publish(ValueEvent(1, "E", 1));
-  gw_.Publish(ValueEvent(2, "E", 2));
+  auto keep_a = [&](const ulm::EncodedRecord& enc) {
+    a.push_back(enc.view().ToRecord());
+  };
+  ASSERT_TRUE(gw_.SubscribeEncoded("consA", {}, keep_a).ok());
+  auto keep_b = [&](const ulm::EncodedRecord& enc) {
+    b.push_back(enc.view().ToRecord());
+  };
+  ASSERT_TRUE(gw_.SubscribeEncoded("consB", {}, keep_b).ok());
+  test::Publish(gw_, ValueEvent(1, "E", 1));
+  test::Publish(gw_, ValueEvent(2, "E", 2));
   EXPECT_EQ(a.size(), 2u);
   EXPECT_EQ(b.size(), 2u);
   auto stats = gw_.stats();
@@ -238,14 +245,18 @@ TEST_F(GatewayTest, FanOutToMultipleSubscribers) {
 
 TEST_F(GatewayTest, PerSubscriptionFiltering) {
   std::vector<ulm::Record> all, changes;
-  (void)gw_.Subscribe("all", *FilterSpec::Parse("all"),
-                      [&](const ulm::Record& r) { all.push_back(r); });
-  (void)gw_.Subscribe("changes", *FilterSpec::Parse("on-change"),
-                      [&](const ulm::Record& r) { changes.push_back(r); });
+  (void)gw_.SubscribeEncoded("all", *FilterSpec::Parse("all"),
+                             [&](const ulm::EncodedRecord& enc) {
+                               all.push_back(enc.view().ToRecord());
+                             });
+  (void)gw_.SubscribeEncoded("changes", *FilterSpec::Parse("on-change"),
+                             [&](const ulm::EncodedRecord& enc) {
+                               changes.push_back(enc.view().ToRecord());
+                             });
   for (int i = 0; i < 10; ++i) {
-    gw_.Publish(ValueEvent(i, "NETSTAT_RETRANS", 7));  // constant
+    test::Publish(gw_, ValueEvent(i, "NETSTAT_RETRANS", 7));  // constant
   }
-  gw_.Publish(ValueEvent(10, "NETSTAT_RETRANS", 9));
+  test::Publish(gw_, ValueEvent(10, "NETSTAT_RETRANS", 9));
   EXPECT_EQ(all.size(), 11u);
   EXPECT_EQ(changes.size(), 2u);  // first + the change
   EXPECT_EQ(gw_.stats().events_filtered, 9u);
@@ -253,13 +264,13 @@ TEST_F(GatewayTest, PerSubscriptionFiltering) {
 
 TEST_F(GatewayTest, UnsubscribeStopsDelivery) {
   std::vector<ulm::Record> got;
-  auto sub = gw_.Subscribe("c", {}, [&](const ulm::Record& r) {
-    got.push_back(r);
+  auto sub = gw_.SubscribeEncoded("c", {}, [&](const ulm::EncodedRecord& enc) {
+    got.push_back(enc.view().ToRecord());
   });
   ASSERT_TRUE(sub.ok());
-  gw_.Publish(ValueEvent(1, "E", 1));
+  test::Publish(gw_, ValueEvent(1, "E", 1));
   ASSERT_TRUE(gw_.Unsubscribe(*sub).ok());
-  gw_.Publish(ValueEvent(2, "E", 2));
+  test::Publish(gw_, ValueEvent(2, "E", 2));
   EXPECT_EQ(got.size(), 1u);
   EXPECT_FALSE(gw_.Unsubscribe(*sub).ok());  // already gone
   EXPECT_FALSE(gw_.Unsubscribe("sub-999999").ok());
@@ -271,20 +282,22 @@ TEST_F(GatewayTest, CallbackMayUnsubscribeItselfDuringFanOut) {
   // the iterator mid-fan-out.
   std::string one_shot_id;
   int one_shot_events = 0;
-  auto sub = gw_.Subscribe("one-shot", {}, [&](const ulm::Record&) {
-    ++one_shot_events;
-    EXPECT_TRUE(gw_.Unsubscribe(one_shot_id).ok());
-  });
+  auto sub =
+      gw_.SubscribeEncoded("one-shot", {}, [&](const ulm::EncodedRecord&) {
+        ++one_shot_events;
+        EXPECT_TRUE(gw_.Unsubscribe(one_shot_id).ok());
+      });
   ASSERT_TRUE(sub.ok());
   one_shot_id = *sub;
 
   std::vector<ulm::Record> steady;
-  ASSERT_TRUE(gw_.Subscribe("steady", {}, [&](const ulm::Record& r) {
-                   steady.push_back(r);
-                 }).ok());
+  auto keep_steady = [&](const ulm::EncodedRecord& enc) {
+    steady.push_back(enc.view().ToRecord());
+  };
+  ASSERT_TRUE(gw_.SubscribeEncoded("steady", {}, keep_steady).ok());
 
-  gw_.Publish(ValueEvent(1, "E", 1));
-  gw_.Publish(ValueEvent(2, "E", 2));
+  test::Publish(gw_, ValueEvent(1, "E", 1));
+  test::Publish(gw_, ValueEvent(2, "E", 2));
 
   EXPECT_EQ(one_shot_events, 1);       // delivered once, then gone
   EXPECT_EQ(steady.size(), 2u);        // the other subscriber unaffected
@@ -294,19 +307,20 @@ TEST_F(GatewayTest, CallbackMayUnsubscribeItselfDuringFanOut) {
 TEST_F(GatewayTest, CallbackMaySubscribeDuringFanOut) {
   std::vector<ulm::Record> late;
   bool subscribed = false;
-  ASSERT_TRUE(gw_.Subscribe("spawner", {}, [&](const ulm::Record&) {
-                   if (subscribed) return;
-                   subscribed = true;
-                   EXPECT_TRUE(gw_.Subscribe("late", {},
-                                             [&](const ulm::Record& r) {
-                                               late.push_back(r);
-                                             }).ok());
-                 }).ok());
+  auto keep_late = [&](const ulm::EncodedRecord& enc) {
+    late.push_back(enc.view().ToRecord());
+  };
+  auto spawner = [&](const ulm::EncodedRecord&) {
+    if (subscribed) return;
+    subscribed = true;
+    EXPECT_TRUE(gw_.SubscribeEncoded("late", {}, keep_late).ok());
+  };
+  ASSERT_TRUE(gw_.SubscribeEncoded("spawner", {}, spawner).ok());
 
-  gw_.Publish(ValueEvent(1, "E", 1));
+  test::Publish(gw_, ValueEvent(1, "E", 1));
   EXPECT_EQ(gw_.subscription_count(), 2u);
   // The subscriber added mid-fan-out sees subsequent events.
-  gw_.Publish(ValueEvent(2, "E", 2));
+  test::Publish(gw_, ValueEvent(2, "E", 2));
   EXPECT_EQ(late.size(), 1u);
 }
 
@@ -329,7 +343,7 @@ TEST_F(GatewayTest, EncodeOnceSharedAcrossEncodedSubscribers) {
                    (void)enc.Ascii();              // a second format...
                    EXPECT_EQ(enc.encodes(), 2u);   // ...encodes exactly once
                  }).ok());
-  gw_.Publish(ValueEvent(5, "CPU", 42));
+  test::Publish(gw_, ValueEvent(5, "CPU", 42));
   EXPECT_NE(seen, nullptr);
   // The decoded form round-trips: subscribers saw the real record bytes.
   auto decoded = ulm::DecodeBinaryStream(first_binary);
@@ -350,20 +364,22 @@ TEST_F(GatewayTest, ChurnStressKeepsExactAccounting) {
   std::uint64_t churn_spawned = 0;
   std::function<void()> spawn = [&] {
     auto id = std::make_shared<std::string>();
-    auto res = gw_.Subscribe("churner", {}, [&, id](const ulm::Record&) {
-      ++churn_delivered;
-      if (rng.Chance(0.02)) {
-        EXPECT_TRUE(gw_.Unsubscribe(*id).ok());
-        spawn();  // replacement joins mid-fan-out; sees the NEXT event
-      }
-    });
+    auto res =
+        gw_.SubscribeEncoded("churner", {}, [&, id](const ulm::EncodedRecord&) {
+          ++churn_delivered;
+          if (rng.Chance(0.02)) {
+            EXPECT_TRUE(gw_.Unsubscribe(*id).ok());
+            spawn();  // replacement joins mid-fan-out; sees the NEXT event
+          }
+        });
     ASSERT_TRUE(res.ok());
     *id = *res;
     ++churn_spawned;
   };
   std::uint64_t onchange_delivered = 0;
-  ASSERT_TRUE(gw_.Subscribe("onchange", *FilterSpec::Parse("on-change"),
-                            [&](const ulm::Record&) { ++onchange_delivered; })
+  ASSERT_TRUE(gw_.SubscribeEncoded(
+                     "onchange", *FilterSpec::Parse("on-change"),
+                     [&](const ulm::EncodedRecord&) { ++onchange_delivered; })
                   .ok());
   for (int i = 0; i < 8; ++i) spawn();
 
@@ -373,7 +389,8 @@ TEST_F(GatewayTest, ChurnStressKeepsExactAccounting) {
     // Subscription changes only happen inside callbacks, so the count here
     // IS the fan-out snapshot for this publish.
     snapshot_attempts += gw_.subscription_count();
-    gw_.Publish(ValueEvent(static_cast<TimePoint>(i), "NETSTAT_RETRANS", 7));
+    test::Publish(gw_,
+                  ValueEvent(static_cast<TimePoint>(i), "NETSTAT_RETRANS", 7));
   }
 
   const auto stats = gw_.stats();
@@ -393,8 +410,8 @@ TEST_F(GatewayTest, ChurnStressKeepsExactAccounting) {
 
 TEST_F(GatewayTest, QueryMostRecent) {
   EXPECT_FALSE(gw_.Query().ok());  // nothing yet
-  gw_.Publish(ValueEvent(1, "A", 10));
-  gw_.Publish(ValueEvent(2, "B", 20));
+  test::Publish(gw_, ValueEvent(1, "A", 10));
+  test::Publish(gw_, ValueEvent(2, "B", 20));
   auto latest = gw_.Query();
   ASSERT_TRUE(latest.ok());
   EXPECT_EQ(latest->event_name(), "B");
@@ -403,14 +420,14 @@ TEST_F(GatewayTest, QueryMostRecent) {
   EXPECT_NEAR(*a->GetDouble("VAL"), 10, 1e-9);
   auto glob = gw_.Query("VMSTAT_*");
   EXPECT_FALSE(glob.ok());
-  gw_.Publish(ValueEvent(3, "VMSTAT_SYS_TIME", 33));
+  test::Publish(gw_, ValueEvent(3, "VMSTAT_SYS_TIME", 33));
   glob = gw_.Query("VMSTAT_*");
   ASSERT_TRUE(glob.ok());
   EXPECT_EQ(glob->event_name(), "VMSTAT_SYS_TIME");
 }
 
 TEST_F(GatewayTest, QueryXmlFormat) {
-  gw_.Publish(ValueEvent(1, "A", 10));
+  test::Publish(gw_, ValueEvent(1, "A", 10));
   auto xml = gw_.QueryXml("A");
   ASSERT_TRUE(xml.ok());
   EXPECT_NE(xml->find("<event "), std::string::npos);
@@ -420,9 +437,11 @@ TEST_F(GatewayTest, QueryXmlFormat) {
 TEST_F(GatewayTest, SummariesComputedFromPublishedEvents) {
   gw_.EnableSummary("VMSTAT_SYS_TIME");
   clock_.Set(10 * kMinute);
-  gw_.Publish(ValueEvent(10 * kMinute - 30 * kSecond, "VMSTAT_SYS_TIME", 40));
-  gw_.Publish(ValueEvent(10 * kMinute - 20 * kSecond, "VMSTAT_SYS_TIME", 60));
-  gw_.Publish(ValueEvent(5 * kMinute, "VMSTAT_SYS_TIME", 20));
+  test::Publish(gw_,
+                ValueEvent(10 * kMinute - 30 * kSecond, "VMSTAT_SYS_TIME", 40));
+  test::Publish(gw_,
+                ValueEvent(10 * kMinute - 20 * kSecond, "VMSTAT_SYS_TIME", 60));
+  test::Publish(gw_, ValueEvent(5 * kMinute, "VMSTAT_SYS_TIME", 20));
   auto s = gw_.GetSummary("VMSTAT_SYS_TIME");
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s->count_1m, 2u);
@@ -440,13 +459,11 @@ TEST_F(GatewayTest, AccessControlPerAction) {
     if (principal == "internal") return true;
     return action == Action::kSummary;
   });
-  auto denied = gw_.Subscribe("offsite", {}, [](const ulm::Record&) {},
-                              "external");
+  auto ignore = [](const ulm::EncodedRecord&) {};
+  auto denied = gw_.SubscribeEncoded("offsite", {}, ignore, "external");
   EXPECT_FALSE(denied.ok());
   EXPECT_EQ(denied.status().code(), StatusCode::kPermissionDenied);
-  EXPECT_TRUE(gw_.Subscribe("inside", {}, [](const ulm::Record&) {},
-                            "internal")
-                  .ok());
+  EXPECT_TRUE(gw_.SubscribeEncoded("inside", {}, ignore, "internal").ok());
   EXPECT_FALSE(gw_.Query("", "external").ok());
   EXPECT_TRUE(gw_.GetSummary("CPU", "external").ok());
 }
@@ -485,7 +502,7 @@ TEST(GatewayServiceTest, SubscribeQuerySummaryOverInProc) {
   EXPECT_FALSE(sub_reply->payload.empty());
 
   clock.Set(kSecond);
-  gw.Publish(ValueEvent(kSecond, "CPU", 42));
+  test::Publish(gw, ValueEvent(kSecond, "CPU", 42));
   auto event = client.NextEvent(kSecond);
   ASSERT_TRUE(event.ok());
   EXPECT_EQ(event->event_name(), "CPU");
@@ -563,7 +580,7 @@ TEST(GatewayServiceTest, WorksOverRealTcp) {
   }
   ASSERT_FALSE(sub_id.empty());
 
-  gw.Publish(ValueEvent(1, "CPU", 50));
+  test::Publish(gw, ValueEvent(1, "CPU", 50));
   auto event = client.NextEvent(kSecond);
   ASSERT_TRUE(event.ok());
   EXPECT_EQ(event->event_name(), "CPU");
@@ -609,15 +626,15 @@ TEST(GatewayServiceTest, BatchedSubscriptionFlushesOnSize) {
   auto client = h.Connect("batcher\nall\nbatch:4");
 
   // Below the negotiated limit: nothing on the wire yet.
-  for (int i = 0; i < 3; ++i) h.gw.Publish(ValueEvent(i, "CPU", i));
+  for (int i = 0; i < 3; ++i) test::Publish(h.gw, ValueEvent(i, "CPU", i));
   EXPECT_FALSE(client->channel().TryReceive().has_value());
 
   // The fourth record completes the batch: exactly ONE frame with all four.
-  h.gw.Publish(ValueEvent(3, "CPU", 3));
+  test::Publish(h.gw, ValueEvent(3, "CPU", 3));
   auto frame = client->channel().TryReceive();
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->type, transport::kEventBatchMessageType);
-  auto records = transport::DecodeEventBatch(*frame);
+  auto records = ulm::DecodeBinaryStream(frame->payload);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 4u);
   for (int i = 0; i < 4; ++i) {
@@ -633,8 +650,8 @@ TEST(GatewayServiceTest, BatchedSubscriptionFlushesOnAge) {
   h.service->set_batch_max_age(10 * kMillisecond);
   auto client = h.Connect("batcher\nall\nbatch:100");
 
-  h.gw.Publish(ValueEvent(1, "CPU", 1));
-  h.gw.Publish(ValueEvent(2, "CPU", 2));
+  test::Publish(h.gw, ValueEvent(1, "CPU", 1));
+  test::Publish(h.gw, ValueEvent(2, "CPU", 2));
   h.service->PollOnce();  // oldest record is fresh — no flush yet
   EXPECT_FALSE(client->channel().TryReceive().has_value());
 
@@ -646,19 +663,19 @@ TEST(GatewayServiceTest, BatchedSubscriptionFlushesOnAge) {
   h.service->PollOnce();  // age reached — partial batch ships
   auto frame = client->channel().TryReceive();
   ASSERT_TRUE(frame.has_value());
-  auto records = transport::DecodeEventBatch(*frame);
+  auto records = ulm::DecodeBinaryStream(frame->payload);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 2u);
 
   // The age clock restarts with the next buffered record.
-  h.gw.Publish(ValueEvent(3, "CPU", 3));
+  test::Publish(h.gw, ValueEvent(3, "CPU", 3));
   h.service->PollOnce();
   EXPECT_FALSE(client->channel().TryReceive().has_value());
   h.clock.Advance(10 * kMillisecond);
   h.service->PollOnce();
   frame = client->channel().TryReceive();
   ASSERT_TRUE(frame.has_value());
-  records = transport::DecodeEventBatch(*frame);
+  records = ulm::DecodeBinaryStream(frame->payload);
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(records->size(), 1u);
 }
@@ -669,14 +686,14 @@ TEST(GatewayServiceTest, UnsubscribeFlushesPartialBatch) {
   auto client = h.Connect("batcher\nall\nbatch:100", &sub_id);
   ASSERT_FALSE(sub_id.empty());
 
-  h.gw.Publish(ValueEvent(1, "CPU", 1));
+  test::Publish(h.gw, ValueEvent(1, "CPU", 1));
   ASSERT_TRUE(client->channel().Send({"gw.unsubscribe", sub_id}).ok());
   h.service->PollOnce();
   // The buffered record ships BEFORE the gw.ok — no data loss on teardown.
   auto frame = client->channel().Receive(kSecond);
   ASSERT_TRUE(frame.ok());
   ASSERT_EQ(frame->type, transport::kEventBatchMessageType);
-  auto records = transport::DecodeEventBatch(*frame);
+  auto records = ulm::DecodeBinaryStream(frame->payload);
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(records->size(), 1u);
   auto ok = client->channel().Receive(kSecond);
@@ -695,7 +712,9 @@ TEST(GatewayServiceTest, BatchingReducesWireSends) {
   auto batched = h.Connect("batched\nall\nbatch:16");
 
   const int kEvents = 64;
-  for (int i = 0; i < kEvents; ++i) h.gw.Publish(ValueEvent(i, "CPU", i));
+  for (int i = 0; i < kEvents; ++i) {
+    test::Publish(h.gw, ValueEvent(i, "CPU", i));
+  }
 
   int plain_frames = 0, plain_records = 0;
   while (auto msg = plain->channel().TryReceive()) {
@@ -707,7 +726,7 @@ TEST(GatewayServiceTest, BatchingReducesWireSends) {
   while (auto msg = batched->channel().TryReceive()) {
     EXPECT_EQ(msg->type, transport::kEventBatchMessageType);
     ++batch_frames;
-    auto records = transport::DecodeEventBatch(*msg);
+    auto records = ulm::DecodeBinaryStream(msg->payload);
     ASSERT_TRUE(records.ok());
     batch_records += static_cast<int>(records->size());
   }
@@ -729,7 +748,7 @@ TEST(GatewayServiceTest, BatchedClientDecodesTransparently) {
   ASSERT_TRUE(client.SubscribeBatchedAsync("c", {}, 3).ok());
   h.service->PollOnce();  // subscribe lands; gw.ok queued behind the stream
 
-  for (int i = 0; i < 3; ++i) h.gw.Publish(ValueEvent(i, "CPU", i));
+  for (int i = 0; i < 3; ++i) test::Publish(h.gw, ValueEvent(i, "CPU", i));
   for (int i = 0; i < 3; ++i) {
     auto ev = client.NextEvent(kSecond);
     ASSERT_TRUE(ev.ok());
@@ -740,13 +759,56 @@ TEST(GatewayServiceTest, BatchedClientDecodesTransparently) {
   EXPECT_FALSE(client.subscription_id(0).empty());
 
   // A partial batch age-flushes and surfaces via DrainEvents().
-  h.gw.Publish(ValueEvent(7, "CPU", 7));
+  test::Publish(h.gw, ValueEvent(7, "CPU", 7));
   h.clock.Advance(h.service->batch_max_age());
   h.service->PollOnce();
   auto drained = client.DrainEvents();
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_EQ(drained[0].timestamp(), 7);
   EXPECT_EQ(client.pending_dropped(), 0u);
+}
+
+// Regression: an undecodable single gw.event used to surface as a
+// ParseError from NextEvent() while DrainEvents() dropped it silently and
+// uncounted. The client's one decode path now skips it and counts it.
+TEST(GatewayClientTest, UndecodableEventIsSkippedAndCounted) {
+  auto [client_end, server_end] = transport::MakeChannelPair();
+  GatewayClient client(std::move(client_end));
+  const telemetry::Counter& errors =
+      telemetry::Metrics().counter("gateway.client.event_decode_errors");
+  const std::uint64_t before = errors.Value();
+  ASSERT_TRUE(server_end
+                  ->Send({transport::kEventMessageType, "not a ulm record"})
+                  .ok());
+  ASSERT_TRUE(server_end
+                  ->Send({transport::kEventMessageType,
+                          ValueEvent(1, "CPU", 42).View().ToAscii()})
+                  .ok());
+  auto event = client.NextEvent(kSecond);
+  ASSERT_TRUE(event.ok()) << event.status().ToString();
+  EXPECT_EQ(event->event_name(), "CPU");
+  EXPECT_EQ(errors.Value() - before, 1u);
+}
+
+// A corrupt batch is dropped whole — the records decoded before the bad
+// frame are not delivered — and counted; the next batch decodes normally.
+TEST(GatewayClientTest, CorruptBatchIsDroppedWhole) {
+  auto [client_end, server_end] = transport::MakeChannelPair();
+  GatewayClient client(std::move(client_end));
+  const telemetry::Counter& errors =
+      telemetry::Metrics().counter("gateway.client.batch_decode_errors");
+  const std::uint64_t before = errors.Value();
+  std::string good;
+  ValueEvent(1, "CPU", 1).View().EncodeBinary(good);
+  ASSERT_TRUE(server_end
+                  ->Send({transport::kEventBatchMessageType,
+                          good + std::string("\xff\xff\xff", 3)})
+                  .ok());
+  EXPECT_TRUE(client.DrainEvents().empty());
+  EXPECT_EQ(errors.Value() - before, 1u);
+  ASSERT_TRUE(
+      server_end->Send({transport::kEventBatchMessageType, good + good}).ok());
+  EXPECT_EQ(client.DrainEvents().size(), 2u);
 }
 
 TEST(GatewayServiceTest, MixedFormatsPerSubscription) {
@@ -765,7 +827,7 @@ TEST(GatewayServiceTest, MixedFormatsPerSubscription) {
   ASSERT_TRUE(reply.ok());
   ASSERT_EQ(reply->type, "gw.ok");
 
-  h.gw.Publish(ValueEvent(1, "CPU", 50));
+  test::Publish(h.gw, ValueEvent(1, "CPU", 50));
   std::map<std::string, int> by_type;
   while (auto msg = client->channel().TryReceive()) ++by_type[msg->type];
   EXPECT_EQ(by_type["ulm.event"], 1);
@@ -804,7 +866,7 @@ TEST(GatewayServiceTest, SlowConsumerDropOldestBoundsQueueExactly) {
       telemetry::Metrics().counter("gw.subscriber.dropped").Value();
 
   const int kTotal = kTransportCap + 200;
-  for (int i = 0; i < kTotal; ++i) h.gw.Publish(ValueEvent(i, "CPU", i));
+  for (int i = 0; i < kTotal; ++i) test::Publish(h.gw, ValueEvent(i, "CPU", i));
 
   auto stats = h.service->QueueStats();
   ASSERT_EQ(stats.size(), 1u);
@@ -838,7 +900,7 @@ TEST(GatewayServiceTest, SlowConsumerDropNewestKeepsOldestQueued) {
   ServiceHarness h;
   auto client = h.Connect("slow\nall|CPU*\n\nqueue:drop-newest:4");
   const int kTotal = kTransportCap + 50;
-  for (int i = 0; i < kTotal; ++i) h.gw.Publish(ValueEvent(i, "CPU", i));
+  for (int i = 0; i < kTotal; ++i) test::Publish(h.gw, ValueEvent(i, "CPU", i));
 
   auto stats = h.service->QueueStats();
   ASSERT_EQ(stats.size(), 1u);
@@ -860,7 +922,7 @@ TEST(GatewayServiceTest, SlowConsumerDisconnectPolicyCutsConnection) {
   ServiceHarness h;
   auto client = h.Connect("slow\nall|CPU*\n\nqueue:disconnect:4");
   const int kTotal = kTransportCap + 10;
-  for (int i = 0; i < kTotal; ++i) h.gw.Publish(ValueEvent(i, "CPU", i));
+  for (int i = 0; i < kTotal; ++i) test::Publish(h.gw, ValueEvent(i, "CPU", i));
 
   auto stats = h.service->QueueStats();
   ASSERT_EQ(stats.size(), 1u);
@@ -878,13 +940,14 @@ TEST(GatewayServiceTest, OverloadPublishesGwOverloadEvent) {
   std::vector<ulm::Record> overloads;
   FilterSpec spec;
   spec.event_glob = kOverloadEvent;
-  ASSERT_TRUE(h.gw.Subscribe("observer", spec, [&](const ulm::Record& rec) {
-                   overloads.push_back(rec);
-                 }).ok());
+  auto keep_overloads = [&](const ulm::EncodedRecord& enc) {
+    overloads.push_back(enc.view().ToRecord());
+  };
+  ASSERT_TRUE(h.gw.SubscribeEncoded("observer", spec, keep_overloads).ok());
 
   auto client = h.Connect("slow\nall|CPU*\n\nqueue:drop-oldest:2");
   const int kTotal = kTransportCap + 20;
-  for (int i = 0; i < kTotal; ++i) h.gw.Publish(ValueEvent(i, "CPU", i));
+  for (int i = 0; i < kTotal; ++i) test::Publish(h.gw, ValueEvent(i, "CPU", i));
   h.service->PollOnce();
 
   ASSERT_EQ(overloads.size(), 1u);

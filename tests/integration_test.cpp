@@ -196,7 +196,7 @@ TEST_F(PipelineTest, OverviewRuleAcrossHosts) {
   ASSERT_TRUE(overview.SubscribeTo(host_a_->gateway).ok());
   ASSERT_TRUE(overview.SubscribeTo(host_b_->gateway).ok());
   int pages = 0;
-  auto down = [](const ulm::Record& rec) {
+  auto down = [](const ulm::RecordView& rec) {
     return rec.event_name() == sensors::event::kProcDiedAbnormal;
   };
   overview.AddRule("both-down",

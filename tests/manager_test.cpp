@@ -238,9 +238,10 @@ TEST_F(ManagerTest, ConfigStaleKeepsLastGoodAndEmitsEvent) {
   std::vector<ulm::Record> stale_events;
   gateway::FilterSpec spec;
   spec.event_glob = event::kConfigStale;
-  ASSERT_TRUE(gateway_.Subscribe("ops", spec, [&](const ulm::Record& rec) {
-                  stale_events.push_back(rec);
-                }).ok());
+  auto keep_stale_events = [&](const ulm::EncodedRecord& enc) {
+    stale_events.push_back(enc.view().ToRecord());
+  };
+  ASSERT_TRUE(gateway_.SubscribeEncoded("ops", spec, keep_stale_events).ok());
 
   manager_->SetConfigFetcher([]() -> Result<std::string> {
     return std::string("[sensor]\nname = vm\nkind = vmstat\n");
@@ -284,9 +285,11 @@ TEST_F(ManagerTest, FailingSensorIsSupervisedThenQuarantined) {
   std::vector<ulm::Record> quarantine_events;
   gateway::FilterSpec spec;
   spec.event_glob = event::kQuarantined;
-  ASSERT_TRUE(gateway_.Subscribe("ops", spec, [&](const ulm::Record& rec) {
-                  quarantine_events.push_back(rec);
-                }).ok());
+  auto keep_quarantine_events = [&](const ulm::EncodedRecord& enc) {
+    quarantine_events.push_back(enc.view().ToRecord());
+  };
+  ASSERT_TRUE(
+      gateway_.SubscribeEncoded("ops", spec, keep_quarantine_events).ok());
 
   ASSERT_TRUE(Apply(R"(
 [sensor]

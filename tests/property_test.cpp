@@ -30,6 +30,7 @@
 #include "ulm/flat.hpp"
 #include "ulm/record.hpp"
 #include "ulm/xml.hpp"
+#include "record_helpers.hpp"
 
 namespace jamm {
 namespace {
@@ -283,9 +284,9 @@ TEST_P(FilterModes, DeliveryPatternMatchesSemantics) {
   gateway::EventFilter filter(*spec);
   std::vector<int> delivered;
   for (int i = 0; i < static_cast<int>(std::size(kValueSequence)); ++i) {
-    ulm::Record rec(i, "h", "p", "Usage", "CPU");
+    ulm::FlatRecord rec(i, "h", "p", "Usage", "CPU");
     rec.SetField("VAL", kValueSequence[i]);
-    if (filter.ShouldDeliver(rec)) delivered.push_back(i);
+    if (filter.ShouldDeliver(rec.View())) delivered.push_back(i);
   }
   EXPECT_EQ(delivered, GetParam().delivered_indices) << GetParam().spec;
 }
@@ -442,7 +443,7 @@ TEST_P(ArchiveQueries, EqualBruteForceFilterOverKeptRecords) {
                     rng.Chance(0.1) ? "Error" : "Usage",
                     "Ev" + std::to_string(rng.Uniform(0, 9)));
     rec.SetField("VAL", static_cast<std::int64_t>(i));
-    ar.Ingest(rec);
+    test::Ingest(ar, rec);
   }
   const auto kept = ar.QueryRange(0, 2000 * kSecond);
   EXPECT_EQ(kept.size(), ar.size());
@@ -496,7 +497,7 @@ TEST_P(ArchiveQueries, SaveLoadRoundTripIsObservationallyIdentical) {
                     rng.Chance(0.1) ? "Warning" : "Usage",
                     "Ev" + std::to_string(rng.Uniform(0, 6)));
     rec.SetField("VAL", static_cast<std::int64_t>(i));
-    ar.Ingest(rec);
+    test::Ingest(ar, rec);
   }
   // Loading seals everything, so seal here too: the compaction comparison
   // below needs both archives to see the same sealed segments.
@@ -606,8 +607,8 @@ TEST_P(FederationEquivalence, PushdownAndLocalEvalAreByteIdentical) {
     ulm::Record rec(ts, "h" + std::to_string(rng.Uniform(0, 3)), "sensor",
                     "Usage", events[rng.Uniform(0, 2)]);
     rec.SetField("VAL", static_cast<double>(rng.Uniform(0, 100)));
-    leaf_p.Publish(rec);
-    leaf_f.Publish(rec);
+    test::Publish(leaf_p, rec);
+    test::Publish(leaf_f, rec);
     if (i % 10 == 9) {
       clock.Advance(100 * kMillisecond);  // past batch_max_age: flush
       service_p.PollOnce();

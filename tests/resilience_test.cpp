@@ -30,6 +30,7 @@
 #include "rpc/wire.hpp"
 #include "transport/inproc.hpp"
 #include "transport/net_sink.hpp"
+#include "record_helpers.hpp"
 
 namespace jamm::resilience {
 namespace {
@@ -471,7 +472,7 @@ TEST(GatewayReconnectTest, ClientSurvivesGatewayCrash) {
   ASSERT_TRUE(client.SubscribeAsync("collector", {}).ok());
   service->PollOnce();  // accept + subscribe → gw.ok queued
 
-  gw->Publish(ValueEvent(1, "CPU", 10));
+  test::Publish(*gw, ValueEvent(1, "CPU", 10));
   auto first = client.NextEvent(kSecond);  // adopts gw.ok, then the event
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->event_name(), "CPU");
@@ -499,11 +500,11 @@ TEST(GatewayReconnectTest, ClientSurvivesGatewayCrash) {
   service->PollOnce();  // ...the revived gateway accepts and resubscribes
   EXPECT_EQ(gw->subscription_count(), 1u);
 
-  gw->Publish(ValueEvent(2, "CPU", 20));
+  test::Publish(*gw, ValueEvent(2, "CPU", 20));
   auto second = client.NextEvent(kSecond);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->event_name(), "CPU");
-  auto value = second->GetDouble("VAL");
+  auto value = second->View().GetDouble(ulm::InternSymbol("VAL"));
   ASSERT_TRUE(value.ok());
   EXPECT_DOUBLE_EQ(*value, 20);
   // A fresh subscription id was adopted from the replayed subscribe.
@@ -532,8 +533,8 @@ TEST(ConsumerResilienceTest, ArchiverBuffersAcrossGatewayOutage) {
                   .ok());
   service->PollOnce();
 
-  gw->Publish(ValueEvent(1, "CPU", 10));
-  gw->Publish(ValueEvent(2, "CPU", 20));
+  test::Publish(*gw, ValueEvent(1, "CPU", 10));
+  test::Publish(*gw, ValueEvent(2, "CPU", 20));
   EXPECT_EQ(archiver.PumpRemote(), 2u);
   EXPECT_EQ(archive.size(), 2u);
 
@@ -551,7 +552,7 @@ TEST(ConsumerResilienceTest, ArchiverBuffersAcrossGatewayOutage) {
       std::make_unique<gateway::GatewayService>(*gw, std::move(*listener));
   EXPECT_EQ(archiver.PumpRemote(), 0u);  // reconnect + replay subscribe
   service->PollOnce();
-  gw->Publish(ValueEvent(3, "CPU", 30));
+  test::Publish(*gw, ValueEvent(3, "CPU", 30));
   EXPECT_EQ(archiver.PumpRemote(), 1u);
   EXPECT_EQ(archive.size(), 3u);
   EXPECT_EQ(archiver.remote_dropped(), 0u);
@@ -572,8 +573,8 @@ TEST(ConsumerResilienceTest, CollectorRemoteFeedCollects) {
                                 {})
                   .ok());
   service.PollOnce();
-  gw.Publish(ValueEvent(2, "B", 2));
-  gw.Publish(ValueEvent(1, "A", 1));
+  test::Publish(gw, ValueEvent(2, "B", 2));
+  test::Publish(gw, ValueEvent(1, "A", 1));
   EXPECT_EQ(collector.PumpRemote(), 2u);
   auto merged = collector.Merged();
   ASSERT_EQ(merged.size(), 2u);
@@ -600,7 +601,7 @@ TEST(ConsumerResilienceTest, CollectorBatchedRemoteFeedCollects) {
                                 {}, /*batch_records=*/3)
                   .ok());
   service->PollOnce();
-  for (int i = 0; i < 3; ++i) gw->Publish(ValueEvent(i + 1, "CPU", i));
+  for (int i = 0; i < 3; ++i) test::Publish(*gw, ValueEvent(i + 1, "CPU", i));
   EXPECT_EQ(collector.PumpRemote(), 3u);  // one frame, three records
   EXPECT_EQ(collector.Merged().size(), 3u);
 
@@ -615,7 +616,7 @@ TEST(ConsumerResilienceTest, CollectorBatchedRemoteFeedCollects) {
       std::make_unique<gateway::GatewayService>(*gw, std::move(*listener));
   EXPECT_EQ(collector.PumpRemote(), 0u);  // re-dial + replay subscribe
   service->PollOnce();
-  for (int i = 0; i < 3; ++i) gw->Publish(ValueEvent(i + 10, "CPU", i));
+  for (int i = 0; i < 3; ++i) test::Publish(*gw, ValueEvent(i + 10, "CPU", i));
   EXPECT_EQ(collector.PumpRemote(), 3u);
   EXPECT_EQ(collector.Merged().size(), 6u);
   EXPECT_EQ(collector.remote_dropped(), 0u);
@@ -900,10 +901,10 @@ TEST(GatewayReconnectTest, ReplayPreservesEverySubscriptionLine) {
                              gateway::GatewayService& service,
                              TimePoint base_ts) {
     EXPECT_EQ(gw.subscription_count(), 1u);
-    gw.Publish(ValueEvent(base_ts, "MEM", 5));  // must be filtered out
-    gw.Publish(ValueEvent(base_ts + 1, "CPU", 10));
-    gw.Publish(ValueEvent(base_ts + 2, "CPU", 20));
-    gw.Publish(ValueEvent(base_ts + 3, "CPU", 30));
+    test::Publish(gw, ValueEvent(base_ts, "MEM", 5));  // must be filtered out
+    test::Publish(gw, ValueEvent(base_ts + 1, "CPU", 10));
+    test::Publish(gw, ValueEvent(base_ts + 2, "CPU", 20));
+    test::Publish(gw, ValueEvent(base_ts + 3, "CPU", 30));
     clock.Advance(100 * kMillisecond);
     service.PollOnce();  // age-flush the partial batch
     auto queues = service.QueueStats();

@@ -20,6 +20,7 @@
 #include "security/secure_channel.hpp"
 #include "sysmon/simhost.hpp"
 #include "transport/inproc.hpp"
+#include "record_helpers.hpp"
 
 #include <mutex>
 #include <thread>
@@ -226,9 +227,9 @@ TEST_F(PolicyTest, GatewayAdapterEnforces) {
 
   gateway::EventGateway gw("gw.lbl", clock_);
   gw.SetAccessChecker(authorizer_.GatewayChecker("gw.lbl"));
-  gw.Publish(ulm::Record(1, "h", "p", "Usage", "E"));
+  test::Publish(gw, ulm::Record(1, "h", "p", "Usage", "E"));
   EXPECT_TRUE(gw.Query("", *principal).ok());           // query allowed
-  EXPECT_FALSE(gw.Subscribe("c", {}, [](const ulm::Record&) {},
+  EXPECT_FALSE(gw.SubscribeEncoded("c", {}, [](const ulm::EncodedRecord&) {},
                             *principal)
                    .ok());                              // subscribe denied
   EXPECT_FALSE(gw.Query("", "anonymous-subject").ok()); // strangers denied
@@ -935,7 +936,8 @@ TEST(SecurityEndToEnd, ThreePointEnforcementAndManagerAllowlist) {
           .ok());
   ASSERT_TRUE(good.SubscribeAsync("alice", {}).ok());
   service.PollOnce();
-  gw.Publish(ulm::Record(clock.Now(), "h1", "sensor", "Usage", "CPU_LOAD"));
+  test::Publish(gw,
+                ulm::Record(clock.Now(), "h1", "sensor", "Usage", "CPU_LOAD"));
   service.PollOnce();
   auto events = good.DrainEvents();
   ASSERT_EQ(events.size(), 1u);
@@ -955,7 +957,8 @@ TEST(SecurityEndToEnd, ThreePointEnforcementAndManagerAllowlist) {
                   .ok());
   ASSERT_TRUE(bad.SubscribeAsync("mallory", {}).ok());
   service.PollOnce();
-  gw.Publish(ulm::Record(clock.Now(), "h1", "sensor", "Usage", "CPU_LOAD"));
+  test::Publish(gw,
+                ulm::Record(clock.Now(), "h1", "sensor", "Usage", "CPU_LOAD"));
   service.PollOnce();
   EXPECT_TRUE(bad.DrainEvents().empty());
   EXPECT_TRUE(bad.token().empty());
@@ -970,7 +973,8 @@ TEST(SecurityEndToEnd, ThreePointEnforcementAndManagerAllowlist) {
   ASSERT_TRUE(liar.AuthenticateWithAsync(*admin).ok());
   ASSERT_TRUE(liar.SubscribeAsync("liar", {}).ok());
   service.PollOnce();
-  gw.Publish(ulm::Record(clock.Now(), "h1", "sensor", "Usage", "CPU_LOAD"));
+  test::Publish(gw,
+                ulm::Record(clock.Now(), "h1", "sensor", "Usage", "CPU_LOAD"));
   service.PollOnce();
   EXPECT_TRUE(liar.DrainEvents().empty());
   EXPECT_TRUE(liar.auth_rejected());
@@ -978,7 +982,8 @@ TEST(SecurityEndToEnd, ThreePointEnforcementAndManagerAllowlist) {
   ASSERT_TRUE(ghost.AuthenticateWithAsync("/CN=ghost").ok());
   ASSERT_TRUE(ghost.SubscribeAsync("ghost", {}).ok());
   service.PollOnce();
-  gw.Publish(ulm::Record(clock.Now(), "h1", "sensor", "Usage", "CPU_LOAD"));
+  test::Publish(gw,
+                ulm::Record(clock.Now(), "h1", "sensor", "Usage", "CPU_LOAD"));
   service.PollOnce();
   EXPECT_TRUE(ghost.DrainEvents().empty());
 
@@ -991,7 +996,8 @@ TEST(SecurityEndToEnd, ThreePointEnforcementAndManagerAllowlist) {
                   .ok());
   ASSERT_TRUE(resumed.SubscribeAsync("alice-resumed", {}).ok());
   service.PollOnce();
-  gw.Publish(ulm::Record(clock.Now(), "h1", "sensor", "Usage", "MEM_USED"));
+  test::Publish(gw,
+                ulm::Record(clock.Now(), "h1", "sensor", "Usage", "MEM_USED"));
   service.PollOnce();
   auto resumed_events = resumed.DrainEvents();
   ASSERT_EQ(resumed_events.size(), 1u);

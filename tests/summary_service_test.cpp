@@ -8,6 +8,7 @@
 #include "consumers/dashboard.hpp"
 #include "consumers/summary_service.hpp"
 #include "directory/schema.hpp"
+#include "record_helpers.hpp"
 
 namespace jamm::consumers {
 namespace {
@@ -28,7 +29,7 @@ class SummaryServiceTest : public ::testing::Test {
   void PublishNet(const std::string& event, double value, TimePoint ts) {
     ulm::Record rec(ts, "dpss1", "netsensor", "Usage", event);
     rec.SetField("VAL", value);
-    gw_.Publish(rec);
+    test::Publish(gw_, rec);
   }
 
   SimClock clock_;

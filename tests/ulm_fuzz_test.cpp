@@ -5,6 +5,11 @@
 // mutations of valid encodings must return errors (or a valid record),
 // never crash, over-read, or fail to terminate.
 //
+// The wire client parses untrusted bytes with the flat decoders
+// (FlatBatch::DecodeBinaryStreamInto, FlatRecord::FromAscii), so every
+// corpus also runs through them and must agree with the Record decoders:
+// the same accept/reject verdict and byte-identical records.
+//
 // Deterministic Rng instead of a coverage-guided fuzzer: the toolchain
 // has no libFuzzer baked in, and a seeded corpus of tens of thousands of
 // mutants pins the same invariants reproducibly.
@@ -54,6 +59,43 @@ void MustDecodeSafely(const std::string& data) {
   }
 }
 
+/// Flat stream decoder parity with DecodeBinaryStream on the same bytes:
+/// identical accept/reject, and byte-identical records. On rejection the
+/// batch keeps the records decoded before the bad frame (its documented
+/// prefix), which must equal what DecodeBinary yields frame by frame.
+void ExpectFlatStreamParity(const std::string& data) {
+  auto records = DecodeBinaryStream(data);
+  FlatBatch batch;
+  const Status flat = batch.DecodeBinaryStreamInto(data);
+  ASSERT_EQ(records.ok(), flat.ok()) << flat.ToString();
+  std::vector<Record> expected;
+  if (records.ok()) {
+    expected = std::move(*records);
+  } else {
+    std::size_t offset = 0;
+    while (offset < data.size()) {
+      auto rec = DecodeBinary(data, &offset);
+      if (!rec.ok()) break;
+      expected.push_back(std::move(*rec));
+    }
+  }
+  ASSERT_EQ(batch.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(EncodeBinary(batch.View(i)), EncodeBinary(expected[i]));
+    EXPECT_EQ(batch.View(i).ToAscii(), expected[i].ToAscii());
+  }
+}
+
+/// Flat ASCII parser parity with Record::FromAscii on the same line.
+void ExpectFlatAsciiParity(const std::string& line) {
+  auto rec = Record::FromAscii(line);
+  auto flat = FlatRecord::FromAscii(line);
+  ASSERT_EQ(rec.ok(), flat.ok()) << line;
+  if (!rec.ok()) return;
+  EXPECT_EQ(flat->View().ToAscii(), rec->ToAscii());
+  EXPECT_EQ(EncodeBinary(flat->View()), EncodeBinary(*rec));
+}
+
 TEST(UlmFuzzTest, TruncatedAtEveryByteRejectsOrParsesPrefix) {
   Rng rng(0xFEED01);
   const std::string data = EncodeBinary(CorpusRecord(rng));
@@ -63,6 +105,8 @@ TEST(UlmFuzzTest, TruncatedAtEveryByteRejectsOrParsesPrefix) {
     // A strict prefix can never hold the whole record.
     EXPECT_FALSE(rec.ok()) << "cut=" << cut;
     EXPECT_EQ(offset, 0u) << "failed decode must not move the offset";
+    // Behind a valid record, the cut frame is a bad tail.
+    ExpectFlatStreamParity(data + data.substr(0, cut));
   }
 }
 
@@ -86,8 +130,10 @@ TEST(UlmFuzzTest, OversizedVarintCorpus) {
   for (const auto& v : varints) {
     // As the field count.
     MustDecodeSafely(header + v);
+    ExpectFlatStreamParity(header + v);
     // As the first key length (valid field count of 4 first).
     MustDecodeSafely(header + '\x04' + v + "trailing bytes");
+    ExpectFlatStreamParity(header + '\x04' + v + "trailing bytes");
   }
 }
 
@@ -98,12 +144,15 @@ TEST(UlmFuzzTest, BadMagicAndVersionCorpus) {
     std::string mutant = data;
     mutant[0] = static_cast<char>(b0);
     MustDecodeSafely(mutant);
+    ExpectFlatStreamParity(mutant);
     mutant = data;
     mutant[1] = static_cast<char>(b0);
     MustDecodeSafely(mutant);
+    ExpectFlatStreamParity(mutant);
     mutant = data;
     mutant[2] = static_cast<char>(b0);
     MustDecodeSafely(mutant);
+    ExpectFlatStreamParity(mutant);
   }
 }
 
@@ -135,6 +184,7 @@ TEST(UlmFuzzTest, RandomMutationsOfValidEncodingsNeverCrash) {
     MustDecodeSafely(data);
     // The whole-stream API must agree: error or records, never a hang.
     (void)DecodeBinaryStream(data);
+    ExpectFlatStreamParity(data);
   }
 }
 
@@ -148,6 +198,42 @@ TEST(UlmFuzzTest, PureGarbageCorpus) {
     }
     MustDecodeSafely(data);
     (void)DecodeBinaryStream(data);
+    ExpectFlatStreamParity(data);
+    ExpectFlatAsciiParity(data);
+  }
+}
+
+TEST(UlmFuzzTest, AsciiMutationsParseIdenticallyFlatAndRecord) {
+  // The same seeded edit model as the binary corpus, over valid ASCII
+  // lines: truncations, byte flips, insertions, and deletions.
+  Rng rng(0xFEED08);
+  for (int trial = 0; trial < 2000; ++trial) {
+    Record rec = CorpusRecord(rng);
+    rec.set_timestamp(rng.Uniform(0, 4102444800) * kSecond +
+                      rng.Uniform(0, 999999));
+    std::string line = rec.ToAscii();
+    ExpectFlatAsciiParity(line);
+    ExpectFlatAsciiParity(line.substr(
+        0, static_cast<std::size_t>(
+               rng.Uniform(0, static_cast<std::int64_t>(line.size())))));
+    const int edits = static_cast<int>(rng.Uniform(1, 8));
+    for (int e = 0; e < edits && !line.empty(); ++e) {
+      const std::size_t pos =
+          static_cast<std::size_t>(rng.Uniform(0, static_cast<std::int64_t>(
+                                                      line.size() - 1)));
+      switch (rng.Uniform(0, 2)) {
+        case 0:
+          line[pos] = static_cast<char>(rng.Uniform(0, 255));
+          break;
+        case 1:
+          line.insert(pos, 1, static_cast<char>(rng.Uniform(0, 255)));
+          break;
+        default:
+          line.erase(pos, 1);
+          break;
+      }
+    }
+    ExpectFlatAsciiParity(line);
   }
 }
 
