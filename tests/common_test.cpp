@@ -1,7 +1,9 @@
 // Unit + property tests for jamm_common: status, clocks, time formatting,
-// RNG distributions, queue semantics, string utilities, config parsing.
+// RNG distributions, queue semantics (including the zero-timeout poll as the
+// in-proc listener sees it), string utilities, config parsing.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <thread>
 
@@ -13,6 +15,7 @@
 #include "common/status.hpp"
 #include "common/strings.hpp"
 #include "common/time_util.hpp"
+#include "transport/inproc.hpp"
 
 namespace jamm {
 namespace {
@@ -258,6 +261,35 @@ TEST(QueueTest, PopForTimesOut) {
   BoundedQueue<int> q(4);
   auto v = q.PopFor(10 * kMillisecond);
   EXPECT_FALSE(v.has_value());
+}
+
+// A zero timeout is a poll (message.hpp): it must not sleep out the
+// kernel's timer slack, which cost ~57 µs per call when PopFor(0) still
+// entered the condition-variable wait. 20,000 polls took ~1.1 s then;
+// 100 ms leaves room for sanitizer builds.
+constexpr int kZeroTimeoutPolls = 20000;
+constexpr auto kZeroTimeoutBudget = std::chrono::milliseconds(100);
+
+TEST(QueueTest, PopForZeroDoesNotWait) {
+  BoundedQueue<int> q(4);
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kZeroTimeoutPolls; ++i) {
+    ASSERT_FALSE(q.PopFor(0).has_value());
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kZeroTimeoutBudget);
+  ASSERT_TRUE(q.TryPush(7));
+  EXPECT_EQ(q.PopFor(0), 7);
+}
+
+TEST(QueueTest, IdleInProcAcceptZeroDoesNotWait) {
+  transport::InProcNetwork net;
+  auto listener = net.Listen("idle");
+  ASSERT_TRUE(listener.ok());
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kZeroTimeoutPolls; ++i) {
+    ASSERT_EQ((*listener)->Accept(0).status().code(), StatusCode::kTimeout);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kZeroTimeoutBudget);
 }
 
 TEST(QueueTest, CrossThreadHandoff) {

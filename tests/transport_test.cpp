@@ -1,14 +1,21 @@
 // Tests for the transport layer: frame codec, in-proc channels and the
-// named endpoint registry, real TCP channels on localhost, and the
-// NetLogger-over-transport sink in both ASCII and binary encodings.
+// named endpoint registry, real TCP channels on localhost, the zero-timeout
+// poll contract every transport keeps, and the NetLogger-over-transport
+// sink in both ASCII and binary encodings.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "netlogger/logger.hpp"
+#include "security/certificate.hpp"
+#include "security/crypto.hpp"
+#include "security/secure_channel.hpp"
 #include "transport/inproc.hpp"
 #include "transport/message.hpp"
 #include "transport/net_sink.hpp"
@@ -429,6 +436,159 @@ TEST(TcpTest, DialBadAddress) {
   ASSERT_FALSE(client.ok());
   EXPECT_EQ(client.status().code(), StatusCode::kInvalidArgument);
 }
+
+// ------------------------------------------------------------ poll contract
+//
+// Listener::Accept(0) and Channel::Receive(0) are polls on every transport
+// (message.hpp): an idle endpoint reports Timeout, a queued connection or
+// message comes back at once, and a closed, drained endpoint reports
+// Unavailable.
+
+/// One listening endpoint of the transport under test and a dialer for it.
+struct PollEndpoint {
+  std::unique_ptr<Listener> listener;
+  std::function<Result<std::unique_ptr<Channel>>()> dial;
+};
+
+struct PollTransport {
+  std::string name;
+  std::function<PollEndpoint()> open;
+  /// How long a dial or send takes to land at the far end. In-proc
+  /// transports hand over synchronously; loopback TCP delivers
+  /// asynchronously to connect()/send().
+  Duration settle = 0;
+};
+
+void PrintTo(const PollTransport& transport, std::ostream* os) {
+  *os << transport.name;
+}
+
+PollEndpoint OpenInProc(bool ring_channels) {
+  auto net = std::make_shared<InProcNetwork>(
+      InProcNetwork::Options{ring_channels, /*channel_capacity=*/64});
+  auto listener = net->Listen("poll");
+  return {std::move(*listener), [net] { return net->Dial("poll"); }};
+}
+
+PollEndpoint OpenTcp() {
+  auto listener = TcpListener::Create();
+  const std::uint16_t port = (*listener)->port();
+  return {std::move(*listener), [port] { return TcpDial("127.0.0.1", port); }};
+}
+
+/// An in-proc listener behind SecureListener, dialed through
+/// MakeSecureDialer: every accepted and dialed channel is a SecureChannel.
+PollEndpoint OpenSecureInProc() {
+  Rng rng(15);
+  security::CertificateAuthority ca("/O=Grid/CN=CA", rng);
+  auto options = [&](const std::string& subject) {
+    security::KeyPair keys = security::GenerateKeyPair(rng);
+    security::SecureChannelOptions opts;
+    opts.local_cert = ca.IssueIdentity(subject, keys.public_key, 0, 1ll << 60);
+    opts.local_private_key = keys.private_key;
+    opts.trusted_roots = {ca.ca_certificate()};
+    return opts;
+  };
+  PollEndpoint inner = OpenInProc(/*ring_channels=*/false);
+  return {std::make_unique<security::SecureListener>(
+              std::move(inner.listener), options("/CN=gateway")),
+          security::MakeSecureDialer(std::move(inner.dial),
+                                     options("/CN=consumer"))};
+}
+
+class PollContractTest : public ::testing::TestWithParam<PollTransport> {
+ protected:
+  void SetUp() override { ep_ = GetParam().open(); }
+
+  void Settle() const {
+    std::this_thread::sleep_for(std::chrono::microseconds(GetParam().settle));
+  }
+
+  /// Dials and accepts one connection: {client, server}.
+  std::pair<std::unique_ptr<Channel>, std::unique_ptr<Channel>> Connect() {
+    auto client = ep_.dial();
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    auto server = ep_.listener->Accept(kSecond);
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    if (!client.ok() || !server.ok()) return {};
+    return {std::move(*client), std::move(*server)};
+  }
+
+  PollEndpoint ep_;
+};
+
+TEST_P(PollContractTest, IdleAcceptTimesOut) {
+  EXPECT_EQ(ep_.listener->Accept(0).status().code(), StatusCode::kTimeout);
+}
+
+TEST_P(PollContractTest, AcceptReturnsQueuedConnection) {
+  auto client = ep_.dial();
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Settle();
+  auto server = ep_.listener->Accept(0);
+  EXPECT_TRUE(server.ok()) << server.status().ToString();
+}
+
+TEST_P(PollContractTest, ClosedListenerIsUnavailable) {
+  ep_.listener->Close();
+  EXPECT_EQ(ep_.listener->Accept(0).status().code(),
+            StatusCode::kUnavailable);
+}
+
+TEST_P(PollContractTest, IdleReceiveTimesOut) {
+  auto [client, server] = Connect();
+  ASSERT_TRUE(server);
+  EXPECT_EQ(server->Receive(0).status().code(), StatusCode::kTimeout);
+}
+
+TEST_P(PollContractTest, ReceiveReturnsQueuedMessage) {
+  auto [client, server] = Connect();
+  ASSERT_TRUE(server);
+  ASSERT_TRUE(client->Send({"event", "1"}).ok());
+  Settle();
+  auto msg = server->Receive(0);
+  ASSERT_TRUE(msg.ok()) << msg.status().ToString();
+  EXPECT_EQ(msg->type, "event");
+  EXPECT_EQ(msg->payload, "1");
+}
+
+TEST_P(PollContractTest, ClosedAndDrainedReceiveIsUnavailable) {
+  auto [client, server] = Connect();
+  ASSERT_TRUE(server);
+  ASSERT_TRUE(client->Send({"event", "last"}).ok());
+  client->Close();
+  Settle();
+  auto msg = server->Receive(0);
+  ASSERT_TRUE(msg.ok()) << msg.status().ToString();
+  EXPECT_EQ(msg->payload, "last");
+  EXPECT_EQ(server->Receive(0).status().code(), StatusCode::kUnavailable);
+}
+
+TEST_P(PollContractTest, IdlePollsDoNotWait) {
+  // An expired-deadline wait sleeps out the kernel's timer slack (~57 µs
+  // at the default 50 µs), so 1,000 of each poll would take over 100 ms.
+  constexpr int kPolls = 1000;
+  auto [client, server] = Connect();
+  ASSERT_TRUE(server);
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kPolls; ++i) {
+    ASSERT_EQ(ep_.listener->Accept(0).status().code(), StatusCode::kTimeout);
+    ASSERT_EQ(server->Receive(0).status().code(), StatusCode::kTimeout);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(40));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, PollContractTest,
+    ::testing::Values(
+        PollTransport{"InProcQueue", [] { return OpenInProc(false); }},
+        PollTransport{"InProcRing", [] { return OpenInProc(true); }},
+        PollTransport{"Tcp", OpenTcp, 20 * kMillisecond},
+        PollTransport{"SecureInProc", OpenSecureInProc}),
+    [](const ::testing::TestParamInfo<PollTransport>& info) {
+      return info.param.name;
+    });
 
 // ---------------------------------------------------------------- net sink
 
