@@ -13,6 +13,7 @@
 // not be slower than the full evaluation it memoizes.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -34,6 +35,7 @@ constexpr int kPasses = 15;
 constexpr int kMints = 5000;        // Mint calls per pass
 constexpr int kVerifies = 20000;    // Verify calls per pass
 constexpr int kChecks = 20000;      // Authorizer::Check calls per pass
+constexpr int kRefIters = 8000000;  // reference-loop iterations per pass
 // A pipeline pass publishes at ~10-17M events/s on a 4-vCPU VM, so this
 // makes each pass ~25-40 ms: long enough that one scheduler hiccup cannot
 // decide the authz ratio.
@@ -53,6 +55,7 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 struct Results {
   double token_mint_per_s = 0;
   double token_verify_per_s = 0;
+  double token_verify_per_kref = 0;  // verifies per 1000 reference iters
   double uncached_check_per_s = 0;
   double cached_check_per_s = 0;
   double cache_speedup = 0;
@@ -60,6 +63,27 @@ struct Results {
   double secured_events_per_s = 0;
   double authz_overhead_ratio = 0;  // secured / plain; 1.0 = zero tax
 };
+
+/// Reference iterations per second: a dependent xorshift-multiply chain,
+/// compute-bound like the token signature check, timed next to it so both
+/// see the same host speed. Token verifies per reference iteration is then
+/// a property of the code, not of the host it ran on.
+double ReferencePerS() {
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRefIters; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    x *= 0x2545F4914F6CDD1Dull;
+  }
+  const double secs = SecondsSince(t0);
+  if (x == 0) {  // keeps the chain observable; xorshift never reaches 0
+    std::fprintf(stderr, "reference loop collapsed\n");
+    std::exit(1);
+  }
+  return kRefIters / secs;
+}
 
 /// The LBNL subscriber condition every workload below evaluates against.
 PolicyEngine MakePolicy() {
@@ -110,8 +134,7 @@ void BenchTokens(Results& out) {
       std::fprintf(stderr, "FAIL: forged token verified\n");
       std::exit(1);
     }
-    std::vector<double> per_s;
-    for (int pass = 0; pass < kPasses; ++pass) {
+    auto verify_pass = [&] {
       const auto t0 = std::chrono::steady_clock::now();
       int good = 0;
       for (int i = 0; i < kVerifies; ++i) {
@@ -122,9 +145,21 @@ void BenchTokens(Results& out) {
         std::fprintf(stderr, "genuine token failed to verify\n");
         std::exit(1);
       }
-      per_s.push_back(kVerifies / secs);
+      return kVerifies / secs;
+    };
+    // Verify and reference passes run as adjacent pairs, alternating which
+    // goes first (as in BenchPipelines); the gated figure is the median of
+    // the per-pair ratios.
+    std::vector<double> per_s, per_kref;
+    for (int pass = 0; pass < kPasses; ++pass) {
+      const bool verify_first = pass % 2 == 0;
+      const double first = verify_first ? verify_pass() : ReferencePerS();
+      const double second = verify_first ? ReferencePerS() : verify_pass();
+      per_s.push_back(verify_first ? first : second);
+      per_kref.push_back(1000 * per_s.back() / (verify_first ? second : first));
     }
     out.token_verify_per_s = Median(per_s);
+    out.token_verify_per_kref = Median(per_kref);
   }
 }
 
@@ -270,8 +305,10 @@ int main(int argc, char** argv) {
   BenchPipelines(r);
   ResetKeyRegistryForTest();
 
-  std::printf("token mint %.0f/s  verify %.0f/s\n", r.token_mint_per_s,
-              r.token_verify_per_s);
+  std::printf("token mint %.0f/s  verify %.0f/s (%.3f per 1000 reference "
+              "iterations)\n",
+              r.token_mint_per_s, r.token_verify_per_s,
+              r.token_verify_per_kref);
   std::printf("check: uncached %.0f/s  cached %.0f/s  (%.2fx)\n",
               r.uncached_check_per_s, r.cached_check_per_s, r.cache_speedup);
   std::printf("pipeline: plain %.0f ev/s  secured %.0f ev/s  (ratio %.3f)\n",
@@ -294,13 +331,18 @@ int main(int argc, char** argv) {
   std::fprintf(json,
                "  \"method\": \"median of %d passes per metric; "
                "authz_overhead_ratio is the median of %d interleaved "
-               "plain/secured pass ratios (%d publishes per pass); ratios "
-               "are machine-independent\",\n",
-               kPasses, kPasses, kEvents);
+               "plain/secured pass ratios (%d publishes per pass); "
+               "token_verify_per_kref is the median of %d interleaved "
+               "verify/reference pass ratios (%d verifies vs %d "
+               "xorshift-multiply iterations per pass); ratios are "
+               "machine-independent\",\n",
+               kPasses, kPasses, kEvents, kPasses, kVerifies, kRefIters);
   std::fprintf(json, "  \"results\": {\n");
   std::fprintf(json, "    \"token_mint_per_s\": %.0f,\n", r.token_mint_per_s);
   std::fprintf(json, "    \"token_verify_per_s\": %.0f,\n",
                r.token_verify_per_s);
+  std::fprintf(json, "    \"token_verify_per_kref\": %.3f,\n",
+               r.token_verify_per_kref);
   std::fprintf(json, "    \"uncached_check_per_s\": %.0f,\n",
                r.uncached_check_per_s);
   std::fprintf(json, "    \"cached_check_per_s\": %.0f,\n",

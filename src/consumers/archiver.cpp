@@ -10,6 +10,7 @@ namespace {
 struct ArchiverTelemetry {
   telemetry::Counter& events_received;
   telemetry::Counter& entry_refreshes;
+  telemetry::Counter& remote_dropped;
   telemetry::Histogram& ingest_us;
 };
 
@@ -17,6 +18,7 @@ ArchiverTelemetry& Instruments() {
   auto& m = telemetry::Metrics();
   static ArchiverTelemetry t{m.counter("archiver.events_received"),
                              m.counter("archiver.entry_refreshes"),
+                             m.counter("archiver.remote_dropped"),
                              m.histogram("archiver.ingest_us")};
   return t;
 }
@@ -81,26 +83,34 @@ Status ArchiverAgent::AttachRemote(std::unique_ptr<gateway::GatewayClient> clien
 
 std::size_t ArchiverAgent::PumpRemote() {
   if (!remote_) return 0;
-  // Stage through the outage buffer rather than ingesting straight from
-  // DrainEvents: if the archive host stalls between pumps, the bounded
-  // buffer (drop-oldest) is what caps memory, not the client's queue.
-  for (auto& rec : remote_->DrainEvents()) {
-    remote_buffer_.Push(std::move(rec));
-  }
-  // The remote path copies straight into one flat batch — a shared arena
-  // the archive splices into its active segment wholesale: one
-  // stripe-lock acquisition per pump and no per-record heap traffic past
-  // this point. The records are the archiver's own, so traced
-  // ones are stamped in place.
-  ulm::FlatBatch batch;
-  while (auto rec = remote_buffer_.Pop()) {
-    if (telemetry::HasTrace(rec->View())) {
-      telemetry::StampHop(*rec, "archiver", HopTime(rec->timestamp()));
-    }
-    (void)batch.Append(rec->View());  // a pump never nears the 4 GiB cap
-  }
-  if (batch.empty()) return 0;
+  // One drain keeps at most its newest kRemoteDrainCap records and counts
+  // the rest as dropped (the gateway's per-subscription queue is what
+  // bounds memory across an outage).
+  const ulm::FlatBatch& drained = remote_->DrainEvents();
+  const std::size_t skip =
+      drained.size() > kRemoteDrainCap ? drained.size() - kRemoteDrainCap : 0;
+  remote_dropped_ += skip;
   auto& tm = Instruments();
+  if (skip > 0) tm.remote_dropped.Add(skip);
+  if (drained.size() == skip) return 0;
+  // The views copy straight into one flat batch — a shared arena the
+  // archive splices into its active segment wholesale: one stripe-lock
+  // acquisition per pump and no per-record heap traffic past this point.
+  // The drained batch is the client's, so a traced record is stamped on
+  // a copy first.
+  ulm::FlatBatch batch;
+  batch.Reserve(drained.size() - skip, drained.value_bytes());
+  for (std::size_t i = skip; i < drained.size(); ++i) {
+    const ulm::RecordView view = drained.View(i);
+    if (telemetry::HasTrace(view)) {
+      stamp_scratch_.Assign(view);
+      telemetry::StampHop(stamp_scratch_, "archiver",
+                          HopTime(view.timestamp()));
+      (void)batch.Append(stamp_scratch_.View());
+    } else {
+      (void)batch.Append(view);  // a pump never nears the 4 GiB cap
+    }
+  }
   tm.events_received.Add(batch.size());
   telemetry::ScopedTimer ingest_timer(&tm.ingest_us);
   const std::size_t ingested = batch.size();

@@ -14,7 +14,6 @@
 #include "directory/schema.hpp"
 #include "gateway/gateway.hpp"
 #include "gateway/service.hpp"
-#include "resilience/buffer.hpp"
 
 namespace jamm::consumers {
 
@@ -38,22 +37,21 @@ class ArchiverAgent {
   /// Wire-path feed (ISSUE 2): attach a GatewayClient — typically
   /// dialer-backed, so it reconnects and resubscribes by itself — and
   /// subscribe with `spec`. Drive with PumpRemote() from the host's poll
-  /// loop; events survive a gateway outage in a bounded buffer and flush
-  /// into the archive once drained.
+  /// loop; events that queued during a gateway outage flush into the
+  /// archive once drained.
   /// `batch_records` > 0 (ISSUE 3) negotiates batched binary delivery (up
-  /// to that many records per transport message); the outage buffer stays
-  /// bounded in records either way.
+  /// to that many records per transport message).
   Status AttachRemote(std::unique_ptr<gateway::GatewayClient> client,
                       const gateway::FilterSpec& spec = {},
                       std::size_t batch_records = 0);
 
-  /// Drain the remote feed through the outage buffer into the archive;
-  /// returns records ingested this pump.
+  /// Drain the remote feed into the archive; returns records ingested this
+  /// pump. One drain ingests at most its newest kRemoteDrainCap records.
   std::size_t PumpRemote();
+  static constexpr std::size_t kRemoteDrainCap = 1024;
 
-  /// Events evicted from the outage buffer (its capacity bounds memory
-  /// during long outages with a stalled archive host).
-  std::uint64_t remote_dropped() const { return remote_buffer_.dropped(); }
+  /// Records a drain held beyond kRemoteDrainCap (its oldest), not ingested.
+  std::uint64_t remote_dropped() const { return remote_dropped_; }
 
   /// Publish/refresh the archive's directory entry with a current
   /// contents summary, segment count, and record-time span. Remembers the
@@ -83,9 +81,10 @@ class ArchiverAgent {
   const Clock* clock_;
   std::vector<std::pair<gateway::EventGateway*, std::string>> subscriptions_;
   std::unique_ptr<gateway::GatewayClient> remote_;
-  resilience::ReplayBuffer<ulm::FlatRecord> remote_buffer_{1024};
-  /// Local-path stamping copy: the gateway's record is borrowed, so a
-  /// traced view is copied here (capacity reused) before HOP.ARCHIVER.
+  std::uint64_t remote_dropped_ = 0;
+  /// Stamping copy: the gateway's record and the client's drained batch
+  /// are borrowed, so a traced view is copied here (capacity reused)
+  /// before HOP.ARCHIVER.
   ulm::FlatRecord stamp_scratch_;
   directory::DirectoryPool* published_pool_ = nullptr;
   directory::Dn published_suffix_;

@@ -68,15 +68,15 @@ Status EventCollector::AttachRemote(
 
 std::size_t EventCollector::PumpRemote() {
   if (!remote_) return 0;
-  for (auto& rec : remote_->DrainEvents()) {
-    remote_buffer_.Push(std::move(rec));
+  // Like the archiver: a drain keeps at most its newest kRemoteDrainCap.
+  const ulm::FlatBatch& drained = remote_->DrainEvents();
+  const std::size_t skip =
+      drained.size() > kRemoteDrainCap ? drained.size() - kRemoteDrainCap : 0;
+  remote_dropped_ += skip;
+  for (std::size_t i = skip; i < drained.size(); ++i) {
+    collected_.emplace_back().Assign(drained.View(i));
   }
-  std::size_t added = 0;
-  while (auto rec = remote_buffer_.Pop()) {
-    collected_.push_back(std::move(*rec));
-    ++added;
-  }
-  return added;
+  return drained.size() - skip;
 }
 
 std::vector<ulm::Record> EventCollector::Merged() const {

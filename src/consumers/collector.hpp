@@ -18,7 +18,6 @@
 #include "gateway/gateway.hpp"
 #include "gateway/service.hpp"
 #include "netlogger/merge.hpp"
-#include "resilience/buffer.hpp"
 
 namespace jamm::consumers {
 
@@ -49,19 +48,19 @@ class EventCollector {
 
   /// Wire-path feed (ISSUE 2): attach a dialer-backed GatewayClient that
   /// reconnects and resubscribes on its own; drive with PumpRemote().
-  /// Events ride out gateway outages in a bounded drop-oldest buffer.
   /// `batch_records` > 0 (ISSUE 3) negotiates batched binary delivery —
-  /// up to that many records per transport message; the outage buffer
-  /// stays bounded in records either way.
+  /// up to that many records per transport message.
   Status AttachRemote(std::unique_ptr<gateway::GatewayClient> client,
                       const gateway::FilterSpec& spec = {},
                       std::size_t batch_records = 0);
 
   /// Drain the remote feed into the collected set; returns records added.
+  /// One drain adds at most its newest kRemoteDrainCap records.
   std::size_t PumpRemote();
+  static constexpr std::size_t kRemoteDrainCap = 1024;
 
-  /// Events evicted from the outage buffer.
-  std::uint64_t remote_dropped() const { return remote_buffer_.dropped(); }
+  /// Records a drain held beyond kRemoteDrainCap (its oldest), not added.
+  std::uint64_t remote_dropped() const { return remote_dropped_; }
 
   /// Everything collected so far, time-merged — the NetLogger log form
   /// (the one place collected records become Records).
@@ -82,7 +81,7 @@ class EventCollector {
   std::vector<ulm::FlatRecord> collected_;
   std::vector<std::pair<gateway::EventGateway*, std::string>> subscriptions_;
   std::unique_ptr<gateway::GatewayClient> remote_;
-  resilience::ReplayBuffer<ulm::FlatRecord> remote_buffer_{1024};
+  std::uint64_t remote_dropped_ = 0;
 };
 
 }  // namespace jamm::consumers

@@ -35,10 +35,11 @@ Status OverviewMonitor::AttachRemote(
 std::size_t OverviewMonitor::Pump() {
   std::size_t processed = 0;
   for (auto& client : remotes_) {
-    for (const ulm::FlatRecord& rec : client->DrainEvents()) {
-      HandleEvent(rec.View());
-      ++processed;
+    const ulm::FlatBatch& drained = client->DrainEvents();
+    for (std::size_t i = 0; i < drained.size(); ++i) {
+      HandleEvent(drained.View(i));
     }
+    processed += drained.size();
   }
   return processed;
 }

@@ -12,11 +12,10 @@ namespace jamm::federation {
 
 namespace {
 
-std::uint64_t Fnv1a(std::string_view text) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ull;
+/// FNV-1a over raw bytes, continuing from `h`.
+std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) {
+    h = (h ^ static_cast<const unsigned char*>(data)[i]) * 1099511628211ull;
   }
   return h;
 }
@@ -55,9 +54,18 @@ StreamDeduper::Verdict StreamDeduper::Admit(const ulm::RecordView& view) {
   if (state.has_last && view.timestamp() < state.last_ts) {
     return Verdict::kStale;
   }
-  ascii_.clear();
-  view.AppendAscii(ascii_);
-  const std::uint64_t hash = Fnv1a(ascii_);
+  // Host, prog and event are the source key; hash the rest of what the
+  // ASCII form renders, each value length-prefixed so fields cannot blur.
+  std::uint64_t hash = 1469598103934665603ull;
+  auto mix = [&hash](const auto& v) { hash = Fnv1a(hash, &v, sizeof(v)); };
+  mix(view.timestamp());
+  mix(view.lvl_sym());
+  for (std::uint32_t i = 0; i < view.field_count(); ++i) {
+    const std::string_view value = view.field_value(i);
+    mix(view.field_key(i));
+    mix(value.size());
+    hash = Fnv1a(hash, value.data(), value.size());
+  }
   if (state.has_last && view.timestamp() == state.last_ts) {
     for (std::uint64_t seen : state.hashes_at_last_ts) {
       if (seen == hash) return Verdict::kDuplicate;
@@ -196,39 +204,19 @@ void RepublisherGateway::AttachChildToGroup(PushdownGroup& group,
   }
 }
 
-std::size_t RepublisherGateway::Pump() {
-  EnsureBaseFeeds();
-  // Feeds whose credential the child refused on the previous pump (the
-  // gw.error was adopted during that pump's drain) re-authenticate now
-  // with the cert bundle / a fresher token.
-  RecoverChildAuth();
-  FedCounters& counters = Counters();
-  std::size_t processed = 0;
-
-  // Base stream: merge every child's feed, time-order, dedup, republish.
-  std::vector<std::pair<std::size_t, ulm::FlatRecord>> merged;
-  for (std::size_t i = 0; i < downstreams_.size(); ++i) {
-    Downstream& d = downstreams_[i];
-    if (!d.base) continue;
-    for (ulm::FlatRecord& rec : d.base->DrainEvents()) {
-      merged.emplace_back(i, std::move(rec));
-    }
-    // Harvest the child-minted capability token for future connections
-    // (pushdown feeds, summary client, re-dials). The base feed's own
-    // reconnect replays its recorded credential regardless.
-    if (!d.base->token().empty() && d.base->token() != d.cached_token) {
-      d.cached_token = d.base->token();
-    }
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.second.timestamp() < b.second.timestamp();
+template <typename OnAdmit>
+std::size_t RepublisherGateway::AdmitWave(StreamDeduper& dedup,
+                                          OnAdmit&& on_admit) {
+  // Stable: records of one timestamp keep their feed and arrival order.
+  std::stable_sort(wave_.begin(), wave_.end(),
+                   [](const WaveEntry& a, const WaveEntry& b) {
+                     return a.view.timestamp() < b.view.timestamp();
                    });
-  for (auto& [child_index, rec] : merged) {
-    ++processed;
+  FedCounters& counters = Counters();
+  for (const WaveEntry& entry : wave_) {
     ++stats_.records_in;
     counters.records_in.Increment();
-    switch (base_dedup_.Admit(rec.View())) {
+    switch (dedup.Admit(entry.view)) {
       case StreamDeduper::Verdict::kStale:
         ++stats_.stale_dropped;
         counters.stale_dropped.Increment();
@@ -238,51 +226,63 @@ std::size_t RepublisherGateway::Pump() {
         counters.duplicates_dropped.Increment();
         break;
       case StreamDeduper::Verdict::kAdmit:
-        AdmitBaseRecord(downstreams_[child_index].name, rec);
+        on_admit(entry);
         break;
     }
   }
+  return wave_.size();
+}
+
+std::size_t RepublisherGateway::Pump() {
+  EnsureBaseFeeds();
+  // Feeds whose credential the child refused on the previous pump (the
+  // gw.error was adopted during that pump's drain) re-authenticate now
+  // with the cert bundle / a fresher token.
+  RecoverChildAuth();
+
+  // The wave holds views into each feed's drained batch, valid until that
+  // feed's next drain (the next Pump).
+  auto add_to_wave = [this](const ulm::FlatBatch& batch, std::size_t child) {
+    for (std::size_t r = 0; r < batch.size(); ++r) {
+      wave_.push_back({batch.View(r), child});
+    }
+  };
+
+  // Base stream: merge every child's feed, time-order, dedup, republish.
+  wave_.clear();
+  for (std::size_t i = 0; i < downstreams_.size(); ++i) {
+    Downstream& d = downstreams_[i];
+    if (!d.base) continue;
+    add_to_wave(d.base->DrainEvents(), i);
+    // Harvest the child-minted capability token for future connections
+    // (pushdown feeds, summary client, re-dials). The base feed's own
+    // reconnect replays its recorded credential regardless.
+    if (!d.base->token().empty() && d.base->token() != d.cached_token) {
+      d.cached_token = d.base->token();
+    }
+  }
+  std::size_t processed = AdmitWave(base_dedup_, [this](const WaveEntry& e) {
+    AdmitBaseRecord(downstreams_[e.child].name, e.view);
+  });
 
   // Pushdown groups: each group's feeds are already filtered at the
   // source; merge, order, dedup per group, deliver to members.
   for (auto& [key, group] : groups_) {
-    std::vector<ulm::FlatRecord> records;
+    wave_.clear();
     for (auto& [child, client] : group.feeds) {
-      for (ulm::FlatRecord& rec : client->DrainEvents()) {
-        records.push_back(std::move(rec));
-      }
+      add_to_wave(client->DrainEvents(), 0);
     }
-    std::stable_sort(records.begin(), records.end(),
-                     [](const ulm::FlatRecord& a, const ulm::FlatRecord& b) {
-                       return a.timestamp() < b.timestamp();
-                     });
-    for (const ulm::FlatRecord& rec : records) {
-      ++processed;
-      ++stats_.records_in;
-      counters.records_in.Increment();
-      const ulm::RecordView view = rec.View();
-      switch (group.dedup.Admit(view)) {
-        case StreamDeduper::Verdict::kStale:
-          ++stats_.stale_dropped;
-          counters.stale_dropped.Increment();
-          break;
-        case StreamDeduper::Verdict::kDuplicate:
-          ++stats_.duplicates_dropped;
-          counters.duplicates_dropped.Increment();
-          break;
-        case StreamDeduper::Verdict::kAdmit:
-          ++stats_.pushdown_records;
-          counters.pushdown_records.Increment();
-          DeliverToGroup(group, view);
-          break;
-      }
-    }
+    processed += AdmitWave(group.dedup, [&](const WaveEntry& e) {
+      ++stats_.pushdown_records;
+      Counters().pushdown_records.Increment();
+      DeliverToGroup(group, e.view);
+    });
   }
   return processed;
 }
 
 void RepublisherGateway::AdmitBaseRecord(const std::string& child,
-                                         ulm::FlatRecord& rec) {
+                                         const ulm::RecordView& view) {
   ++stats_.republished;
   Counters().republished.Increment();
   // Fallback path: groups whose spec this child cannot evaluate see its
@@ -290,26 +290,27 @@ void RepublisherGateway::AdmitBaseRecord(const std::string& child,
   // run BEFORE the local publish, which stamps HOP.GATEWAY in place: a
   // local-eval member must see the record exactly as a pushdown feed
   // would have delivered it.
-  const ulm::RecordView view = rec.View();
   for (auto& [key, group] : groups_) {
     auto it = group.local_eval.find(child);
     if (it != group.local_eval.end() && it->second.ShouldDeliver(view)) {
       DeliverToGroup(group, view);
     }
   }
-  local_.Publish(rec);
+  // The view borrows a feed's batch; the publish stamps a reused copy.
+  republish_.Assign(view);
+  local_.Publish(republish_);
 }
 
-std::size_t RepublisherGateway::DeliverToGroup(PushdownGroup& group,
-                                               const ulm::RecordView& view) {
-  ulm::EncodedRecord encoded(view);
-  std::size_t delivered = 0;
+void RepublisherGateway::DeliverToGroup(PushdownGroup& group,
+                                        const ulm::RecordView& view) {
+  // Like EventGateway::Publish: only the outermost delivery encodes into
+  // the reused buffer.
+  const bool nested = std::exchange(delivering_, true);
+  const ulm::EncodedRecord encoded(view, nested ? nullptr : &deliver_buffer_);
   for (const std::shared_ptr<GroupMember>& member : group.members) {
-    if (!member->active) continue;
-    member->callback(encoded);
-    ++delivered;
+    if (member->active) member->callback(encoded);
   }
-  return delivered;
+  delivering_ = nested;
 }
 
 void RepublisherGateway::Publish(ulm::FlatRecord& rec) {

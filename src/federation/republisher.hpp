@@ -51,7 +51,7 @@ namespace jamm::federation {
 /// record older than the source's newest is stale; a record at the newest
 /// timestamp is a duplicate iff its full ASCII form was already admitted
 /// at that timestamp (same-timestamp records with different payloads are
-/// legal).
+/// legal) — compared by hashing the record's structure, not its ASCII.
 class StreamDeduper {
  public:
   enum class Verdict { kAdmit, kDuplicate, kStale };
@@ -63,10 +63,9 @@ class StreamDeduper {
   struct SourceState {
     TimePoint last_ts = 0;
     bool has_last = false;
-    std::vector<std::uint64_t> hashes_at_last_ts;  // FNV-1a of the ASCII
+    std::vector<std::uint64_t> hashes_at_last_ts;  // structural FNV-1a
   };
   std::map<SourceKey, SourceState> sources_;
-  std::string ascii_;  // reused AppendAscii buffer
 };
 
 class RepublisherGateway : public gateway::GatewaySurface {
@@ -235,6 +234,13 @@ class RepublisherGateway : public gateway::GatewaySurface {
     StreamDeduper dedup;
   };
 
+  /// A merged record: a view into a feed's drained batch, and its child.
+  struct WaveEntry { ulm::RecordView view; std::size_t child; };
+  /// Time-order wave_, dedup it, pass each admitted entry to `on_admit`;
+  /// returns the records processed.
+  template <typename OnAdmit>
+  std::size_t AdmitWave(StreamDeduper& dedup, OnAdmit&& on_admit);
+
   void EnsureBaseFeeds();
   /// Re-authenticate any child client whose credential the child refused
   /// (ISSUE 10): retire a rejected cached token and fall back to a
@@ -248,10 +254,10 @@ class RepublisherGateway : public gateway::GatewaySurface {
   void AttachChildToGroup(PushdownGroup& group, const std::string& group_key,
                           Downstream& child);
   /// Encode once, deliver to every active member.
-  std::size_t DeliverToGroup(PushdownGroup& group, const ulm::RecordView& view);
+  void DeliverToGroup(PushdownGroup& group, const ulm::RecordView& view);
   /// Admit one base-stream record from `child`: fallback eval, then
-  /// republish (which stamps the record in place).
-  void AdmitBaseRecord(const std::string& child, ulm::FlatRecord& rec);
+  /// republish (which stamps a copy in place).
+  void AdmitBaseRecord(const std::string& child, const ulm::RecordView& view);
   bool GroupNeedsChildBase(const std::string& child) const;
 
   std::string name_;
@@ -262,6 +268,10 @@ class RepublisherGateway : public gateway::GatewaySurface {
   mutable std::vector<Downstream> downstreams_;
   std::map<std::string, PushdownGroup> groups_;  // key: spec.ToString()
   StreamDeduper base_dedup_;
+  std::vector<WaveEntry> wave_;  // reused by every merge of every Pump
+  ulm::FlatRecord republish_;    // reused copy each admitted record stamps
+  std::string deliver_buffer_;   // DeliverToGroup's reused binary encode
+  bool delivering_ = false;      // a DeliverToGroup is on the stack
   mutable Stats stats_;
 };
 

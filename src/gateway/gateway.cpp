@@ -84,8 +84,10 @@ void EventGateway::Publish(ulm::FlatRecord& rec) {
                                                      : nullptr);
   // Encode-once fan-out (ISSUE 3): one view-backed EncodedRecord shared
   // by every callback this publish, so N subscribers of one wire format
-  // cost one (flat-transcoded) serialization, not N.
-  const ulm::EncodedRecord encoded(view);
+  // cost one (flat-transcoded) serialization, not N — into the reused
+  // buffer, unless this publish is nested in an outer one's callback.
+  const ulm::EncodedRecord encoded(
+      view, fanout_depth_ == 0 ? &encode_buffer_ : nullptr);
   std::uint64_t delivered = 0, filtered = 0;
   ++fanout_depth_;
   const std::size_t n = subscriptions_.size();

@@ -201,6 +201,7 @@ class EventGateway : public GatewaySurface {
   AccessChecker access_checker_;
   SensorControl sensor_control_;
   mutable Stats stats_;
+  std::string encode_buffer_;  // outermost fan-out's binary form, reused
   std::uint32_t fanout_sample_ = 0;  // 1-in-8 latency sampling phase
   int fanout_depth_ = 0;             // re-entrant Publish guard for sweeps
   bool sweep_pending_ = false;       // inactive entries await removal

@@ -238,7 +238,7 @@ void GatewayService::HandleMessage(Connection& conn,
           consumer, *spec,
           [batch, gw](const ulm::EncodedRecord& enc) {
             if (batch->count == 0) batch->first_ts = gw->clock().Now();
-            batch->buffer += enc.Binary();
+            batch->frame.payload += enc.Binary();
             if (++batch->count >= batch->max_records) FlushBatch(*batch);
           },
           conn.principal);
@@ -320,12 +320,7 @@ void GatewayService::DropConnection(Connection& conn) {
   // Messages still queued for the dead channel will never arrive: count
   // them, keeping delivered + dropped exact.
   for (auto& [id, queue] : conn.out_queues) {
-    if (queue->queued_records > 0) {
-      queue->dropped_messages += queue->pending.size();
-      queue->dropped_records += queue->queued_records;
-      ServiceInstruments().subscriber_dropped.Add(
-          static_cast<std::int64_t>(queue->queued_records));
-    }
+    queue->Drop(queue->pending.size(), queue->queued_records, false);
   }
   conn.out_queues.clear();
   conn.channel->Close();
@@ -336,23 +331,27 @@ void GatewayService::FlushBatch(BatchState& batch) {
   tm.batches_sent.Increment();
   tm.batched_records_sent.Add(batch.count);
   tm.batch_records.Record(batch.count);
-  const std::uint64_t records = batch.count;
-  SendOrQueue(*batch.queue,
-              {transport::kEventBatchMessageType, std::move(batch.buffer)},
-              records);
-  batch.buffer.clear();  // moved-from: reset to a defined empty state
+  // The transport copies the frame; the payload keeps its capacity.
+  SendOrQueue(*batch.queue, batch.frame, batch.count);
+  batch.frame.payload.clear();
   batch.count = 0;
 }
 
-void GatewayService::SendOrQueue(OutQueue& queue, transport::Message msg,
+void GatewayService::OutQueue::Drop(std::uint64_t messages,
+                                    std::uint64_t records, bool overflow) {
+  dropped_messages += messages;
+  dropped_records += records;
+  if (overflow) overload_drops_pending += records;
+  if (records > 0) ServiceInstruments().subscriber_dropped.Add(records);
+}
+
+void GatewayService::SendOrQueue(OutQueue& queue,
+                                 const transport::Message& msg,
                                  std::uint64_t records) {
   if (queue.disconnected) {
     // Policy already fired; everything further is shed (and counted, so
     // delivered + dropped stays exact).
-    queue.dropped_messages += 1;
-    queue.dropped_records += records;
-    ServiceInstruments().subscriber_dropped.Add(
-        static_cast<std::int64_t>(records));
+    queue.Drop(1, records, false);
     return;
   }
   if (queue.pending.empty()) {
@@ -365,57 +364,36 @@ void GatewayService::SendOrQueue(OutQueue& queue, transport::Message msg,
     if (!sent.ok()) {
       // Channel closed under us; PollOnce reaps the connection. Count the
       // message as dropped rather than silently losing it.
-      queue.dropped_messages += 1;
-      queue.dropped_records += records;
-      ServiceInstruments().subscriber_dropped.Add(
-          static_cast<std::int64_t>(records));
+      queue.Drop(1, records, false);
       return;
     }
     // Transport full: fall through and queue.
   }
-  auto& tm = ServiceInstruments();
   if (queue.pending.size() >= queue.capacity) {
     switch (queue.policy) {
-      case OverflowPolicy::kDropOldest: {
-        auto& [old_msg, old_records] = queue.pending.front();
-        (void)old_msg;
-        queue.dropped_messages += 1;
-        queue.dropped_records += old_records;
-        queue.overload_drops_pending += old_records;
-        queue.queued_records -= old_records;
-        tm.subscriber_dropped.Add(static_cast<std::int64_t>(old_records));
+      case OverflowPolicy::kDropOldest:
+        queue.Drop(1, queue.pending.front().second, true);
+        queue.queued_records -= queue.pending.front().second;
         queue.pending.pop_front();
         break;
-      }
       case OverflowPolicy::kDropNewest:
-        queue.dropped_messages += 1;
-        queue.dropped_records += records;
-        queue.overload_drops_pending += records;
-        tm.subscriber_dropped.Add(static_cast<std::int64_t>(records));
+        queue.Drop(1, records, true);
         return;  // incoming message is the casualty
-      case OverflowPolicy::kDisconnect: {
+      case OverflowPolicy::kDisconnect:
         // The consumer is too slow to be served: cut it off. Everything
         // still queued (and the incoming message) counts as dropped.
-        std::uint64_t lost = records;
-        for (const auto& [pending_msg, pending_records] : queue.pending) {
-          (void)pending_msg;
-          lost += pending_records;
-        }
-        queue.dropped_messages += 1 + queue.pending.size();
-        queue.dropped_records += lost;
-        queue.overload_drops_pending += lost;
+        queue.Drop(1 + queue.pending.size(), records + queue.queued_records,
+                   true);
         queue.queued_records = 0;
         queue.pending.clear();
         queue.disconnected = true;
         queue.channel->Close();
-        tm.subscriber_dropped.Add(static_cast<std::int64_t>(lost));
-        tm.overload_disconnects.Increment();
+        ServiceInstruments().overload_disconnects.Increment();
         return;
-      }
     }
   }
   queue.queued_records += records;
-  queue.pending.emplace_back(std::move(msg), records);
+  queue.pending.emplace_back(msg, records);
 }
 
 void GatewayService::DrainQueues() {
@@ -582,8 +560,8 @@ bool GatewayClient::AdoptControl(const transport::Message& msg) {
   return true;
 }
 
-template <typename Sink>
-bool GatewayClient::DecodeEvents(const transport::Message& msg, Sink&& sink) {
+bool GatewayClient::DecodeEvents(const transport::Message& msg,
+                                 ulm::FlatBatch& out) {
   auto& t = ClientInstruments();
   if (msg.type == transport::kEventMessageType) {
     auto rec = ulm::FlatRecord::FromAscii(msg.payload);
@@ -592,36 +570,37 @@ bool GatewayClient::DecodeEvents(const transport::Message& msg, Sink&& sink) {
       t.event_decode_errors.Increment();
       return true;
     }
-    sink(std::move(*rec));
+    (void)out.Append(rec->View());
     return true;
   }
   if (msg.type != transport::kEventBatchMessageType) return false;
   // The decoder keeps the prefix it decoded before a bad frame; a corrupt
   // batch is dropped whole instead (the next batch is independently
-  // decodable), so decode into scratch and copy out only on success.
-  batch_scratch_.Clear();
-  if (!batch_scratch_.DecodeBinaryStreamInto(msg.payload).ok()) {
+  // decodable), so roll back to the mark taken before this message.
+  const std::size_t mark = out.size();
+  if (!out.DecodeBinaryStreamInto(msg.payload).ok()) {
+    out.Truncate(mark);
     t.batch_decode_errors.Increment();
     return true;
   }
   t.batches_received.Increment();
-  t.batch_records_received.Add(batch_scratch_.size());
-  for (std::size_t i = 0; i < batch_scratch_.size(); ++i) {
-    ulm::FlatRecord rec;
-    rec.Assign(batch_scratch_.View(i));
-    sink(std::move(rec));
-  }
+  t.batch_records_received.Add(out.size() - mark);
   return true;
 }
 
 bool GatewayClient::BufferIfEvent(const transport::Message& msg) {
   // Unpacked into the RECORD-bounded pending buffer: capacity semantics
   // are identical for batched and unbatched subscriptions.
-  return DecodeEvents(msg, [this](ulm::FlatRecord&& rec) {
+  pending_scratch_.Clear();
+  if (!DecodeEvents(msg, pending_scratch_)) return false;
+  for (std::size_t i = 0; i < pending_scratch_.size(); ++i) {
+    ulm::FlatRecord rec;
+    rec.Assign(pending_scratch_.View(i));
     if (!pending_events_.Push(std::move(rec))) {
       ClientInstruments().pending_dropped.Increment();
     }
-  });
+  }
+  return true;
 }
 
 Status GatewayClient::Reconnect() {
@@ -912,23 +891,22 @@ Result<ulm::FlatRecord> GatewayClient::NextEvent(Duration timeout) {
   }
 }
 
-std::vector<ulm::FlatRecord> GatewayClient::DrainEvents() {
+const ulm::FlatBatch& GatewayClient::DrainEvents() {
   if ((!channel_ || !channel_->IsOpen()) && dialer_) {
     (void)Reconnect();  // restore the stream; events resume next pump
   }
-  std::vector<ulm::FlatRecord> out = pending_events_.DrainAll();
-  if (!channel_) return out;
-  auto append = [&out](ulm::FlatRecord&& rec) {
-    out.push_back(std::move(rec));
-  };
+  drained_.Clear();
+  // Events buffered while a control reply was awaited arrived first.
+  while (auto rec = pending_events_.Pop()) (void)drained_.Append(rec->View());
+  if (!channel_) return drained_;
   while (auto msg = channel_->TryReceive()) {
-    if (DecodeEvents(*msg, append)) continue;
+    if (DecodeEvents(*msg, drained_)) continue;
     if (AdoptControl(*msg)) continue;
     if (IsControlReply(msg->type)) {
       ClientInstruments().stale_replies.Increment();
     }
   }
-  return out;
+  return drained_;
 }
 
 }  // namespace jamm::gateway

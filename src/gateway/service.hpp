@@ -54,6 +54,7 @@
 #include "gateway/gateway.hpp"
 #include "resilience/buffer.hpp"
 #include "transport/message.hpp"
+#include "transport/net_sink.hpp"
 
 namespace jamm::gateway {
 
@@ -165,6 +166,9 @@ class GatewayService {
     /// Records dropped since the last gw.overload event was published.
     std::uint64_t overload_drops_pending = 0;
     bool disconnected = false;
+    /// Count `messages` carrying `records` as shed; an `overflow` drop is
+    /// also owed to the next gw.overload event.
+    void Drop(std::uint64_t messages, std::uint64_t records, bool overflow);
   };
 
   /// Accumulates one batch subscription's encoded records between flushes.
@@ -172,8 +176,9 @@ class GatewayService {
   /// (age flush, unsubscribe flush).
   struct BatchState {
     std::shared_ptr<OutQueue> queue;
-    std::string buffer;        // concatenated self-delimiting records
-    std::size_t count = 0;     // records in buffer
+    /// Buffered self-delimiting records; reused across flushes.
+    transport::Message frame{transport::kEventBatchMessageType, {}};
+    std::size_t count = 0;     // records in the frame
     TimePoint first_ts = 0;    // when the oldest buffered record arrived
     std::size_t max_records = kDefaultBatchRecords;
   };
@@ -193,7 +198,7 @@ class GatewayService {
   static void FlushBatch(BatchState& batch);
   /// Fast path: queue empty and transport accepts → synchronous send.
   /// Otherwise queue, applying the overflow policy at capacity.
-  static void SendOrQueue(OutQueue& queue, transport::Message msg,
+  static void SendOrQueue(OutQueue& queue, const transport::Message& msg,
                           std::uint64_t records);
   /// Push queued messages into channels that have room again; publish
   /// gw.overload events for queues that dropped since the last poll.
@@ -313,9 +318,11 @@ class GatewayClient {
   /// reconnects and resubscribes, then keeps waiting within the same
   /// deadline.
   Result<ulm::FlatRecord> NextEvent(Duration timeout);
-  /// Drain any already-arrived events without blocking. A dialer-backed
-  /// client whose connection died re-establishes it first.
-  std::vector<ulm::FlatRecord> DrainEvents();
+  /// Drain any already-arrived events without blocking, in arrival order.
+  /// A dialer-backed client whose connection died re-establishes it first.
+  /// The batch is borrowed and reused: valid until this client's next
+  /// DrainEvents(). `auto x = DrainEvents()` copies it; bind a reference.
+  const ulm::FlatBatch& DrainEvents();
 
   /// Re-dial and replay authentication + recorded subscriptions
   /// (pipelined; replies are adopted as they arrive). Needs a Dialer.
@@ -363,12 +370,12 @@ class GatewayClient {
   /// Adopt `msg` if it answers the oldest pipelined control request.
   bool AdoptControl(const transport::Message& msg);
   /// The one decoder of event traffic: a gw.event (ASCII) or
-  /// gw.event.batch (binary) message becomes FlatRecords handed to `sink`
-  /// in arrival order. Returns false for non-event messages. An
-  /// undecodable message is skipped whole and counted
+  /// gw.event.batch (binary) message appends its records to `out` in
+  /// arrival order. Returns false for non-event messages. An undecodable
+  /// message is skipped whole — a corrupt batch rolls `out` back to its
+  /// size before the message — and counted
   /// (gateway.client.event_decode_errors / batch_decode_errors).
-  template <typename Sink>
-  bool DecodeEvents(const transport::Message& msg, Sink&& sink);
+  bool DecodeEvents(const transport::Message& msg, ulm::FlatBatch& out);
   /// True for event traffic; records land in pending_events_ (bounded in
   /// RECORDS, so one huge batch cannot blow the memory cap a record cap
   /// implies).
@@ -395,7 +402,8 @@ class GatewayClient {
   std::string queue_spec_;  // applied to subsequent subscribes
   std::uint64_t next_sub_key_ = 1;
   resilience::ReplayBuffer<ulm::FlatRecord> pending_events_;
-  ulm::FlatBatch batch_scratch_;  // gw.event.batch decode target
+  ulm::FlatBatch pending_scratch_;  // BufferIfEvent's decode target
+  ulm::FlatBatch drained_;          // what DrainEvents() lends out
 };
 
 }  // namespace jamm::gateway

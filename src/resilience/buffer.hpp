@@ -1,9 +1,9 @@
 // Bounded drop-oldest buffer for consumers that must survive outages
-// without unbounded memory growth (ISSUE 2): a gateway client buffering
-// streamed events while a control reply is awaited, an archiver holding
-// drained events across a reconnect. When full, the oldest element is
-// evicted (the stream's newest data is the valuable part for monitoring)
-// and the eviction is counted so telemetry can surface the loss.
+// without unbounded memory growth (ISSUE 2): a gateway client buffers
+// streamed events here while a control reply is awaited. When full, the
+// oldest element is evicted (the stream's newest data is the valuable
+// part for monitoring) and the eviction is counted so telemetry can
+// surface the loss.
 //
 // Single-threaded, like the poll-driven clients that embed it.
 #pragma once
@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <vector>
 
 #include "telemetry/metrics.hpp"
 
@@ -52,14 +51,6 @@ class ReplayBuffer {
     T item = std::move(items_.front());
     items_.pop_front();
     return item;
-  }
-
-  /// Remove and return everything, oldest first.
-  std::vector<T> DrainAll() {
-    std::vector<T> out(std::make_move_iterator(items_.begin()),
-                       std::make_move_iterator(items_.end()));
-    items_.clear();
-    return out;
   }
 
   void set_capacity(std::size_t capacity) {

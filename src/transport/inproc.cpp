@@ -41,6 +41,7 @@ class InProcChannel final : public Channel {
       if (in_->queue.closed()) {
         return Status::Unavailable("peer closed: " + peer_);
       }
+      if (timeout <= 0) return Status::Timeout(kNothingReady);
       return Status::Timeout("no message within timeout from " + peer_);
     }
     return std::move(*msg);
@@ -97,6 +98,7 @@ class InProcListener final : public Listener {
       if (pending_->closed()) {
         return Status::Unavailable("listener closed: " + name_);
       }
+      if (timeout <= 0) return Status::Timeout(kNothingReady);
       return Status::Timeout("no inbound connection: " + name_);
     }
     return std::move(*chan);

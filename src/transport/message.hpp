@@ -29,6 +29,11 @@ struct Message {
   friend bool operator==(const Message&, const Message&) = default;
 };
 
+/// Message of the Timeout a zero-timeout Receive/Accept returns when
+/// nothing is ready. Short enough for std::string's small buffer, so an
+/// idle poll loop does not allocate; a real wait names its peer instead.
+inline constexpr char kNothingReady[] = "nothing ready";
+
 /// Upper bound on a single frame; protects against corrupt length prefixes.
 inline constexpr std::size_t kMaxFrameBytes = 16 * 1024 * 1024;
 

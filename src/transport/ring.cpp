@@ -167,6 +167,7 @@ class RingChannel final : public Channel {
       if (in_->closed()) {
         return Status::Unavailable("peer closed: " + peer_);
       }
+      if (timeout <= 0) return Status::Timeout(kNothingReady);
       return Status::Timeout("no message within timeout from " + peer_);
     }
     return std::move(*msg);

@@ -68,6 +68,7 @@ class TcpChannel final : public Channel {
       if (msg.status().code() != StatusCode::kNotFound) return msg.status();
       if (fd_ < 0) return Status::Unavailable("channel closed: " + peer_);
       if (!PollFd(fd_, POLLIN, timeout)) {
+        if (timeout <= 0) return Status::Timeout(kNothingReady);
         return Status::Timeout("no data within timeout from " + peer_);
       }
       char chunk[16384];
@@ -157,6 +158,7 @@ TcpListener::~TcpListener() { Close(); }
 Result<std::unique_ptr<Channel>> TcpListener::Accept(Duration timeout) {
   if (fd_ < 0) return Status::Unavailable("listener closed");
   if (!PollFd(fd_, POLLIN, timeout)) {
+    if (timeout <= 0) return Status::Timeout(kNothingReady);
     return Status::Timeout("no inbound connection on port " +
                            std::to_string(port_));
   }

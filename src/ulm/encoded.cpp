@@ -13,11 +13,11 @@ const std::string& EncodedRecord::Ascii() const {
 
 const std::string& EncodedRecord::Binary() const {
   ++accesses_;
-  if (!binary_) {
+  if (!has_binary_) {
     ++encodes_;
-    std::string out;
-    view_.EncodeBinary(out);
-    binary_ = std::move(out);
+    binary_->clear();
+    view_.EncodeBinary(*binary_);
+    has_binary_ = true;
   }
   return *binary_;
 }

@@ -10,6 +10,12 @@
 // borrows the arena behind it, which lives only for the duration of one
 // Publish() fan-out. Callbacks must copy what they keep. Single-threaded
 // like the poll-driven fan-out that creates it.
+//
+// The binary form may encode into a caller-owned buffer that outlives the
+// wrapper (the gateway keeps one for its outermost fan-out), so a steady
+// stream of publishes reuses one capacity instead of growing a fresh
+// string each time. The buffer is overwritten by the wrapper's first
+// Binary() call and must not be shared with another live wrapper.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +28,9 @@ namespace jamm::ulm {
 
 class EncodedRecord {
  public:
-  explicit EncodedRecord(const RecordView& view) : view_(view) {}
+  explicit EncodedRecord(const RecordView& view,
+                         std::string* binary_buffer = nullptr)
+      : view_(view), binary_(binary_buffer ? binary_buffer : &own_binary_) {}
 
   EncodedRecord(const EncodedRecord&) = delete;
   EncodedRecord& operator=(const EncodedRecord&) = delete;
@@ -45,7 +53,9 @@ class EncodedRecord {
  private:
   RecordView view_;
   mutable std::optional<std::string> ascii_;
-  mutable std::optional<std::string> binary_;
+  mutable std::string own_binary_;  // binary target when none was lent
+  std::string* binary_;
+  mutable bool has_binary_ = false;
   mutable std::optional<std::string> xml_;
   mutable std::uint64_t accesses_ = 0;
   mutable std::uint64_t encodes_ = 0;

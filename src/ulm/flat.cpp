@@ -337,6 +337,20 @@ void FlatBatch::Clear() {
   metas_.clear();
 }
 
+void FlatBatch::Truncate(std::size_t n) {
+  if (n >= metas_.size()) return;
+  // Records append their fields and value bytes in order, so record n's
+  // first field marks where both arenas end for the records kept.
+  const std::uint32_t fields_end = metas_[n].field_begin;
+  const std::size_t values_end =
+      fields_end == 0
+          ? 0
+          : fields_[fields_end - 1].offset + fields_[fields_end - 1].len;
+  metas_.resize(n);
+  fields_.resize(fields_end);
+  values_.resize(values_end);
+}
+
 Status FlatBatch::DecodeBinaryStreamInto(std::string_view data) {
   using detail::GetStringView;
   using detail::GetVarint;

@@ -24,8 +24,10 @@
 // Aliasing rules (DESIGN.md §15):
 //   * A RecordView borrows its owner. Views from FlatRecord::View() are
 //     invalidated by any subsequent mutation of that FlatRecord; views
-//     from FlatBatch::View(i) are invalidated by Append/Clear on the
-//     batch. Take views after building, never across mutation.
+//     from FlatBatch::View(i) are invalidated by Append/Clear/Truncate or
+//     a decode into the batch. Take views after building, never across
+//     mutation. GatewayClient::DrainEvents() lends its batch this way: it
+//     is valid until that client's next DrainEvents().
 //   * Symbol names outlive everything (the global table never evicts), so
 //     host()/prog()/field_name() views are safe to keep forever.
 //   * Field VALUES are never interned — only keys and the low-cardinality
@@ -237,7 +239,7 @@ class FlatBatch {
            metas_.size() * sizeof(Meta);
   }
 
-  /// Borrow record i; invalidated by Append*/Clear on this batch.
+  /// Borrow record i; invalidated by Append*/Clear/Truncate/decode.
   RecordView View(std::size_t i) const {
     const Meta& m = metas_[i];
     return RecordView(m.ts, m.host, m.prog, m.lvl, m.event, values_.data(),
@@ -252,6 +254,10 @@ class FlatBatch {
   bool Append(const Record& rec);
 
   void Clear();
+
+  /// Drop every record from index `n` on, keeping capacity — the rollback
+  /// to a mark taken with size() before a decode that must land whole.
+  void Truncate(std::size_t n);
 
   /// Decode a concatenated binary ULM stream into this batch, appending.
   /// Same grammar and hostile-input hardening as DecodeBinaryStream; on

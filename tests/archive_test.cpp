@@ -547,6 +547,43 @@ TEST(ArchiveIntegrationTest, GatewayCrashToClientQueryExactAccounting) {
   EXPECT_EQ(Vals(*remote), delivered);
 }
 
+// One PumpRemote ingests at most the newest ArchiverAgent::kRemoteDrainCap
+// records of its drain; the older rest are counted as dropped, never lost
+// silently.
+TEST(ArchiveIntegrationTest, OneDrainKeepsNewestCapAndCountsTheRest) {
+  SimClock clock;
+  transport::InProcNetwork net;
+  gateway::EventGateway gw("gw", clock);
+  auto listener = net.Listen("gw");
+  ASSERT_TRUE(listener.ok());
+  gateway::GatewayService service(gw, std::move(*listener));
+  EventArchive archive("cap", 1, SegmentConfig{});
+  consumers::ArchiverAgent archiver("cap", archive);
+  ASSERT_TRUE(archiver
+                  .AttachRemote(std::make_unique<gateway::GatewayClient>(
+                                    [&net] { return net.Dial("gw"); }),
+                                {}, /*batch_records=*/16)
+                  .ok());
+  service.PollOnce();  // accept + subscribe
+
+  constexpr int kSent = 1500;
+  for (int i = 0; i < kSent; ++i) {
+    test::Publish(gw, Event(i * kSecond, "E", i));
+  }
+  clock.Advance(kSecond);
+  service.PollOnce();  // age-flush the partial batch
+
+  EXPECT_EQ(archiver.PumpRemote(), consumers::ArchiverAgent::kRemoteDrainCap);
+  EXPECT_EQ(archiver.remote_dropped(), 476u);
+  EXPECT_EQ(archive.size() + archiver.remote_dropped(),
+            static_cast<std::size_t>(kSent));
+  // The newest records are the ones kept.
+  EXPECT_EQ(archive.TimeSpan(),
+            std::make_pair(TimePoint{476 * kSecond},
+                           TimePoint{(kSent - 1) * kSecond}));
+  EXPECT_EQ(archiver.PumpRemote(), 0u);
+}
+
 // ----------------------------------------------- directory entry refresh
 
 TEST(ArchiverDirectoryTest, EntryRefreshesOnSeal) {

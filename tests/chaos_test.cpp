@@ -350,8 +350,9 @@ TEST(ChaosTest, FederationTreeReconvergesAfterMidTierCrashes) {
       site->Pump();
       site_service->PollOnce();
     }
-    for (const auto& event : root.DrainEvents()) {
-      auto seq = event.View().GetInt(ulm::InternSymbol("SEQ"));
+    const ulm::FlatBatch& events = root.DrainEvents();
+    for (std::size_t e = 0; e < events.size(); ++e) {
+      auto seq = events.View(e).GetInt(ulm::InternSymbol("SEQ"));
       ASSERT_TRUE(seq.ok());
       seqs.push_back(*seq);
     }
@@ -809,9 +810,9 @@ TEST(ChaosTest, SecuredGatewayCrashMidAuthAndPolicyReloadRace) {
   std::string bob_token;
 
   auto collect = [](std::vector<std::int64_t>& into,
-                    std::vector<ulm::FlatRecord> events) {
-    for (const auto& event : events) {
-      auto seq = event.View().GetInt(ulm::InternSymbol("SEQ"));
+                    const ulm::FlatBatch& events) {
+    for (std::size_t e = 0; e < events.size(); ++e) {
+      auto seq = events.View(e).GetInt(ulm::InternSymbol("SEQ"));
       ASSERT_TRUE(seq.ok());
       into.push_back(*seq);
     }

@@ -4,7 +4,11 @@
 // overview monitor at the top of a tree.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -95,6 +99,143 @@ TEST(StreamDeduperTest, PipesInNamesDoNotMergeSources) {
   EXPECT_EQ(Admit(dedup, ValueEvent(10 * kSecond, "CPU", 2, "a", "b|c")),
             StreamDeduper::Verdict::kAdmit);
   EXPECT_EQ(dedup.source_count(), 2u);
+}
+
+/// The deduper's specification, rendered literally: per (host, prog,
+/// event) source, a record below the newest timestamp is stale, and one at
+/// the newest timestamp is a duplicate iff the same ULM ASCII line was
+/// already admitted at that timestamp.
+class AsciiReferenceDeduper {
+ public:
+  StreamDeduper::Verdict Admit(const ulm::RecordView& view) {
+    State& state = sources_[{std::string(view.host()),
+                             std::string(view.prog()),
+                             std::string(view.event_name())}];
+    if (state.has_last && view.timestamp() < state.last_ts) {
+      return StreamDeduper::Verdict::kStale;
+    }
+    const std::string ascii = view.ToAscii();
+    if (!state.has_last || view.timestamp() != state.last_ts) {
+      state = State{true, view.timestamp(), {}};
+    }
+    return state.lines.insert(ascii).second
+               ? StreamDeduper::Verdict::kAdmit
+               : StreamDeduper::Verdict::kDuplicate;
+  }
+
+ private:
+  struct State {
+    bool has_last = false;
+    TimePoint last_ts = 0;
+    std::set<std::string> lines;
+  };
+  std::map<std::array<std::string, 3>, State> sources_;
+};
+
+/// Rebuild a record from (key, value) pairs, keeping everything else.
+ulm::FlatRecord WithFields(
+    const ulm::RecordView& base,
+    const std::vector<std::pair<std::string, std::string>>& fields) {
+  ulm::FlatRecord out(base.timestamp(), base.host(), base.prog(), base.lvl(),
+                      base.event_name());
+  for (const auto& [key, value] : fields) {
+    out.AddFieldUnchecked(ulm::InternSymbol(key), value);
+  }
+  return out;
+}
+
+// Property: the structural hash gives the verdict the ASCII comparison
+// gives, on a seeded stream rich in near-duplicates — same-timestamp
+// records that differ in exactly one value byte, in lvl, in one field
+// key, in field order, or by one extra empty field — plus exact repeats
+// and time travel. Values draw on the characters ULM quotes and escapes.
+TEST(StreamDeduperTest, StructuralHashMatchesAsciiReference) {
+  enum Kind { kFresh, kRepeat, kByte, kLvl, kKey, kOrder, kEmpty, kKinds };
+  const std::string alphabet = "ab= \"\\\n";
+  const char* kKeys[] = {"VAL", "ID", "X.Y", "Z"};
+  const char* kLvls[] = {"Usage", "Warning", "Error"};
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    StreamDeduper dedup;
+    AsciiReferenceDeduper reference;
+    std::vector<ulm::FlatRecord> recent;
+    int kinds[kKinds] = {};
+    int verdicts[3] = {};
+    TimePoint clock = 100;
+    auto pick = [&](const auto& options) {
+      return options[rng.Uniform(0, std::size(options) - 1)];
+    };
+    auto random_value = [&] {
+      std::string v;
+      for (int n = static_cast<int>(rng.Uniform(1, 5)); n > 0; --n) {
+        v += alphabet[rng.Uniform(0, alphabet.size() - 1)];
+      }
+      return v;
+    };
+    for (int step = 0; step < 4000; ++step) {
+      const Kind kind = recent.empty()
+                            ? kFresh
+                            : static_cast<Kind>(rng.Uniform(0, kKinds - 1));
+      ++kinds[kind];
+      ulm::FlatRecord rec;
+      if (kind == kFresh) {
+        // Mostly forward, sometimes one tick back in time.
+        if (rng.Chance(0.3)) ++clock;
+        const TimePoint ts = rng.Chance(0.1) ? clock - 1 : clock;
+        rec = ulm::FlatRecord(ts, pick(std::array{"h1", "h2"}), "p",
+                              pick(kLvls), pick(std::array{"E1", "E2"}));
+        // Two or three distinct keys, so order and key swaps apply.
+        const int n = static_cast<int>(rng.Uniform(2, 3));
+        for (int k = 0; k < n; ++k) rec.SetField(kKeys[k], random_value());
+      } else {
+        // Mostly the newest record, whose timestamp is still current.
+        const ulm::RecordView base =
+            rng.Chance(0.6) ? recent.back().View()
+                            : recent[rng.Uniform(0, recent.size() - 1)].View();
+        std::vector<std::pair<std::string, std::string>> fields;
+        for (std::uint32_t f = 0; f < base.field_count(); ++f) {
+          fields.emplace_back(base.field_name(f), base.field_value(f));
+        }
+        const std::size_t f = rng.Uniform(0, fields.size() - 1);
+        switch (kind) {
+          case kByte: {
+            std::string& v = fields[f].second;
+            if (v.empty()) {
+              v = "a";  // an empty value's one-byte neighbour
+              break;
+            }
+            char& c = v[rng.Uniform(0, v.size() - 1)];
+            c = c == 'a' ? 'b' : 'a';
+            break;
+          }
+          case kKey:
+            fields[f].first = "K" + std::to_string(rng.Uniform(0, 1));
+            break;
+          case kOrder:
+            std::swap(fields[0], fields[1]);
+            break;
+          case kEmpty:
+            fields.emplace_back("EMPTY", "");
+            break;
+          default:
+            break;
+        }
+        rec = WithFields(base, fields);
+        if (kind == kLvl) {
+          rec.set_lvl(base.lvl() == kLvls[0] ? kLvls[1] : kLvls[0]);
+        }
+      }
+      const StreamDeduper::Verdict want = reference.Admit(rec.View());
+      ASSERT_EQ(dedup.Admit(rec.View()), want)
+          << "seed " << seed << " step " << step << ": "
+          << rec.View().ToAscii();
+      ++verdicts[static_cast<int>(want)];
+      recent.push_back(std::move(rec));
+      if (recent.size() > 4) recent.erase(recent.begin());
+    }
+    for (int k = 0; k < kKinds; ++k) EXPECT_GT(kinds[k], 0) << "kind " << k;
+    for (int v = 0; v < 3; ++v) EXPECT_GT(verdicts[v], 100) << "verdict " << v;
+  }
 }
 
 // ------------------------------------------- depth-3 pushdown acceptance

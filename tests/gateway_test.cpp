@@ -762,9 +762,9 @@ TEST(GatewayServiceTest, BatchedClientDecodesTransparently) {
   test::Publish(h.gw, ValueEvent(7, "CPU", 7));
   h.clock.Advance(h.service->batch_max_age());
   h.service->PollOnce();
-  auto drained = client.DrainEvents();
+  const ulm::FlatBatch& drained = client.DrainEvents();
   ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].timestamp(), 7);
+  EXPECT_EQ(drained.View(0).timestamp(), 7);
   EXPECT_EQ(client.pending_dropped(), 0u);
 }
 
@@ -809,6 +809,40 @@ TEST(GatewayClientTest, CorruptBatchIsDroppedWhole) {
   ASSERT_TRUE(
       server_end->Send({transport::kEventBatchMessageType, good + good}).ok());
   EXPECT_EQ(client.DrainEvents().size(), 2u);
+}
+
+// The drained batch is shared by every message of one drain, so a corrupt
+// message must roll back only its own records: the good messages before
+// and after it arrive whole and in order.
+TEST(GatewayClientTest, CorruptBatchRollsBackWithinOneDrain) {
+  auto [client_end, server_end] = transport::MakeChannelPair();
+  GatewayClient client(std::move(client_end));
+  const telemetry::Counter& errors =
+      telemetry::Metrics().counter("gateway.client.batch_decode_errors");
+  const std::uint64_t before = errors.Value();
+  auto frames = [](std::initializer_list<int> stamps) {
+    std::string out;
+    for (int ts : stamps) ValueEvent(ts, "CPU", ts).View().EncodeBinary(out);
+    return out;
+  };
+  ASSERT_TRUE(
+      server_end->Send({transport::kEventBatchMessageType, frames({1, 2})})
+          .ok());
+  ASSERT_TRUE(server_end
+                  ->Send({transport::kEventBatchMessageType,
+                          frames({3, 4}) + std::string("\xff\xff\xff", 3)})
+                  .ok());
+  ASSERT_TRUE(
+      server_end->Send({transport::kEventBatchMessageType, frames({5, 6})})
+          .ok());
+  const ulm::FlatBatch& drained = client.DrainEvents();
+  ASSERT_EQ(drained.size(), 4u);
+  const int expected[] = {1, 2, 5, 6};
+  for (std::size_t i = 0; i < drained.size(); ++i) {
+    EXPECT_EQ(drained.View(i).ToAscii(),
+              ValueEvent(expected[i], "CPU", expected[i]).View().ToAscii());
+  }
+  EXPECT_EQ(errors.Value() - before, 1u);
 }
 
 TEST(GatewayServiceTest, MixedFormatsPerSubscription) {
@@ -888,12 +922,11 @@ TEST(GatewayServiceTest, SlowConsumerDropOldestBoundsQueueExactly) {
 
   // Drop-oldest favours freshness: once the consumer drains, the newest
   // events are the ones that survived the overflow.
-  auto drained = client->DrainEvents();
+  const std::size_t drained = client->DrainEvents().size();
   h.service->PollOnce();  // push the queued tail into the freed transport
-  auto tail = client->DrainEvents();
-  drained.insert(drained.end(), tail.begin(), tail.end());
-  ASSERT_EQ(drained.size(), static_cast<std::size_t>(kTransportCap + 8));
-  EXPECT_EQ(drained.back().timestamp(), kTotal - 1);
+  const ulm::FlatBatch& tail = client->DrainEvents();
+  ASSERT_EQ(drained + tail.size(), static_cast<std::size_t>(kTransportCap + 8));
+  EXPECT_EQ(tail.View(tail.size() - 1).timestamp(), kTotal - 1);
 }
 
 TEST(GatewayServiceTest, SlowConsumerDropNewestKeepsOldestQueued) {
@@ -912,10 +945,10 @@ TEST(GatewayServiceTest, SlowConsumerDropNewestKeepsOldestQueued) {
   // published right after the transport filled.
   (void)client->DrainEvents();
   h.service->PollOnce();
-  auto tail = client->DrainEvents();
+  const ulm::FlatBatch& tail = client->DrainEvents();
   ASSERT_EQ(tail.size(), 4u);
-  EXPECT_EQ(tail.front().timestamp(), kTransportCap);
-  EXPECT_EQ(tail.back().timestamp(), kTransportCap + 3);
+  EXPECT_EQ(tail.View(0).timestamp(), kTransportCap);
+  EXPECT_EQ(tail.View(3).timestamp(), kTransportCap + 3);
 }
 
 TEST(GatewayServiceTest, SlowConsumerDisconnectPolicyCutsConnection) {

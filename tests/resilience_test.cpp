@@ -242,10 +242,10 @@ TEST(ReplayBufferTest, DropsOldestWhenFull) {
   EXPECT_FALSE(buffer.Push(4));  // evicts 1
   EXPECT_FALSE(buffer.Push(5));  // evicts 2
   EXPECT_EQ(buffer.dropped(), 2u);
-  auto all = buffer.DrainAll();
-  ASSERT_EQ(all.size(), 3u);
-  EXPECT_EQ(all[0], 3);
-  EXPECT_EQ(all[2], 5);
+  ASSERT_EQ(buffer.size(), 3u);
+  EXPECT_EQ(*buffer.Pop(), 3);
+  EXPECT_EQ(*buffer.Pop(), 4);
+  EXPECT_EQ(*buffer.Pop(), 5);
   EXPECT_TRUE(buffer.empty());
 }
 
@@ -446,11 +446,11 @@ TEST(GatewayClientRegressionTest, PendingEventBufferIsBounded) {
   auto reply = client.Query("Q", kSecond);
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(client.pending_dropped(), 6u);
-  auto kept = client.DrainEvents();
+  const ulm::FlatBatch& kept = client.DrainEvents();
   ASSERT_EQ(kept.size(), 4u);
   // Oldest were evicted; the newest survive.
-  EXPECT_EQ(kept.front().timestamp(), 7);
-  EXPECT_EQ(kept.back().timestamp(), 10);
+  EXPECT_EQ(kept.View(0).timestamp(), 7);
+  EXPECT_EQ(kept.View(3).timestamp(), 10);
 }
 
 // -------------------------------------------- Gateway reconnect (tentpole)
@@ -916,9 +916,11 @@ TEST(GatewayReconnectTest, ReplayPreservesEverySubscriptionLine) {
     EXPECT_EQ(queues[0].sent_messages, 1u);
     EXPECT_EQ(queues[0].sent_records, 3u);
     // Line 2 (filter spec): MEM never reached the subscription.
-    auto events = client.DrainEvents();
+    const ulm::FlatBatch& events = client.DrainEvents();
     ASSERT_EQ(events.size(), 3u);
-    for (const auto& event : events) EXPECT_EQ(event.event_name(), "CPU");
+    for (std::size_t e = 0; e < events.size(); ++e) {
+      EXPECT_EQ(events.View(e).event_name(), "CPU");
+    }
   };
 
   auto gw = std::make_unique<gateway::EventGateway>("gw", clock);

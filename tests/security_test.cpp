@@ -939,9 +939,9 @@ TEST(SecurityEndToEnd, ThreePointEnforcementAndManagerAllowlist) {
   test::Publish(gw,
                 ulm::Record(clock.Now(), "h1", "sensor", "Usage", "CPU_LOAD"));
   service.PollOnce();
-  auto events = good.DrainEvents();
+  const ulm::FlatBatch& events = good.DrainEvents();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].event_name(), "CPU_LOAD");
+  EXPECT_EQ(events.View(0).event_name(), "CPU_LOAD");
   // The handshake minted a capability token and the client adopted it.
   ASSERT_FALSE(good.token().empty());
   auto minted = DecodeToken(good.token());
@@ -999,9 +999,9 @@ TEST(SecurityEndToEnd, ThreePointEnforcementAndManagerAllowlist) {
   test::Publish(gw,
                 ulm::Record(clock.Now(), "h1", "sensor", "Usage", "MEM_USED"));
   service.PollOnce();
-  auto resumed_events = resumed.DrainEvents();
+  const ulm::FlatBatch& resumed_events = resumed.DrainEvents();
   ASSERT_EQ(resumed_events.size(), 1u);
-  EXPECT_EQ(resumed_events[0].event_name(), "MEM_USED");
+  EXPECT_EQ(resumed_events.View(0).event_name(), "MEM_USED");
 
   // --- Enforcement point 3: sensor start at the manager ----------------
   // The manager's own gateway carries no checker, so the manager-side

@@ -517,8 +517,12 @@ class PollContractTest : public ::testing::TestWithParam<PollTransport> {
   PollEndpoint ep_;
 };
 
+// An idle poll's Timeout carries the fixed kNothingReady message, which
+// fits the small-string buffer, so idle poll loops allocate nothing.
 TEST_P(PollContractTest, IdleAcceptTimesOut) {
-  EXPECT_EQ(ep_.listener->Accept(0).status().code(), StatusCode::kTimeout);
+  const Status status = ep_.listener->Accept(0).status();
+  EXPECT_EQ(status.code(), StatusCode::kTimeout);
+  EXPECT_EQ(status.message(), kNothingReady);
 }
 
 TEST_P(PollContractTest, AcceptReturnsQueuedConnection) {
@@ -538,7 +542,9 @@ TEST_P(PollContractTest, ClosedListenerIsUnavailable) {
 TEST_P(PollContractTest, IdleReceiveTimesOut) {
   auto [client, server] = Connect();
   ASSERT_TRUE(server);
-  EXPECT_EQ(server->Receive(0).status().code(), StatusCode::kTimeout);
+  const Status status = server->Receive(0).status();
+  EXPECT_EQ(status.code(), StatusCode::kTimeout);
+  EXPECT_EQ(status.message(), kNothingReady);
 }
 
 TEST_P(PollContractTest, ReceiveReturnsQueuedMessage) {
