@@ -7,6 +7,7 @@
 // gateway crash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "archive/analysis.hpp"
 #include "archive/archive.hpp"
 #include "archive/query.hpp"
 #include "archive/segment.hpp"
@@ -367,6 +369,93 @@ TEST(ArchiveConcurrencyTest, QueriesDuringIngestNeverDuplicate) {
   EXPECT_GT(queries.load(), 0u);
   EXPECT_EQ(ar.QueryRange(0, kHour).size(),
             static_cast<std::size_t>(kThreads * kPerThread));
+}
+
+TEST(ArchiveConcurrencyTest, QueryRacingSealsSeesEveryEarlierRecordOnce) {
+  // Writers seal (and compress) every 2 records. A query's walk visits a
+  // writer's active segment, then the many other stripes' locks (and any
+  // busy writer's) while that writer seals the segment — so the walk keeps
+  // meeting a segment it saw active in phase one in the sealed snapshot of
+  // phase two. Writer w lands ts = kWriters * i + w.
+  constexpr int kWriters = 3;
+  constexpr int kPerWriter = 3000;
+  constexpr int kEnd = kWriters * kPerWriter;
+  SegmentConfig config;
+  config.max_records = 2;
+  config.stripes = 256;
+  config.compress_sealed = true;
+  AnalysisSpec per_record;  // count-only loadline, one bucket per timestamp
+  per_record.bucket = 1;
+  auto check_stats = [](const QueryStats& stats) {
+    EXPECT_EQ(stats.segments_total,
+              stats.segments_scanned + stats.segments_pruned);
+  };
+  for (int round = 0; round < 4; ++round) {
+    EventArchive ar("a", 1, config);
+    const AnalysisEngine engine(ar);
+    std::atomic<int> landed[kWriters] = {};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        for (int i = 0; i < kPerWriter; ++i) {
+          const int ts = kWriters * i + w;
+          test::Ingest(ar, Event(ts, "E", ts));
+          landed[w].store(i + 1);
+        }
+      });
+    }
+    // Most queries cover only the newest records, so they are cheap and
+    // many; the last one, after every record landed, covers them all. A
+    // record may be visible just before `landed` counts it, never later.
+    int queries = 0;
+    auto run_queries = [&] {
+      for (bool last = false; !last; ++queries) {
+        int before[kWriters], after[kWriters];
+        last = true;
+        for (int w = 0; w < kWriters; ++w) {
+          before[w] = landed[w].load();
+          last = last && before[w] == kPerWriter;
+        }
+        const int lo =
+            last ? 0
+                 : std::max(0, kWriters * *std::min_element(before,
+                                                            before + kWriters) -
+                                   32);
+        QueryStats stats;
+        const auto rows = ar.QueryRange(lo, kEnd, &stats);
+        check_stats(stats);
+        const auto buckets = engine.Loadline(per_record, lo, kEnd, &stats);
+        check_stats(stats);
+        for (int w = 0; w < kWriters; ++w) after[w] = landed[w].load();
+        // Past `hi` no record can have landed yet.
+        const int hi = std::min(
+            kEnd, kWriters * (*std::max_element(after, after + kWriters) + 1));
+        std::vector<int> seen(kEnd, 0), counted(kEnd, 0);
+        for (const auto& rec : rows) {
+          ASSERT_LT(rec.timestamp(), hi);
+          ++seen[static_cast<std::size_t>(rec.timestamp())];
+        }
+        for (const auto& bucket : buckets) {
+          ASSERT_LT(bucket.bucket_start, hi);
+          counted[static_cast<std::size_t>(bucket.bucket_start)] +=
+              static_cast<int>(bucket.count);
+        }
+        for (int ts = lo; ts < hi; ++ts) {
+          const int i = ts / kWriters, w = ts % kWriters;
+          const int want_min = i < before[w] ? 1 : 0;
+          const int want_max = i <= after[w] ? 1 : 0;
+          ASSERT_LE(seen[ts], want_max) << "range: ts " << ts << " twice";
+          ASSERT_GE(seen[ts], want_min) << "range missed ts " << ts;
+          ASSERT_LE(counted[ts], want_max) << "loadline: ts " << ts << " twice";
+          ASSERT_GE(counted[ts], want_min) << "loadline missed ts " << ts;
+        }
+      }
+    };
+    run_queries();  // returns early on a failed ASSERT; the joins still run
+    for (auto& writer : writers) writer.join();
+    EXPECT_GT(queries, 0);
+    if (HasFatalFailure()) return;
+  }
 }
 
 // ------------------------------------------------------- rpc query service
