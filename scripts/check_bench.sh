@@ -10,7 +10,10 @@
 # counts verifies per 1000 iterations of a fixed reference loop timed in
 # interleaved passes of the same process, so a slower host moves both
 # halves of the ratio (its absolute token_verify_per_s is printed for
-# information only). bench_telemetry_overhead writes
+# information only). bench_nlv_primitives' host_scan_speedup is timed the
+# same way: a count-only loadline without a host over one with host=, in
+# interleaved pass pairs over segments that all hold that host, so it
+# gates the in-segment skip of a compressed scan. bench_telemetry_overhead writes
 # no results file: its <5% overhead budget is a hard floor the bench
 # enforces itself, so it runs here as a gate of its own. A fresh ratio may
 # fall below baseline by at most TOLERANCE (fraction, default 0.35 — the
@@ -90,7 +93,7 @@ compare_ratios "$tmp/BENCH_federation.json" "$repo_root/BENCH_federation.json" \
 echo "== bench_nlv_primitives (floors enforced by the bench itself)"
 "$build_dir/bench/bench_nlv_primitives" "$tmp/BENCH_analysis.json"
 compare_ratios "$tmp/BENCH_analysis.json" "$repo_root/BENCH_analysis.json" \
-  sealed_compression_ratio lifeline_bytes_reduction
+  sealed_compression_ratio lifeline_bytes_reduction host_scan_speedup
 
 echo "== bench_directory (floors enforced by the bench itself)"
 "$build_dir/bench/bench_directory" "$tmp/BENCH_directory.json"

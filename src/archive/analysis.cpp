@@ -27,45 +27,27 @@ AnalysisTelemetry& Instruments() {
   return t;
 }
 
-/// The spec compiled to symbols. FindSymbol, never Intern: a name the
-/// process never interned cannot appear in any record, so `host` with
-/// `host_missing` prunes every segment instead of growing the table.
+/// The spec's record predicates as the scan filter every engine query
+/// pushes into the segment walk.
+ScanFilter SpecFilter(const AnalysisSpec& spec, TimePoint t0, TimePoint t1) {
+  ScanFilter filter(t0, t1, spec.event_glob);
+  if (!spec.host.empty()) filter.SetHost(spec.host);
+  return filter;
+}
+
+/// What the scan filter cannot express, compiled to symbols: the id, value
+/// and span fields. FindSymbol, never Intern: a field name the process
+/// never interned is on no record.
 struct Compiled {
-  const AnalysisSpec& spec;
-  bool has_host = false;
-  bool host_missing = false;
-  ulm::Symbol host_sym = ulm::kEmptySymbol;
   std::optional<ulm::Symbol> value_sym;
   std::optional<ulm::Symbol> span_sym;
   std::vector<std::optional<ulm::Symbol>> id_syms;
 
-  explicit Compiled(const AnalysisSpec& s) : spec(s) {
-    if (!s.host.empty()) {
-      has_host = true;
-      const auto sym = ulm::FindSymbol(s.host);
-      if (sym) {
-        host_sym = *sym;
-      } else {
-        host_missing = true;
-      }
-    }
+  explicit Compiled(const AnalysisSpec& s) {
     if (!s.value_field.empty()) value_sym = ulm::FindSymbol(s.value_field);
     span_sym = ulm::FindSymbol(telemetry::field::kSpanId);
     id_syms.reserve(s.id_fields.size());
     for (const auto& f : s.id_fields) id_syms.push_back(ulm::FindSymbol(f));
-  }
-
-  bool Covers(const Segment& segment) const {
-    if (has_host && (host_missing || !segment.ContainsHost(host_sym))) {
-      return false;
-    }
-    return segment.MayContainEvent(spec.event_glob);
-  }
-
-  bool Matches(const ulm::RecordView& view) const {
-    if (has_host && view.host_sym() != host_sym) return false;
-    return spec.event_glob.empty() ||
-           GlobMatch(spec.event_glob, view.event_name());
   }
 
   /// The lifeline join key: the id fields' values joined with '|'. Empty
@@ -230,27 +212,19 @@ std::vector<TraceLifeline> AnalysisEngine::Lifelines(const AnalysisSpec& spec,
   using Hops = std::vector<std::pair<std::string, LifelineHop>>;
   QueryStats local;
   auto partials = archive_.ScanPartials<Hops>(
-      t0, t1, [&](const Segment& s) { return c.Covers(s); },
-      [&](const Segment& segment) {
-        Hops hops;
-        segment.ForEachView([&](const ulm::RecordView& view) {
-          if (view.timestamp() < t0 || view.timestamp() >= t1 ||
-              !c.Matches(view)) {
-            return;
-          }
-          std::string id = c.ObjectId(view);
-          if (id.empty()) return;
-          LifelineHop hop;
-          hop.ts = view.timestamp();
-          hop.event = std::string(view.event_name());
-          hop.host = std::string(view.host());
-          hop.prog = std::string(view.prog());
-          if (c.span_sym) {
-            hop.span = std::string(view.GetField(*c.span_sym).value_or(""));
-          }
-          hops.emplace_back(std::move(id), std::move(hop));
-        });
-        return hops;
+      SpecFilter(spec, t0, t1),
+      [&](Hops& hops, const ulm::RecordView& view) {
+        std::string id = c.ObjectId(view);
+        if (id.empty()) return;
+        LifelineHop hop;
+        hop.ts = view.timestamp();
+        hop.event = std::string(view.event_name());
+        hop.host = std::string(view.host());
+        hop.prog = std::string(view.prog());
+        if (c.span_sym) {
+          hop.span = std::string(view.GetField(*c.span_sym).value_or(""));
+        }
+        hops.emplace_back(std::move(id), std::move(hop));
       },
       &local);
 
@@ -296,21 +270,13 @@ std::vector<LoadBucket> AnalysisEngine::Loadline(const AnalysisSpec& spec,
   using Grid = std::map<std::int64_t, Partial>;
   QueryStats local;
   auto partials = archive_.ScanPartials<Grid>(
-      t0, t1, [&](const Segment& s) { return c.Covers(s); },
-      [&](const Segment& segment) {
-        Grid grid;
-        segment.ForEachView([&](const ulm::RecordView& view) {
-          if (view.timestamp() < t0 || view.timestamp() >= t1 ||
-              !c.Matches(view)) {
-            return;
-          }
-          Partial& bucket = grid[(view.timestamp() - t0) / width];
-          ++bucket.count;
-          if (const auto value = c.Value(view)) {
-            bucket.values.push_back(*value);
-          }
-        });
-        return grid;
+      SpecFilter(spec, t0, t1),
+      [&](Grid& grid, const ulm::RecordView& view) {
+        Partial& bucket = grid[(view.timestamp() - t0) / width];
+        ++bucket.count;
+        if (const auto value = c.Value(view)) {
+          bucket.values.push_back(*value);
+        }
       },
       &local);
 
@@ -356,23 +322,15 @@ std::vector<PointSample> AnalysisEngine::Points(const AnalysisSpec& spec,
   using Samples = std::vector<PointSample>;
   QueryStats local;
   auto partials = archive_.ScanPartials<Samples>(
-      t0, t1, [&](const Segment& s) { return c.Covers(s); },
-      [&](const Segment& segment) {
-        Samples samples;
-        segment.ForEachView([&](const ulm::RecordView& view) {
-          if (view.timestamp() < t0 || view.timestamp() >= t1 ||
-              !c.Matches(view)) {
-            return;
-          }
-          PointSample point;
-          point.ts = view.timestamp();
-          if (const auto value = c.Value(view)) {
-            point.has_value = true;
-            point.value = *value;
-          }
-          samples.push_back(point);
-        });
-        return samples;
+      SpecFilter(spec, t0, t1),
+      [&](Samples& samples, const ulm::RecordView& view) {
+        PointSample point;
+        point.ts = view.timestamp();
+        if (const auto value = c.Value(view)) {
+          point.has_value = true;
+          point.value = *value;
+        }
+        samples.push_back(point);
       },
       &local);
 
@@ -404,21 +362,13 @@ std::vector<AggRow> AnalysisEngine::Aggregate(const AnalysisSpec& spec,
   using Groups = std::map<std::string, Partial>;  // keyed by event name
   QueryStats local;
   auto partials = archive_.ScanPartials<Groups>(
-      t0, t1, [&](const Segment& s) { return c.Covers(s); },
-      [&](const Segment& segment) {
-        Groups groups;
-        segment.ForEachView([&](const ulm::RecordView& view) {
-          if (view.timestamp() < t0 || view.timestamp() >= t1 ||
-              !c.Matches(view)) {
-            return;
-          }
-          Partial& group = groups[std::string(view.event_name())];
-          ++group.count;
-          if (const auto value = c.Value(view)) {
-            group.values.push_back(*value);
-          }
-        });
-        return groups;
+      SpecFilter(spec, t0, t1),
+      [&](Groups& groups, const ulm::RecordView& view) {
+        Partial& group = groups[std::string(view.event_name())];
+        ++group.count;
+        if (const auto value = c.Value(view)) {
+          group.values.push_back(*value);
+        }
       },
       &local);
 

@@ -8,7 +8,6 @@
 #include <set>
 #include <sstream>
 
-#include "common/strings.hpp"
 #include "telemetry/metrics.hpp"
 #include "ulm/binary.hpp"
 
@@ -26,6 +25,8 @@ struct ArchiveTelemetry {
   telemetry::Counter& segments_scanned;
   telemetry::Counter& segments_pruned;
   telemetry::Counter& bytes_scanned;
+  telemetry::Counter& records_decoded;
+  telemetry::Counter& records_skipped;
   telemetry::Counter& compressed_segments;
   telemetry::Counter& load_skipped;
   telemetry::Counter& saves;
@@ -45,6 +46,8 @@ ArchiveTelemetry& Instruments() {
                             m.counter("archive.query.segments_scanned"),
                             m.counter("archive.query.segments_pruned"),
                             m.counter("archive.query.bytes_scanned"),
+                            m.counter("archive.query.records_decoded"),
+                            m.counter("archive.query.records_skipped"),
                             m.counter("archive.compress.segments"),
                             m.counter("archive.load.segments_skipped"),
                             m.counter("archive.saves"),
@@ -248,7 +251,7 @@ std::size_t EventArchive::Compact(TimePoint now) {
     compacted->id = segment->id;
     compacted->tier = target;
     compacted->append_reserve = segment->size();
-    segment->ForEachView([&](const ulm::RecordView& view) {
+    segment->ForEachView(ScanFilter{}, [&](const ulm::RecordView& view) {
       if ((keep_abnormal_ && IsAbnormal(view.lvl_sym())) ||
           HashUnit(view) < fraction) {
         compacted->Append(view);
@@ -315,19 +318,20 @@ std::size_t EventArchive::StorageBytes() const {
 
 // ---------------------------------------------------------------- queries
 
-void EventArchive::NoteQueryStats(const QueryStats& stats) const {
+void EventArchive::NoteQueryStats(const QueryStats& stats,
+                                  std::size_t decoded,
+                                  std::size_t skipped) const {
   auto& tm = Instruments();
   tm.query_calls.Increment();
   tm.segments_scanned.Add(stats.segments_scanned);
   tm.segments_pruned.Add(stats.segments_pruned);
   tm.bytes_scanned.Add(stats.bytes_scanned);
+  tm.records_decoded.Add(decoded);
+  tm.records_skipped.Add(skipped);
 }
 
-std::vector<ulm::Record> EventArchive::Collect(
-    TimePoint t0, TimePoint t1,
-    const std::function<bool(const Segment&)>& covers,
-    const std::function<bool(const ulm::RecordView&)>& matches,
-    QueryStats* stats) const {
+std::vector<ulm::Record> EventArchive::Collect(const ScanFilter& filter,
+                                               QueryStats* stats) const {
   telemetry::ScopedTimer timer(&Instruments().query_us);
   QueryStats local;
 
@@ -337,18 +341,9 @@ std::vector<ulm::Record> EventArchive::Collect(
   // deterministic time-then-id-then-arrival order.
   using Hits = std::vector<ulm::Record>;
   std::vector<Hits> groups = ScanPartials<Hits>(
-      t0, t1, covers,
-      [&](const Segment& segment) {
-        Hits hits;
-        // Predicates run on the view (symbol compares, no allocation);
-        // only matching records pay the Record materialization.
-        segment.ForEachView([&](const ulm::RecordView& view) {
-          if (view.timestamp() >= t0 && view.timestamp() < t1 &&
-              matches(view)) {
-            hits.push_back(view.ToRecord());
-          }
-        });
-        return hits;
+      filter,
+      [](Hits& hits, const ulm::RecordView& view) {
+        hits.push_back(view.ToRecord());
       },
       &local);
 
@@ -370,37 +365,21 @@ std::vector<ulm::Record> EventArchive::Collect(
 
 std::vector<ulm::Record> EventArchive::QueryRange(TimePoint t0, TimePoint t1,
                                                   QueryStats* stats) const {
-  return Collect(
-      t0, t1, [](const Segment&) { return true; },
-      [](const ulm::RecordView&) { return true; }, stats);
+  return Collect(ScanFilter(t0, t1), stats);
 }
 
 std::vector<ulm::Record> EventArchive::QueryEvents(
     const std::string& event_glob, TimePoint t0, TimePoint t1,
     QueryStats* stats) const {
-  return Collect(
-      t0, t1,
-      [&](const Segment& s) { return s.MayContainEvent(event_glob); },
-      [&](const ulm::RecordView& view) {
-        return event_glob.empty() || GlobMatch(event_glob, view.event_name());
-      },
-      stats);
+  return Collect(ScanFilter(t0, t1, event_glob), stats);
 }
 
 std::vector<ulm::Record> EventArchive::QueryHost(const std::string& host,
                                                  TimePoint t0, TimePoint t1,
                                                  QueryStats* stats) const {
-  // One symbol lookup (Find, not Intern: query strings must not grow the
-  // table) turns the per-record host check into a 4-byte compare. A host
-  // the process never interned cannot be stored in any segment.
-  const auto host_sym = ulm::FindSymbol(host);
-  return Collect(
-      t0, t1,
-      [&](const Segment& s) { return host_sym && s.ContainsHost(*host_sym); },
-      [&](const ulm::RecordView& view) {
-        return host_sym && view.host_sym() == *host_sym;
-      },
-      stats);
+  ScanFilter filter(t0, t1);
+  filter.SetHost(host);
+  return Collect(filter, stats);
 }
 
 // ------------------------------------------------------------ persistence

@@ -23,9 +23,8 @@
 // at a configurable fraction (deterministic for a given seed).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -256,73 +255,78 @@ class EventArchive {
   std::shared_ptr<Segment> NewSegment();
   /// Deterministic per-record sampling unit in [0, 1) for compaction.
   double HashUnit(const ulm::RecordView& view) const;
-  /// Shared query walk: collect matching records from every covering
-  /// segment, merged time-ordered. `covers`/`matches` close over the
-  /// query's predicates; matching views are materialized into the result.
-  std::vector<ulm::Record> Collect(
-      TimePoint t0, TimePoint t1,
-      const std::function<bool(const Segment&)>& covers,
-      const std::function<bool(const ulm::RecordView&)>& matches,
-      QueryStats* stats) const;
+  /// Shared query walk: collect the records that pass `filter` from every
+  /// covering segment, merged time-ordered.
+  std::vector<ulm::Record> Collect(const ScanFilter& filter,
+                                   QueryStats* stats) const;
 
   /// Telemetry fold for one query walk (implemented in the .cpp, where
-  /// the instruments live).
-  void NoteQueryStats(const QueryStats& stats) const;
+  /// the instruments live): its stats plus the records the scanned
+  /// segments handed to it and skipped.
+  void NoteQueryStats(const QueryStats& stats, std::size_t decoded,
+                      std::size_t skipped) const;
 
   /// The generic two-phase segment walk every query — record collection
   /// and the analysis engine's pushed-down partials alike — is built on:
-  /// visit actives under their stripe locks, then the sealed snapshot;
-  /// `scan(segment) -> Partial` runs once per covering segment, and a
-  /// segment sealed between the phases overwrites its phase-one entry in
-  /// the id-keyed map, so nothing ingested before the walk began is
-  /// missed, duplicated, or double-counted in the stats. Returns the
-  /// scanned partials in segment-id order (the deterministic merge order)
-  /// and fills everything in `stats` except records_returned.
-  template <typename Partial, typename CoversFn, typename ScanFn>
-  std::vector<Partial> ScanPartials(TimePoint t0, TimePoint t1,
-                                    const CoversFn& covers, const ScanFn& scan,
+  /// visit actives under their stripe locks, then the sealed snapshot.
+  /// Each segment `filter` covers gets one Partial, and `fold(partial,
+  /// view)` runs on each of its records that pass `filter`. A segment
+  /// active in phase one and sealed before phase two is skipped in phase
+  /// two, so nothing ingested before the walk began is missed,
+  /// duplicated, or double-counted in the stats. Returns the scanned
+  /// partials in segment-id order (the deterministic merge order) and
+  /// fills everything in `stats` except records_returned.
+  template <typename Partial, typename FoldFn>
+  std::vector<Partial> ScanPartials(const ScanFilter& filter,
+                                    const FoldFn& fold,
                                     QueryStats* stats) const {
-    struct Entry {
-      bool scanned = false;
-      std::size_t bytes = 0;
-      Partial partial{};
+    struct Scanned {
+      std::uint64_t id;
+      Partial partial;
     };
-    std::map<std::uint64_t, Entry> entries;
+    std::vector<Scanned> scanned;
+    std::vector<std::uint64_t> active_ids;
+    QueryStats local;
+    std::size_t decoded = 0, walked = 0;
     auto visit = [&](const Segment& segment) {
-      Entry entry;
-      if (segment.CoversTime(t0, t1) && covers(segment)) {
-        entry.scanned = true;
-        entry.bytes = segment.StorageBytes();
-        entry.partial = scan(segment);
+      ++local.segments_total;
+      if (!filter.Covers(segment)) {
+        ++local.segments_pruned;
+        return;
       }
-      entries[segment.id] = std::move(entry);
+      ++local.segments_scanned;
+      local.bytes_scanned += segment.StorageBytes();
+      walked += segment.size();
+      Partial partial{};
+      decoded += segment.ForEachView(
+          filter, [&](const ulm::RecordView& view) { fold(partial, view); });
+      scanned.push_back({segment.id, std::move(partial)});
     };
     for (const auto& stripe : stripes_) {
       std::lock_guard lock(stripe->mu);
-      if (stripe->active && !stripe->active->empty()) visit(*stripe->active);
+      if (stripe->active && !stripe->active->empty()) {
+        active_ids.push_back(stripe->active->id);
+        visit(*stripe->active);
+      }
     }
     std::vector<std::shared_ptr<const Segment>> sealed;
     {
       std::lock_guard lock(shared_->mu);
       sealed = shared_->sealed;
     }
-    for (const auto& segment : sealed) visit(*segment);
-
-    QueryStats local;
-    std::vector<Partial> out;
-    out.reserve(entries.size());
-    for (auto& [id, entry] : entries) {
-      (void)id;
-      ++local.segments_total;
-      if (entry.scanned) {
-        ++local.segments_scanned;
-        local.bytes_scanned += entry.bytes;
-        out.push_back(std::move(entry.partial));
-      } else {
-        ++local.segments_pruned;
+    for (const auto& segment : sealed) {
+      if (std::find(active_ids.begin(), active_ids.end(), segment->id) ==
+          active_ids.end()) {
+        visit(*segment);
       }
     }
-    NoteQueryStats(local);
+
+    std::sort(scanned.begin(), scanned.end(),
+              [](const Scanned& a, const Scanned& b) { return a.id < b.id; });
+    std::vector<Partial> out;
+    out.reserve(scanned.size());
+    for (auto& s : scanned) out.push_back(std::move(s.partial));
+    NoteQueryStats(local, decoded, walked - decoded);
     if (stats) *stats = local;
     return out;
   }

@@ -155,7 +155,7 @@ std::string CompressPayload(const Segment& segment) {
   // self-contained — DecompressPayload needs no header context.
   std::string body;
   TimePoint prev_ts = 0;
-  segment.ForEachView([&](const ulm::RecordView& view) {
+  segment.ForEachView(ScanFilter{}, [&](const ulm::RecordView& view) {
     // Delta in unsigned space: wraps instead of overflowing for extreme
     // timestamp pairs, and the decoder's matching unsigned add undoes it.
     PutVarint(body, ZigZag(static_cast<std::int64_t>(
@@ -187,7 +187,9 @@ std::string CompressPayload(const Segment& segment) {
   return blob;
 }
 
-Status DecompressPayload(std::string_view blob, ulm::FlatBatch& out) {
+Result<std::uint64_t> DecompressPayload(std::string_view blob,
+                                        ulm::FlatBatch& out,
+                                        const ScanFilter& filter) {
   using ulm::detail::GetVarint;
   auto corrupt = [](const char* what) {
     return Status::ParseError(std::string("compressed segment: ") + what);
@@ -199,70 +201,78 @@ Status DecompressPayload(std::string_view blob, ulm::FlatBatch& out) {
   // Every dictionary entry costs at least its 1-byte length prefix, so a
   // count beyond the remaining bytes is garbage — reject before reserving.
   if (dict_n > blob.size() - i) return corrupt("oversized dictionary");
-  std::vector<ulm::Symbol> dict;
+  // Each entry carries the filter's verdict as a host and as an event
+  // name, so the per-record test is two loads, never a glob.
+  struct Entry {
+    ulm::Symbol sym;
+    bool host_passes;
+    bool event_passes;
+  };
+  std::vector<Entry> dict;
   dict.reserve(static_cast<std::size_t>(dict_n));
   for (std::uint64_t d = 0; d < dict_n; ++d) {
     std::uint64_t len = 0;
     if (!GetVarint(blob, i, len)) return corrupt("short dictionary entry");
     if (len > blob.size() - i) return corrupt("dictionary entry overruns");
-    dict.push_back(ulm::InternSymbol(blob.substr(i, len)));
+    const ulm::Symbol sym = ulm::InternSymbol(blob.substr(i, len));
+    dict.push_back({sym, filter.PassesHost(sym), filter.PassesEvent(sym)});
     i += len;
   }
   if (record_count > (blob.size() - i) / kMinCompressedRecordBytes) {
     return corrupt("record count exceeds payload");
   }
 
-  auto dict_sym = [&](std::uint64_t idx, ulm::Symbol* sym) {
-    if (idx >= dict.size()) return false;
-    *sym = dict[static_cast<std::size_t>(idx)];
+  // Reads one dictionary index; every index of every record is checked,
+  // kept or not, so the filter never changes which blobs are rejected.
+  auto entry = [&](const Entry** e) {
+    std::uint64_t idx = 0;
+    if (!GetVarint(blob, i, idx) || idx >= dict.size()) return false;
+    *e = &dict[static_cast<std::size_t>(idx)];
     return true;
   };
   ulm::FlatRecord scratch;
   std::int64_t prev_ts = 0;  // mirrors the encoder: first delta is absolute
   for (std::uint64_t r = 0; r < record_count; ++r) {
-    scratch.Clear();
     std::uint64_t delta = 0;
     if (!GetVarint(blob, i, delta)) return corrupt("short timestamp delta");
     prev_ts = static_cast<std::int64_t>(static_cast<std::uint64_t>(prev_ts) +
                                         static_cast<std::uint64_t>(
                                             UnZigZag(delta)));
-    scratch.set_timestamp(prev_ts);
-    std::uint64_t idx = 0;
-    ulm::Symbol sym = ulm::kEmptySymbol;
-    if (!GetVarint(blob, i, idx) || !dict_sym(idx, &sym)) {
-      return corrupt("bad host index");
-    }
-    scratch.set_host_sym(sym);
-    if (!GetVarint(blob, i, idx) || !dict_sym(idx, &sym)) {
-      return corrupt("bad prog index");
-    }
-    scratch.set_prog_sym(sym);
-    if (!GetVarint(blob, i, idx) || !dict_sym(idx, &sym)) {
-      return corrupt("bad lvl index");
-    }
-    scratch.set_lvl_sym(sym);
-    if (!GetVarint(blob, i, idx) || !dict_sym(idx, &sym)) {
-      return corrupt("bad event index");
-    }
-    scratch.set_event_sym(sym);
+    const Entry *host = nullptr, *prog = nullptr, *lvl = nullptr,
+                *event = nullptr;
+    if (!entry(&host)) return corrupt("bad host index");
+    if (!entry(&prog)) return corrupt("bad prog index");
+    if (!entry(&lvl)) return corrupt("bad lvl index");
+    if (!entry(&event)) return corrupt("bad event index");
     std::uint64_t nfields = 0;
     if (!GetVarint(blob, i, nfields)) return corrupt("short field count");
     // A field is at least a key index, a length, and no bytes.
     if (nfields > (blob.size() - i) / 2) return corrupt("oversized fields");
+    const bool keep = filter.PassesTime(prev_ts) && host->host_passes &&
+                      event->event_passes;
+    if (keep) {
+      scratch.Clear();
+      scratch.set_timestamp(prev_ts);
+      scratch.set_host_sym(host->sym);
+      scratch.set_prog_sym(prog->sym);
+      scratch.set_lvl_sym(lvl->sym);
+      scratch.set_event_sym(event->sym);
+    }
     for (std::uint64_t f = 0; f < nfields; ++f) {
-      if (!GetVarint(blob, i, idx) || !dict_sym(idx, &sym)) {
-        return corrupt("bad field key index");
-      }
+      const Entry* key = nullptr;
+      if (!entry(&key)) return corrupt("bad field key index");
       std::uint64_t len = 0;
       if (!GetVarint(blob, i, len)) return corrupt("short field value");
       if (len > blob.size() - i) return corrupt("field value overruns");
-      scratch.AddFieldUnchecked(sym, blob.substr(i, len));
+      if (keep) scratch.AddFieldUnchecked(key->sym, blob.substr(i, len));
       i += len;
     }
-    if (!out.Append(scratch.View())) return corrupt("batch arena overflow");
+    if (keep && !out.Append(scratch.View())) {
+      return corrupt("batch arena overflow");
+    }
   }
   if (i != blob.size()) return corrupt("trailing bytes after records");
-  return Status::Ok();
+  return record_count;
 }
 
 void Segment::Compress() {
@@ -279,9 +289,18 @@ std::size_t Segment::StorageBytes() const {
   return total;
 }
 
-bool Segment::DecompressScratch(ulm::FlatBatch& scratch) const {
-  return DecompressPayload(compressed, scratch).ok() &&
-         scratch.size() == record_count_;
+bool Segment::DecompressScratch(const ScanFilter& filter,
+                                ulm::FlatBatch& scratch) const {
+  const auto walked = DecompressPayload(compressed, scratch, filter);
+  return walked.ok() && *walked == record_count_;
+}
+
+bool ScanFilter::Covers(const Segment& segment) const {
+  if (segment.empty() || (windowed && !segment.CoversTime(t0, t1))) {
+    return false;
+  }
+  if (host && !segment.ContainsHost(*host)) return false;
+  return segment.MayContainEvent(event_glob);
 }
 
 bool Segment::MayContainEvent(const std::string& glob) const {
@@ -327,7 +346,7 @@ void AppendSegmentBlock(const Segment& segment, std::string& out) {
   if (!segment.compressed.empty()) {
     payload = segment.compressed;
   } else {
-    segment.ForEachView([&payload](const ulm::RecordView& view) {
+    segment.ForEachView(ScanFilter{}, [&payload](const ulm::RecordView& view) {
       view.EncodeBinary(payload);
     });
   }
@@ -371,12 +390,17 @@ BlockOutcome ReadSegmentBlock(std::string_view data, std::size_t* offset,
   // decoder instead of the binary-ULM stream decoder; either way a decode
   // failure or a record-count mismatch skips just this block.
   ulm::FlatBatch batch;
+  std::uint64_t walked = 0;
   if (magic == kSegmentMagicV2) {
-    if (!DecompressPayload(payload, batch).ok()) return BlockOutcome::kSkipped;
-  } else if (!batch.DecodeBinaryStreamInto(payload).ok()) {
+    const auto decoded = DecompressPayload(payload, batch, ScanFilter{});
+    if (!decoded.ok()) return BlockOutcome::kSkipped;
+    walked = *decoded;
+  } else if (batch.DecodeBinaryStreamInto(payload).ok()) {
+    walked = batch.size();
+  } else {
     return BlockOutcome::kSkipped;
   }
-  if (batch.size() != Get64(data, at + 16)) return BlockOutcome::kSkipped;
+  if (walked != Get64(data, at + 16)) return BlockOutcome::kSkipped;
   Segment segment;
   segment.id = Get64(data, at + 8);
   segment.tier = Get32(data, at + 4);

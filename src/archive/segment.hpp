@@ -24,15 +24,19 @@
 // ISSUE 8 added a compressed resting state for sealed segments: the flat
 // chunks are replaced by one dictionary + delta-varint blob (format below)
 // while the pruning indexes (min/max time, event counts, host set) stay
-// resident — so zone-map pruning never touches the blob, and a covering
-// segment decompresses into a scratch FlatBatch only when actually
-// scanned. Compression is transparent to every query and to persistence:
+// resident — so zone-map pruning never touches the blob. A query pushes
+// its predicates (ScanFilter: time window, host, event glob) into the
+// scan of a covering segment: the decoder reads each record's timestamp
+// and dictionary indexes, and copies out only the records that pass; the
+// rest are skipped by their length prefixes, still fully bounds-checked.
+// Compression is transparent to every query and to persistence:
 // compressed segments save as SEG2 blocks carrying the blob verbatim, so
 // save → load → save is byte-stable in both states.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -40,6 +44,7 @@
 
 #include "common/clock.hpp"
 #include "common/status.hpp"
+#include "common/strings.hpp"
 #include "ulm/flat.hpp"
 #include "ulm/intern.hpp"
 #include "ulm/record.hpp"
@@ -50,6 +55,50 @@ namespace jamm::archive {
 /// segment header and payload checksums; self-contained so the archive
 /// has no compression-library dependency.
 std::uint32_t Crc32(std::string_view data);
+
+struct Segment;
+
+/// A query's record predicates, built once per query and pushed into the
+/// segment scan — the three the per-segment indexes prune on. A
+/// default-constructed filter passes every record (the loader, seal and
+/// compaction paths).
+struct ScanFilter {
+  ScanFilter() = default;
+  /// Records with t0 <= ts < t1, narrowed by `event_glob` ("" = all).
+  ScanFilter(TimePoint t0, TimePoint t1, std::string event_glob = {})
+      : windowed(true), t0(t0), t1(t1), event_glob(std::move(event_glob)) {}
+
+  /// Narrow to one host. FindSymbol, never Intern: a name the process
+  /// never interned is no record's host, so it matches nothing.
+  void SetHost(std::string_view name) {
+    host = ulm::FindSymbol(name).value_or(kNoSymbol);
+  }
+
+  /// False only for the all-pass filter, which a half-open window cannot
+  /// express (it must pass ts == INT64_MAX too).
+  bool windowed = false;
+  TimePoint t0 = 0;
+  TimePoint t1 = 0;
+  std::optional<ulm::Symbol> host;
+  std::string event_glob;
+
+  /// No interned symbol has this id, so no record carries it.
+  static constexpr ulm::Symbol kNoSymbol = ~ulm::Symbol{0};
+
+  bool PassesTime(TimePoint ts) const {
+    return !windowed || (ts >= t0 && ts < t1);
+  }
+  bool PassesHost(ulm::Symbol sym) const { return !host || sym == *host; }
+  bool PassesEvent(ulm::Symbol sym) const {
+    return event_glob.empty() || GlobMatch(event_glob, ulm::SymbolName(sym));
+  }
+  bool Passes(const ulm::RecordView& view) const {
+    return PassesTime(view.timestamp()) && PassesHost(view.host_sym()) &&
+           PassesEvent(view.event_sym());
+  }
+  /// False when the segment's indexes prove no record passes.
+  bool Covers(const Segment& segment) const;
+};
 
 /// One archive partition. Mutable only while active (under the owning
 /// stripe's lock); sealed segments are immutable.
@@ -92,22 +141,30 @@ struct Segment {
   /// arrival order.
   void AppendFlatFrame(ulm::FlatBatch&& batch);
 
-  /// Visit every record in arrival order as a RecordView. For an
-  /// uncompressed segment there is no materialization; a compressed
-  /// segment decodes into a scratch FlatBatch first (its blob was
-  /// validated when built, so the decode cannot fail). The view is only
-  /// valid inside the callback.
+  /// Visit the records that pass `filter`, in arrival order, as
+  /// RecordViews; returns how many were visited. An uncompressed segment
+  /// tests each view in place; a compressed one decodes only the passing
+  /// records into a scratch FlatBatch (its blob was validated when built,
+  /// so the decode cannot fail). The view is only valid inside the
+  /// callback.
   template <typename Fn>
-  void ForEachView(Fn&& fn) const {
+  std::size_t ForEachView(const ScanFilter& filter, Fn&& fn) const {
     if (!compressed.empty()) {
       ulm::FlatBatch scratch;
-      if (!DecompressScratch(scratch)) return;  // unreachable post-validation
+      if (!DecompressScratch(filter, scratch)) return 0;  // unreachable
       for (std::size_t i = 0; i < scratch.size(); ++i) fn(scratch.View(i));
-      return;
+      return scratch.size();
     }
+    std::size_t passed = 0;
     for (const auto& chunk : chunks) {
-      for (std::size_t i = 0; i < chunk.size(); ++i) fn(chunk.View(i));
+      for (std::size_t i = 0; i < chunk.size(); ++i) {
+        const ulm::RecordView view = chunk.View(i);
+        if (!filter.Passes(view)) continue;
+        fn(view);
+        ++passed;
+      }
     }
+    return passed;
   }
 
   bool empty() const { return record_count_ == 0; }
@@ -146,10 +203,11 @@ struct Segment {
   std::size_t StorageBytes() const;
 
  private:
-  /// Decode the compressed blob into `scratch`; false only if the blob is
-  /// corrupt (impossible for blobs built by Compress or validated by the
-  /// loader).
-  bool DecompressScratch(ulm::FlatBatch& scratch) const;
+  /// Decode the records of the compressed blob that pass `filter` into
+  /// `scratch`; false only if the blob is corrupt (impossible for blobs
+  /// built by Compress or validated by the loader).
+  bool DecompressScratch(const ScanFilter& filter,
+                         ulm::FlatBatch& scratch) const;
   /// Fold one record into min/max-time and the event/host indexes and
   /// count it. Called exactly once per stored record.
   void IndexView(const ulm::RecordView& view);
@@ -224,11 +282,17 @@ inline constexpr std::size_t kSegmentHeaderBytes = 56;
 /// order, so equal record sequences compress to equal bytes.
 std::string CompressPayload(const Segment& segment);
 
-/// Decode a CompressPayload blob, appending its records to `out` in
-/// arrival order. Hardened against arbitrary bytes: never crashes, never
-/// loops, and rejects truncation, bad indexes, and trailing garbage. On
-/// error `out` may hold a prefix of the records.
-Status DecompressPayload(std::string_view blob, ulm::FlatBatch& out);
+/// Decode a CompressPayload blob, appending the records that pass
+/// `filter` to `out` in arrival order; returns the records walked (the
+/// blob's record count). A record that fails is skipped by its length
+/// prefixes without a copy; the host and event predicates are resolved
+/// once per dictionary entry. Hardened against arbitrary bytes whatever
+/// the filter: never crashes, never loops, and rejects truncation, bad
+/// indexes, and trailing garbage. On error `out` may hold a prefix of the
+/// passing records.
+Result<std::uint64_t> DecompressPayload(std::string_view blob,
+                                        ulm::FlatBatch& out,
+                                        const ScanFilter& filter = {});
 
 /// Append the archive file header for `segment_count` blocks to `out`.
 void AppendFileHeader(std::string& out, std::uint32_t segment_count);

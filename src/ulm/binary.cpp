@@ -11,18 +11,6 @@ void PutVarint(std::string& out, std::uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-bool GetVarint(std::string_view data, std::size_t& i, std::uint64_t& v) {
-  v = 0;
-  int shift = 0;
-  while (i < data.size() && shift < 64) {
-    const std::uint8_t byte = static_cast<std::uint8_t>(data[i++]);
-    v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if (!(byte & 0x80)) return true;
-    shift += 7;
-  }
-  return false;
-}
-
 void PutString(std::string& out, std::string_view s) {
   PutVarint(out, s.size());
   out.append(s);

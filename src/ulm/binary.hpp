@@ -37,7 +37,24 @@ namespace detail {
 /// codecs emit byte-identical streams. GetStringView returns a view into
 /// `data` — valid only while the buffer lives.
 void PutVarint(std::string& out, std::uint64_t v);
-bool GetVarint(std::string_view data, std::size_t& i, std::uint64_t& v);
+/// Inline with a one-byte fast path: most varints on the wire and in SEG2
+/// blobs (dictionary indexes, field counts, short lengths) are < 0x80.
+inline bool GetVarint(std::string_view data, std::size_t& i,
+                      std::uint64_t& v) {
+  if (i < data.size() && !(static_cast<std::uint8_t>(data[i]) & 0x80)) {
+    v = static_cast<std::uint8_t>(data[i++]);
+    return true;
+  }
+  v = 0;
+  int shift = 0;
+  while (i < data.size() && shift < 64) {
+    const std::uint8_t byte = static_cast<std::uint8_t>(data[i++]);
+    v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+    if (!(byte & 0x80)) return true;
+    shift += 7;
+  }
+  return false;
+}
 void PutString(std::string& out, std::string_view s);
 bool GetStringView(std::string_view data, std::size_t& i, std::string_view& s);
 }  // namespace detail

@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "archive/archive.hpp"
 #include "archive/segment.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "ulm/flat.hpp"
 #include "ulm/record.hpp"
 #include "record_helpers.hpp"
@@ -316,6 +318,177 @@ TEST(ArchiveFuzzTest, DecompressPayloadNeverCrashesOrOverreads) {
     ulm::FlatBatch out;
     (void)DecompressPayload(noise, out);
   }
+}
+
+// ------------------------------------------------- filtered-decode parity
+
+/// A segment shaped to stress the filtered decoder: many hosts, empty and
+/// named events (sometimes only empty ones), zero to three fields, and
+/// non-monotone timestamps including the extremes, so the zigzag deltas
+/// wrap.
+Segment RandomSegment(Rng& rng) {
+  Segment segment;
+  const bool unnamed_only = rng.Chance(0.1);
+  const int records = static_cast<int>(rng.Uniform(1, 60));
+  for (int r = 0; r < records; ++r) {
+    TimePoint ts = rng.Uniform(-50, 50);
+    if (rng.Chance(0.1)) ts = std::numeric_limits<TimePoint>::min();
+    if (rng.Chance(0.1)) ts = std::numeric_limits<TimePoint>::max();
+    if (rng.Chance(0.1)) ts = static_cast<TimePoint>(rng.Next());
+    const std::string event =
+        unnamed_only || rng.Chance(0.25)
+            ? std::string()
+            : "Ev" + std::to_string(rng.Uniform(0, 5));
+    ulm::FlatRecord rec(ts, "fz-host" + std::to_string(rng.Uniform(0, 40)),
+                        "prog", rng.Chance(0.1) ? "Error" : "Usage", event);
+    const int fields = static_cast<int>(rng.Uniform(0, 3));
+    for (int f = 0; f < fields; ++f) {
+      rec.SetField("K" + std::to_string(rng.Uniform(0, 6)),
+                   std::string(static_cast<std::size_t>(rng.Uniform(0, 12)),
+                               static_cast<char>('a' + rng.Uniform(0, 25))));
+    }
+    segment.Append(rec.View());
+  }
+  return segment;
+}
+
+/// A random query filter: all-pass, or a window (empty and reversed ones
+/// included) around the segment's timestamps; any host, one in the
+/// segment, one interned but absent, or one never interned; and a glob.
+/// Every glob that matches the empty event name is all stars, so "**"
+/// also stands for "only the unnamed records" on an unnamed-only segment.
+ScanFilter RandomFilter(Rng& rng) {
+  static const char* const kGlobs[] = {"", "*", "**", "Ev1", "Ev*", "?v2",
+                                       "Nope*"};
+  ScanFilter filter;
+  if (rng.Chance(0.8)) {
+    auto pick = [&rng]() -> TimePoint {
+      switch (rng.Uniform(0, 4)) {
+        case 0: return std::numeric_limits<TimePoint>::min();
+        case 1: return std::numeric_limits<TimePoint>::max();
+        case 2: return static_cast<TimePoint>(rng.Next());
+        default: return rng.Uniform(-60, 60);
+      }
+    };
+    filter = ScanFilter(pick(), pick());
+  }
+  filter.event_glob = kGlobs[rng.Uniform(0, 6)];
+  switch (rng.Uniform(0, 3)) {
+    case 0:
+      filter.SetHost("fz-host" + std::to_string(rng.Uniform(0, 40)));
+      break;
+    case 1:
+      filter.SetHost("fz-host-absent");
+      break;
+    case 2:
+      filter.SetHost("fz-host-never-interned");
+      break;
+    default:
+      break;
+  }
+  return filter;
+}
+
+/// Brute force, written apart from ScanFilter: the filter's fields
+/// applied to a fully decoded record, the host compared by name.
+bool Reference(const ScanFilter& filter, const std::string& host_name,
+               const ulm::RecordView& view) {
+  if (filter.windowed &&
+      (view.timestamp() < filter.t0 || view.timestamp() >= filter.t1)) {
+    return false;
+  }
+  if (filter.host && view.host() != host_name) return false;
+  return filter.event_glob.empty() ||
+         GlobMatch(filter.event_glob, view.event_name());
+}
+
+/// The passing records, each as its binary encoding, in visit order.
+std::vector<std::string> Filtered(const Segment& segment,
+                                  const ScanFilter& filter) {
+  std::vector<std::string> out;
+  const std::size_t visited =
+      segment.ForEachView(filter, [&out](const ulm::RecordView& view) {
+        out.push_back(ulm::EncodeBinary(view));
+      });
+  EXPECT_EQ(visited, out.size());
+  return out;
+}
+
+TEST(ArchiveFuzzTest, FilteredScanEqualsFullDecodeThenFilter) {
+  Rng rng(0x5EA4C4);
+  (void)ulm::InternSymbol("fz-host-absent");
+  for (int round = 0; round < 300; ++round) {
+    const Segment plain = RandomSegment(rng);
+    Segment packed = plain;
+    packed.Compress();
+    ASSERT_FALSE(packed.compressed.empty());
+    for (int q = 0; q < 20; ++q) {
+      const ScanFilter filter = RandomFilter(rng);
+      const std::string host_name =
+          filter.host && *filter.host != ScanFilter::kNoSymbol
+              ? std::string(ulm::SymbolName(*filter.host))
+              : std::string("fz-host-never-interned");
+      std::vector<std::string> want;
+      plain.ForEachView(ScanFilter{}, [&](const ulm::RecordView& view) {
+        if (Reference(filter, host_name, view)) {
+          want.push_back(ulm::EncodeBinary(view));
+        }
+      });
+      EXPECT_EQ(Filtered(plain, filter), want) << "round " << round;
+      EXPECT_EQ(Filtered(packed, filter), want) << "round " << round;
+      // Pruning is sound: a segment the filter does not cover holds no
+      // passing record.
+      if (!filter.Covers(plain)) {
+        EXPECT_TRUE(want.empty()) << "round " << round;
+      }
+    }
+  }
+  EXPECT_FALSE(ulm::FindSymbol("fz-host-never-interned").has_value());
+}
+
+TEST(ArchiveFuzzTest, FilteredDecodeRejectsExactlyWhatFullDecodeRejects) {
+  // One-byte mutations of valid blobs: whatever the filter, the decoder
+  // accepts or rejects exactly as the all-pass decode does, walks the same
+  // record count, and keeps exactly the passing subset — a skipped record
+  // is checked as strictly as a kept one.
+  Rng rng(0xB10B5);
+  std::size_t rejected = 0, accepted = 0;
+  for (int round = 0; round < 60; ++round) {
+    const std::string blob = CompressPayload(RandomSegment(rng));
+    for (int m = 0; m < 200; ++m) {
+      std::string mutated = blob;
+      mutated[static_cast<std::size_t>(rng.Uniform(
+          0, static_cast<std::int64_t>(mutated.size()) - 1))] =
+          static_cast<char>(rng.Uniform(0, 255));
+      ulm::FlatBatch all;
+      const auto full = DecompressPayload(mutated, all, ScanFilter{});
+      for (int q = 0; q < 4; ++q) {
+        const ScanFilter filter = RandomFilter(rng);
+        ulm::FlatBatch some;
+        const auto part = DecompressPayload(mutated, some, filter);
+        ASSERT_EQ(full.ok(), part.ok()) << "round " << round << " m " << m;
+        if (!full.ok()) continue;
+        EXPECT_EQ(*full, *part);
+        const std::string host_name =
+            filter.host && *filter.host != ScanFilter::kNoSymbol
+                ? std::string(ulm::SymbolName(*filter.host))
+                : std::string("fz-host-never-interned");
+        std::size_t k = 0;
+        for (std::size_t i = 0; i < all.size(); ++i) {
+          if (!Reference(filter, host_name, all.View(i))) continue;
+          ASSERT_LT(k, some.size());
+          EXPECT_EQ(ulm::EncodeBinary(some.View(k)),
+                    ulm::EncodeBinary(all.View(i)));
+          ++k;
+        }
+        EXPECT_EQ(k, some.size());
+      }
+      (full.ok() ? accepted : rejected) += 1;
+    }
+  }
+  // Both outcomes must be well represented for the parity to mean much.
+  EXPECT_GT(rejected, 1000u);
+  EXPECT_GT(accepted, 1000u);
 }
 
 }  // namespace

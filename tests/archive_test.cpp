@@ -27,6 +27,7 @@
 #include "gateway/service.hpp"
 #include "rpc/registry.hpp"
 #include "rpc/wire.hpp"
+#include "telemetry/metrics.hpp"
 #include "transport/inproc.hpp"
 #include "record_helpers.hpp"
 
@@ -164,6 +165,22 @@ TEST_F(PrunedQueryTest, RangeIsHalfOpenAndTimeOrdered) {
     EXPECT_LE(rows[i - 1].timestamp(), rows[i].timestamp());
   }
   EXPECT_EQ(rows.back().timestamp(), kHour);
+}
+
+TEST_F(PrunedQueryTest, CountersSplitScannedRecordsIntoDecodedAndSkipped) {
+  auto& decoded = telemetry::Metrics().counter("archive.query.records_decoded");
+  auto& skipped = telemetry::Metrics().counter("archive.query.records_skipped");
+  const std::uint64_t decoded0 = decoded.Value(), skipped0 = skipped.Value();
+  // One covering segment of 10 records, 5 in the window.
+  EXPECT_EQ(ar_.QueryRange(kHour, kHour + 5 * kSecond).size(), 5u);
+  EXPECT_EQ(decoded.Value() - decoded0, 5u);
+  EXPECT_EQ(skipped.Value() - skipped0, 5u);
+  // Compressed, the skipped records are never copied out of the blob.
+  ASSERT_EQ(ar_.CompressSealed(), 3u);
+  EXPECT_EQ(ar_.QueryHost("host1", kHour + 2 * kSecond, 10 * kHour).size(),
+            8u);
+  EXPECT_EQ(decoded.Value() - decoded0, 13u);
+  EXPECT_EQ(skipped.Value() - skipped0, 7u);
 }
 
 // --------------------------------------------------------------- compaction
