@@ -3,11 +3,18 @@
 // emission, and randomized property sweeps.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <sstream>
 
 #include "common/rng.hpp"
 #include "common/time_util.hpp"
+#include "netlogger/merge.hpp"
 #include "ulm/binary.hpp"
+#include "ulm/flat.hpp"
 #include "ulm/record.hpp"
 #include "ulm/xml.hpp"
 
@@ -397,6 +404,194 @@ TEST(UlmXmlTest, DocumentWrapsAll) {
     pos += 7;
   }
   EXPECT_EQ(count, 2u);
+}
+
+
+// ------------------------------------------------------------ golden bytes
+//
+// The exact ASCII, binary and XML bytes of a fixed record set, written as
+// literals so any change to a codec's output shows up here as a diff —
+// not only as a disagreement between two codecs that drifted together.
+// The set covers the quoting rules (a value with '"', a backslash, a
+// newline, a tab and the empty value), XML escapes, an empty NL.EVNT (left
+// out of ASCII and XML, sent as an empty string in binary), a double
+// >= 1e26 formatted through SetField(double), and field-less records.
+
+std::vector<FlatRecord> GoldenRecords() {
+  std::vector<FlatRecord> out;
+  FlatRecord a(*ParseUlmDate("20000330112320.957943"), "dpss1.lbl.gov",
+               "testProg", "Usage", "WriteData");
+  a.SetField("SEND.SZ", std::int64_t{49332});
+  out.push_back(a);
+  FlatRecord b(*ParseUlmDate("20000330112321.000001"), "dpss1.lbl.gov",
+               "testProg", "Error", "ServerMsg");
+  b.SetField("MSG", "say \"hi\" \\ then\nnext line");
+  b.SetField("XML", "a<b&c>'d'");
+  b.SetField("EMPTY", "");
+  out.push_back(b);
+  FlatRecord c(*ParseUlmDate("20000330112322.5"), "node-7.grid", "vmstat",
+               "Usage", "");
+  c.SetField("CPU.LOAD", 0.25);
+  c.SetField("TAB", "x\ty");
+  out.push_back(c);
+  FlatRecord d(*ParseUlmDate("20000330112323.000000"), "big.host", "calc",
+               "Usage", "Huge");
+  d.SetField("BIG", 1e26);
+  d.SetField("NEG", -3.5e30);
+  out.push_back(d);
+  out.emplace_back(0, "h", "p", "Debug", "Bare");
+  out.emplace_back(*ParseUlmDate("20000330112324.000042"), "h", "p", "Usage",
+                   "");
+  return out;
+}
+
+struct GoldenBytes {
+  const char* ascii;
+  const char* binary_hex;
+  const char* xml;
+};
+
+const GoldenBytes kGolden[] = {
+    {"DATE=20000330112320.957943 HOST=dpss1.lbl.gov PROG=testProg LVL=Us"
+     "age NL.EVNT=WriteData SEND.SZ=49332",
+     "4c5501f737f126096403000504484f53540d64707373312e6c626c2e676f7604"
+     "50524f47087465737450726f67034c564c055573616765074e4c2e45564e5409"
+     "5772697465446174610753454e442e535a053439333332",
+     "<event date=\"20000330112320.957943\" host=\"dpss1.lbl.gov\" prog="
+     "\"testProg\" lvl=\"Usage\" name=\"WriteData\"><field name=\"SEND.S"
+     "Z\">49332</field></event>"},
+    {"DATE=20000330112321.000001 HOST=dpss1.lbl.gov PROG=testProg LVL=Er"
+     "ror NL.EVNT=ServerMsg MSG=\"say \\\"hi\\\" \\\\ then\\nnext line\""
+     " XML=a<b&c>'d' EMPTY=\"\"",
+     "4c550141dcf126096403000704484f53540d64707373312e6c626c2e676f7604"
+     "50524f47087465737450726f67034c564c054572726f72074e4c2e45564e5409"
+     "5365727665724d7367034d5347197361792022686922205c207468656e0a6e65"
+     "7874206c696e6503584d4c09613c6226633e27642705454d50545900",
+     "<event date=\"20000330112321.000001\" host=\"dpss1.lbl.gov\" prog="
+     "\"testProg\" lvl=\"Error\" name=\"ServerMsg\"><field name=\"MSG\">"
+     "say &quot;hi&quot; \\ then\nnext line</field><field name=\"XML\">a"
+     "&lt;b&amp;c&gt;&apos;d&apos;</field><field name=\"EMPTY\"></field>"
+     "</event>"},
+    {"DATE=20000330112322.500000 HOST=node-7.grid PROG=vmstat LVL=Usage "
+     "CPU.LOAD=0.250000 TAB=\"x\ty\"",
+     "4c5501a0bf0827096403000604484f53540b6e6f64652d372e67726964045052"
+     "4f4706766d73746174034c564c055573616765074e4c2e45564e540008435055"
+     "2e4c4f414408302e3235303030300354414203780979",
+     "<event date=\"20000330112322.500000\" host=\"node-7.grid\" prog=\""
+     "vmstat\" lvl=\"Usage\"><field name=\"CPU.LOAD\">0.250000</field><f"
+     "ield name=\"TAB\">x\ty</field></event>"},
+    {"DATE=20000330112323.000000 HOST=big.host PROG=calc LVL=Usage NL.EV"
+     "NT=Huge BIG=100000000000000004764729344.000000 NEG=-35000000000000"
+     "00210333675290624.000000",
+     "4c5501c0601027096403000604484f5354086269672e686f73740450524f4704"
+     "63616c63034c564c055573616765074e4c2e45564e5404487567650342494722"
+     "3130303030303030303030303030303030343736343732393334342e30303030"
+     "3030034e4547272d333530303030303030303030303030303231303333333637"
+     "353239303632342e303030303030",
+     "<event date=\"20000330112323.000000\" host=\"big.host\" prog=\"cal"
+     "c\" lvl=\"Usage\" name=\"Huge\"><field name=\"BIG\">10000000000000"
+     "0004764729344.000000</field><field name=\"NEG\">-35000000000000002"
+     "10333675290624.000000</field></event>"},
+    {"DATE=19700101000000.000000 HOST=h PROG=p LVL=Debug NL.EVNT=Bare",
+     "4c550100000000000000000404484f535401680450524f470170034c564c0544"
+     "65627567074e4c2e45564e540442617265",
+     "<event date=\"19700101000000.000000\" host=\"h\" prog=\"p\" lvl=\""
+     "Debug\" name=\"Bare\"/>"},
+    {"DATE=20000330112324.000042 HOST=h PROG=p LVL=Usage",
+     "4c55012aa31f27096403000404484f535401680450524f470170034c564c0555"
+     "73616765074e4c2e45564e5400",
+     "<event date=\"20000330112324.000042\" host=\"h\" prog=\"p\" lvl=\""
+     "Usage\"/>"},
+};
+
+std::string Unhex(std::string_view hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+std::string GoldenLog() {
+  std::string log;
+  for (const auto& g : kGolden) {
+    log += g.ascii;
+    log += '\n';
+  }
+  return log;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void WriteFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
+TEST(UlmGoldenTest, EncodersEmitTheGoldenBytes) {
+  const auto records = GoldenRecords();
+  ASSERT_EQ(records.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const RecordView v = records[i].View();
+    EXPECT_EQ(v.ToAscii(), kGolden[i].ascii) << "record " << i;
+    EXPECT_EQ(EncodeBinary(v), Unhex(kGolden[i].binary_hex)) << "record " << i;
+    EXPECT_EQ(v.ToXml(), kGolden[i].xml) << "record " << i;
+  }
+}
+
+TEST(UlmGoldenTest, DecodersReadTheGoldenBytesBack) {
+  std::string stream;
+  for (const auto& g : kGolden) {
+    auto parsed = FlatRecord::FromAscii(g.ascii);
+    ASSERT_TRUE(parsed.ok()) << g.ascii;
+    EXPECT_EQ(parsed->View().ToAscii(), g.ascii);
+    EXPECT_EQ(EncodeBinary(parsed->View()), Unhex(g.binary_hex));
+    stream += Unhex(g.binary_hex);
+  }
+  FlatBatch batch;
+  ASSERT_TRUE(batch.DecodeBinaryStreamInto(stream).ok());
+  ASSERT_EQ(batch.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(batch.View(i).ToAscii(), kGolden[i].ascii);
+    EXPECT_EQ(batch.View(i).ToXml(), kGolden[i].xml);
+  }
+}
+
+TEST(UlmGoldenTest, LogFilesRoundTripByteForByte) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string in = (dir / "jamm_golden_in.log").string();
+  const std::string out = (dir / "jamm_golden_out.log").string();
+  WriteFile(in, GoldenLog());
+  auto loaded = netlogger::LoadLogFile(in);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->size(), std::size(kGolden));
+  ASSERT_TRUE(netlogger::WriteLogFile(out, *loaded).ok());
+  EXPECT_EQ(ReadFile(out), GoldenLog());
+  std::remove(in.c_str());
+  std::remove(out.c_str());
+}
+
+TEST(UlmGoldenTest, LogLoadReportsTheFirstError) {
+  // Blank and whitespace-only lines are skipped; the first malformed line
+  // is the error reported, not the later bad DATE.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "jamm_golden_bad.log")
+          .string();
+  WriteFile(path, std::string(kGolden[0].ascii) +
+                      "\n\n   \nHOST=h garbage\n"
+                      "DATE=x HOST=h PROG=p LVL=Usage\n" +
+                      kGolden[1].ascii + "\n");
+  auto loaded = netlogger::LoadLogFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().ToString(),
+            "PARSE_ERROR: expected '=' after field name near offset 7");
+  std::remove(path.c_str());
 }
 
 }  // namespace
