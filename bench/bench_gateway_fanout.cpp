@@ -48,7 +48,7 @@ Outcome Run(int consumers, bool with_gateway) {
     vmstat.Poll(events);
     for (const auto& rec : events) {
       flat.AssignRecord(rec);
-      const std::uint64_t wire_bytes = rec.ToAscii().size() + 8;
+      const std::uint64_t wire_bytes = flat.View().ToAscii().size() + 8;
       if (with_gateway) {
         // Host → gateway once; gateway multiplies off-host.
         ++out.host_events_sent;

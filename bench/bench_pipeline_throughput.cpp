@@ -39,8 +39,8 @@
 #include "transport/inproc.hpp"
 #include "transport/net_sink.hpp"
 #include "transport/ring.hpp"
-#include "ulm/binary.hpp"
 #include "ulm/flat.hpp"
+#include "ulm_reference.hpp"
 
 using namespace jamm;  // NOLINT: bench brevity
 
@@ -84,8 +84,8 @@ std::vector<ulm::FlatRecord> FlatCorpus(
 
 /// One timed pass: kFanoutPublishes events through a gateway with `nsubs`
 /// binary-format subscribers. `encode_once` false re-encodes per
-/// subscriber with the Record codec from the bench's own corpus (the
-/// baseline the tentpole replaced).
+/// subscriber with the reference Record encoder (tests/ulm_reference.hpp)
+/// from the bench's own corpus (the baseline the tentpole replaced).
 double TimedFanoutPass(const std::vector<ulm::Record>& events, int nsubs,
                        bool encode_once) {
   SimClock clock;
@@ -101,7 +101,7 @@ double TimedFanoutPass(const std::vector<ulm::Record>& events, int nsubs,
       };
     } else {
       cb = [&sink, &current](const ulm::EncodedRecord&) {
-        sink += ulm::EncodeBinary(*current).size();  // per-subscriber
+        sink += ulm::reference::EncodeBinary(*current).size();  // per-sub
       };
     }
     (void)gw.SubscribeEncoded("c" + std::to_string(c), {}, std::move(cb));
@@ -171,14 +171,18 @@ WireRow TimedWirePass(const std::vector<ulm::Record>& events,
   std::vector<ulm::FlatRecord> corpus = FlatCorpus(events);
   WireRow row{batch, burst, 0, 0};
   std::uint64_t decoded = 0;
+  ulm::FlatBatch frame;  // the consumer's reused decode targets
+  ulm::FlatRecord line;
   auto drain = [&] {
     while (auto msg = (*channel)->TryReceive()) {
       ++row.frames;
       if (msg->type == transport::kEventBatchMessageType) {
-        auto records = ulm::DecodeBinaryStream(msg->payload);
-        if (records.ok()) decoded += records->size();
+        frame.Clear();
+        if (frame.DecodeBinaryStreamInto(msg->payload).ok()) {
+          decoded += frame.size();
+        }
       } else {
-        if (ulm::Record::FromAscii(msg->payload).ok()) ++decoded;
+        if (line.AssignAscii(msg->payload).ok()) ++decoded;
       }
     }
   };
@@ -264,7 +268,7 @@ double TimedLegacyPipelinePass(const std::vector<ulm::Record>& events) {
     std::string binary;                        // encoded once, on demand
     for (const auto& w : want) {               // per-subscriber routing
       if (hop2.event_name() != w) continue;
-      if (binary.empty()) binary = ulm::EncodeBinary(hop2);
+      if (binary.empty()) binary = ulm::reference::EncodeBinary(hop2);
       sink += binary.size();
     }
     ulm::Record hop3 = hop2;                   // republisher hand-off

@@ -197,13 +197,15 @@ mode = always
 
   // Every archived sensor event carries a trace; show one end-to-end.
   std::printf("== event trace (NetLogger-style, one archived event) ==\n");
-  for (const auto& rec : archive.QueryEvents("VMSTAT_*", 0, clock.Now())) {
+  const ulm::FlatBatch vmstat = archive.QueryEvents("VMSTAT_*", 0, clock.Now());
+  for (std::size_t i = 0; i < vmstat.size(); ++i) {
+    const ulm::RecordView rec = vmstat.View(i);
     if (!telemetry::HasTrace(rec)) continue;
     const auto ctx = telemetry::Extract(rec);
     std::printf("  trace %s %s:\n",
                 telemetry::IdToHex(ctx->trace_id).c_str(),
-                rec.event_name().c_str());
-    for (const auto& hop : telemetry::Hops(rec)) {
+                std::string(rec.event_name()).c_str());
+    for (const auto& hop : telemetry::Hops(rec.ToRecord())) {
       std::printf("    %-8s @ %lld us\n", hop.name.c_str(),
                   static_cast<long long>(hop.ts));
     }

@@ -24,7 +24,7 @@ struct RunResult {
   double mbit = 0;
   std::uint64_t retransmits = 0;
   double sys_cpu = 0;
-  std::vector<ulm::Record> merged;
+  ulm::FlatBatch merged;
   TimePoint end_time = 0;
 };
 

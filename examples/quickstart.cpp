@@ -77,7 +77,7 @@ mode = always
   auto latest = gateway.Query("VMSTAT_SYS_TIME");
   if (latest.ok()) {
     std::printf("\n=== query: most recent VMSTAT_SYS_TIME ===\n%s\n",
-                latest->ToAscii().c_str());
+                latest->View().ToAscii().c_str());
   }
 
   // --- what the directory knows ---------------------------------------

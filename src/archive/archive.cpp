@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "telemetry/metrics.hpp"
-#include "ulm/binary.hpp"
 
 namespace jamm::archive {
 
@@ -215,9 +214,9 @@ std::size_t EventArchive::SealActive() {
 
 double EventArchive::HashUnit(const ulm::RecordView& view) const {
   // FNV-1a over the record's canonical binary encoding, mixed with the
-  // sampling seed: stable across processes and Save/Load round trips (the
-  // flat encoding is byte-identical to the Record one, so compaction
-  // decisions survived the flat-core migration unchanged).
+  // sampling seed: stable across processes and Save/Load round trips, and
+  // across codec rewrites as long as the binary bytes hold (ulm_test pins
+  // them).
   const std::string bytes = ulm::EncodeBinary(view);
   std::uint64_t h = 1469598103934665603ull ^ sampling_seed_;
   for (unsigned char b : bytes) {
@@ -330,8 +329,8 @@ void EventArchive::NoteQueryStats(const QueryStats& stats,
   tm.records_skipped.Add(skipped);
 }
 
-std::vector<ulm::Record> EventArchive::Collect(const ScanFilter& filter,
-                                               QueryStats* stats) const {
+ulm::FlatBatch EventArchive::Collect(const ScanFilter& filter,
+                                    QueryStats* stats) const {
   telemetry::ScopedTimer timer(&Instruments().query_us);
   QueryStats local;
 
@@ -339,44 +338,37 @@ std::vector<ulm::Record> EventArchive::Collect(const ScanFilter& filter,
   // them back in segment-id order (and dedupes a segment sealed
   // mid-query), so concatenation + stable sort reproduces the
   // deterministic time-then-id-then-arrival order.
-  using Hits = std::vector<ulm::Record>;
-  std::vector<Hits> groups = ScanPartials<Hits>(
+  std::vector<ulm::FlatBatch> groups = ScanPartials<ulm::FlatBatch>(
       filter,
-      [](Hits& hits, const ulm::RecordView& view) {
-        hits.push_back(view.ToRecord());
+      [](ulm::FlatBatch& hits, const ulm::RecordView& view) {
+        (void)hits.Append(view);
       },
       &local);
 
-  std::vector<ulm::Record> out;
-  for (auto& hits : groups) {
-    out.insert(out.end(), std::make_move_iterator(hits.begin()),
-               std::make_move_iterator(hits.end()));
-  }
+  ulm::FlatBatch out;
+  if (!groups.empty()) out = std::move(groups.front());
+  for (std::size_t g = 1; g < groups.size(); ++g) (void)out.Append(groups[g]);
   // Stable: ties keep segment-id-then-arrival order, so the same query
   // yields byte-identical results before and after a Save/Load round trip.
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ulm::Record& a, const ulm::Record& b) {
-                     return a.timestamp() < b.timestamp();
-                   });
+  out.SortByTime();
   local.records_returned = out.size();
   if (stats) *stats = local;
   return out;
 }
 
-std::vector<ulm::Record> EventArchive::QueryRange(TimePoint t0, TimePoint t1,
-                                                  QueryStats* stats) const {
+ulm::FlatBatch EventArchive::QueryRange(TimePoint t0, TimePoint t1,
+                                        QueryStats* stats) const {
   return Collect(ScanFilter(t0, t1), stats);
 }
 
-std::vector<ulm::Record> EventArchive::QueryEvents(
-    const std::string& event_glob, TimePoint t0, TimePoint t1,
-    QueryStats* stats) const {
+ulm::FlatBatch EventArchive::QueryEvents(const std::string& event_glob,
+                                         TimePoint t0, TimePoint t1,
+                                         QueryStats* stats) const {
   return Collect(ScanFilter(t0, t1, event_glob), stats);
 }
 
-std::vector<ulm::Record> EventArchive::QueryHost(const std::string& host,
-                                                 TimePoint t0, TimePoint t1,
-                                                 QueryStats* stats) const {
+ulm::FlatBatch EventArchive::QueryHost(const std::string& host, TimePoint t0,
+                                       TimePoint t1, QueryStats* stats) const {
   ScanFilter filter(t0, t1);
   filter.SetHost(host);
   return Collect(filter, stats);

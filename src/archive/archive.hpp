@@ -37,7 +37,6 @@
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "ulm/flat.hpp"
-#include "ulm/record.hpp"
 
 namespace jamm::archive {
 
@@ -167,21 +166,20 @@ class EventArchive {
 
   // -------------------------------------------------------------- queries
   //
-  // All queries are thread-safe, return records time-ordered (ties broken
-  // deterministically by segment id, then in-segment order), and prune
-  // non-covering segments via the per-segment indexes.
+  // All queries are thread-safe, return one flat batch of records
+  // time-ordered (ties broken deterministically by segment id, then
+  // in-segment order), and prune non-covering segments via the
+  // per-segment indexes.
 
   /// All stored records with t0 <= ts < t1.
-  std::vector<ulm::Record> QueryRange(TimePoint t0, TimePoint t1,
-                                      QueryStats* stats = nullptr) const;
+  ulm::FlatBatch QueryRange(TimePoint t0, TimePoint t1,
+                            QueryStats* stats = nullptr) const;
   /// Range narrowed by NL.EVNT glob ("" = all).
-  std::vector<ulm::Record> QueryEvents(const std::string& event_glob,
-                                       TimePoint t0, TimePoint t1,
-                                       QueryStats* stats = nullptr) const;
+  ulm::FlatBatch QueryEvents(const std::string& event_glob, TimePoint t0,
+                             TimePoint t1, QueryStats* stats = nullptr) const;
   /// Range narrowed by host.
-  std::vector<ulm::Record> QueryHost(const std::string& host, TimePoint t0,
-                                     TimePoint t1,
-                                     QueryStats* stats = nullptr) const;
+  ulm::FlatBatch QueryHost(const std::string& host, TimePoint t0, TimePoint t1,
+                           QueryStats* stats = nullptr) const;
 
   // ---------------------------------------------------------- persistence
 
@@ -257,8 +255,7 @@ class EventArchive {
   double HashUnit(const ulm::RecordView& view) const;
   /// Shared query walk: collect the records that pass `filter` from every
   /// covering segment, merged time-ordered.
-  std::vector<ulm::Record> Collect(const ScanFilter& filter,
-                                   QueryStats* stats) const;
+  ulm::FlatBatch Collect(const ScanFilter& filter, QueryStats* stats) const;
 
   /// Telemetry fold for one query walk (implemented in the .cpp, where
   /// the instruments live): its stats plus the records the scanned

@@ -9,11 +9,9 @@ namespace jamm::archive {
 
 // ---------------------------------------------------------- offline log
 
-OfflineLog::OfflineLog(const std::vector<ulm::Record>& records)
+OfflineLog::OfflineLog(ulm::FlatBatch records)
     : archive_("offline-log"), engine_(archive_) {
-  ulm::FlatBatch batch;
-  for (const ulm::Record& rec : records) (void)batch.Append(rec);
-  archive_.IngestBatch(std::move(batch));
+  archive_.IngestBatch(std::move(records));
   const auto [first, last] = archive_.TimeSpan();
   t0_ = first;
   t1_ = last + 1;

@@ -21,7 +21,7 @@
 #include "archive/analysis.hpp"
 #include "archive/archive.hpp"
 #include "common/clock.hpp"
-#include "ulm/record.hpp"
+#include "ulm/flat.hpp"
 
 namespace jamm::archive {
 
@@ -30,7 +30,7 @@ namespace jamm::archive {
 /// cover the whole log: [first timestamp, last timestamp + 1).
 class OfflineLog {
  public:
-  explicit OfflineLog(const std::vector<ulm::Record>& records);
+  explicit OfflineLog(ulm::FlatBatch records);
   OfflineLog(const OfflineLog&) = delete;
   OfflineLog& operator=(const OfflineLog&) = delete;
 

@@ -4,7 +4,6 @@
 
 #include "common/strings.hpp"
 #include "telemetry/metrics.hpp"
-#include "ulm/binary.hpp"
 
 namespace jamm::archive {
 
@@ -148,7 +147,7 @@ Result<std::string> ArchiveQueryService::Invoke(
                                EncodeQueryStats(qstats)});
   }
 
-  std::vector<ulm::Record> rows;
+  ulm::FlatBatch rows;
   if (kind == "range") {
     rows = archive_.QueryRange(*t0, *t1);
   } else if (kind == "events") {
@@ -160,19 +159,18 @@ Result<std::string> ArchiveQueryService::Invoke(
     return Status::InvalidArgument("arch.query: unknown kind '" + kind + "'");
   }
 
-  // Page [offset, offset + limit) of the deterministic full result. The
-  // query order is stable across calls (time, then segment id, then
-  // in-segment order), so successive pages tile without gaps or overlap
-  // as long as the archive is not compacted mid-pagination.
+  // Page [offset, offset + limit) of the deterministic full result,
+  // encoded straight from the result's views. The query order is stable
+  // across calls (time, then segment id, then in-segment order), so
+  // successive pages tile without gaps or overlap as long as the archive
+  // is not compacted mid-pagination.
   const std::size_t total = rows.size();
   std::string batch;
   std::size_t end = offset >= total
                         ? static_cast<std::size_t>(offset)
                         : std::min(total, static_cast<std::size_t>(offset) +
                                               limit);
-  for (std::size_t i = offset; i < end; ++i) {
-    ulm::EncodeBinary(rows[i], batch);
-  }
+  for (std::size_t i = offset; i < end; ++i) rows.View(i).EncodeBinary(batch);
   const std::string next =
       end < total ? std::to_string(end) : std::string();
   t.pages.Increment();
@@ -232,9 +230,12 @@ Result<std::vector<ulm::Record>> ArchiveClient::Query(
       return Status::ParseError("arch.query reply wants 3 parts, got " +
                                 std::to_string(parts->size()));
     }
-    auto batch = ulm::DecodeBinaryStream((*parts)[2]);
-    if (!batch.ok()) return batch.status();
-    out.insert(out.end(), batch->begin(), batch->end());
+    page_.Clear();
+    JAMM_RETURN_IF_ERROR(page_.DecodeBinaryStreamInto((*parts)[2]));
+    out.reserve(out.size() + page_.size());
+    for (std::size_t i = 0; i < page_.size(); ++i) {
+      out.push_back(page_.View(i).ToRecord());
+    }
     ++pages_fetched_;
     const std::string& next = (*parts)[0];
     if (next.empty()) break;

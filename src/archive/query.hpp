@@ -75,9 +75,10 @@ Status RegisterArchiveService(rpc::Registry& registry,
                               std::size_t default_page_records = 256);
 
 /// Consumer-side convenience wrapper (GatewayClient-style) around the
-/// arch.query protocol: pages through results transparently and decodes
-/// the binary batches back into records. Built on RpcClient, so a
-/// dialer-backed instance re-dials and retries across server restarts.
+/// arch.query protocol: pages through results transparently, decodes each
+/// binary page into one reused flat batch and hands the records back as
+/// Records. Built on RpcClient, so a dialer-backed instance re-dials and
+/// retries across server restarts.
 class ArchiveClient {
  public:
   ArchiveClient(std::unique_ptr<transport::Channel> channel,
@@ -143,6 +144,7 @@ class ArchiveClient {
   std::size_t page_records_ = 0;
   std::uint64_t pages_fetched_ = 0;
   QueryStats last_query_stats_;
+  ulm::FlatBatch page_;  // each record page decodes here, then to Records
 };
 
 }  // namespace jamm::archive

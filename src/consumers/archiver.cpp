@@ -10,7 +10,6 @@ namespace {
 struct ArchiverTelemetry {
   telemetry::Counter& events_received;
   telemetry::Counter& entry_refreshes;
-  telemetry::Counter& remote_dropped;
   telemetry::Histogram& ingest_us;
 };
 
@@ -18,7 +17,6 @@ ArchiverTelemetry& Instruments() {
   auto& m = telemetry::Metrics();
   static ArchiverTelemetry t{m.counter("archiver.events_received"),
                              m.counter("archiver.entry_refreshes"),
-                             m.counter("archiver.remote_dropped"),
                              m.histogram("archiver.ingest_us")};
   return t;
 }
@@ -83,24 +81,16 @@ Status ArchiverAgent::AttachRemote(std::unique_ptr<gateway::GatewayClient> clien
 
 std::size_t ArchiverAgent::PumpRemote() {
   if (!remote_) return 0;
-  // One drain keeps at most its newest kRemoteDrainCap records and counts
-  // the rest as dropped (the gateway's per-subscription queue is what
-  // bounds memory across an outage).
   const ulm::FlatBatch& drained = remote_->DrainEvents();
-  const std::size_t skip =
-      drained.size() > kRemoteDrainCap ? drained.size() - kRemoteDrainCap : 0;
-  remote_dropped_ += skip;
-  auto& tm = Instruments();
-  if (skip > 0) tm.remote_dropped.Add(skip);
-  if (drained.size() == skip) return 0;
+  if (drained.empty()) return 0;
   // The views copy straight into one flat batch — a shared arena the
   // archive splices into its active segment wholesale: one stripe-lock
   // acquisition per pump and no per-record heap traffic past this point.
   // The drained batch is the client's, so a traced record is stamped on
   // a copy first.
   ulm::FlatBatch batch;
-  batch.Reserve(drained.size() - skip, drained.value_bytes());
-  for (std::size_t i = skip; i < drained.size(); ++i) {
+  batch.Reserve(drained.size(), drained.value_bytes());
+  for (std::size_t i = 0; i < drained.size(); ++i) {
     const ulm::RecordView view = drained.View(i);
     if (telemetry::HasTrace(view)) {
       stamp_scratch_.Assign(view);
@@ -108,9 +98,10 @@ std::size_t ArchiverAgent::PumpRemote() {
                           HopTime(view.timestamp()));
       (void)batch.Append(stamp_scratch_.View());
     } else {
-      (void)batch.Append(view);  // a pump never nears the 4 GiB cap
+      (void)batch.Append(view);  // same bytes the client's arena held
     }
   }
+  auto& tm = Instruments();
   tm.events_received.Add(batch.size());
   telemetry::ScopedTimer ingest_timer(&tm.ingest_us);
   const std::size_t ingested = batch.size();

@@ -46,12 +46,12 @@ class ArchiverAgent {
                       std::size_t batch_records = 0);
 
   /// Drain the remote feed into the archive; returns records ingested this
-  /// pump. One drain ingests at most its newest kRemoteDrainCap records.
+  /// pump. A drain is archived whole: the gateway's per-subscription queue
+  /// is what bounds memory across an outage.
   std::size_t PumpRemote();
-  static constexpr std::size_t kRemoteDrainCap = 1024;
 
-  /// Records a drain held beyond kRemoteDrainCap (its oldest), not ingested.
-  std::uint64_t remote_dropped() const { return remote_dropped_; }
+  /// Records a drain dropped: always 0, since a drain is archived whole.
+  std::uint64_t remote_dropped() const { return 0; }
 
   /// Publish/refresh the archive's directory entry with a current
   /// contents summary, segment count, and record-time span. Remembers the
@@ -81,7 +81,6 @@ class ArchiverAgent {
   const Clock* clock_;
   std::vector<std::pair<gateway::EventGateway*, std::string>> subscriptions_;
   std::unique_ptr<gateway::GatewayClient> remote_;
-  std::uint64_t remote_dropped_ = 0;
   /// Stamping copy: the gateway's record and the client's drained batch
   /// are borrowed, so a traced view is copied here (capacity reused)
   /// before HOP.ARCHIVER.

@@ -43,7 +43,7 @@ Status EventCollector::SubscribeTo(gateway::EventGateway& gw,
   auto sub = gw.SubscribeEncoded(
       name_, spec,
       [this](const ulm::EncodedRecord& enc) {
-        collected_.emplace_back().Assign(enc.view());
+        (void)collected_.Append(enc.view());
       },
       principal);
   if (!sub.ok()) return sub.status();
@@ -68,22 +68,14 @@ Status EventCollector::AttachRemote(
 
 std::size_t EventCollector::PumpRemote() {
   if (!remote_) return 0;
-  // Like the archiver: a drain keeps at most its newest kRemoteDrainCap.
   const ulm::FlatBatch& drained = remote_->DrainEvents();
-  const std::size_t skip =
-      drained.size() > kRemoteDrainCap ? drained.size() - kRemoteDrainCap : 0;
-  remote_dropped_ += skip;
-  for (std::size_t i = skip; i < drained.size(); ++i) {
-    collected_.emplace_back().Assign(drained.View(i));
-  }
-  return drained.size() - skip;
+  (void)collected_.Append(drained);
+  return drained.size();
 }
 
-std::vector<ulm::Record> EventCollector::Merged() const {
-  std::vector<ulm::Record> out;
-  out.reserve(collected_.size());
-  for (const ulm::FlatRecord& rec : collected_) out.push_back(rec.ToRecord());
-  netlogger::SortByTime(out);
+ulm::FlatBatch EventCollector::Merged() const {
+  ulm::FlatBatch out = collected_;
+  out.SortByTime();
   return out;
 }
 

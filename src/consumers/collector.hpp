@@ -55,22 +55,20 @@ class EventCollector {
                       std::size_t batch_records = 0);
 
   /// Drain the remote feed into the collected set; returns records added.
-  /// One drain adds at most its newest kRemoteDrainCap records.
+  /// A drain is collected whole.
   std::size_t PumpRemote();
-  static constexpr std::size_t kRemoteDrainCap = 1024;
 
-  /// Records a drain held beyond kRemoteDrainCap (its oldest), not added.
-  std::uint64_t remote_dropped() const { return remote_dropped_; }
+  /// Records a drain dropped: always 0, since a drain is collected whole.
+  std::uint64_t remote_dropped() const { return 0; }
 
-  /// Everything collected so far, time-merged — the NetLogger log form
-  /// (the one place collected records become Records).
-  std::vector<ulm::Record> Merged() const;
+  /// Everything collected so far, time-merged — the NetLogger log form.
+  ulm::FlatBatch Merged() const;
 
   /// Merge and write an nlv-ready log file.
   Status WriteMerged(const std::string& path) const;
 
   std::size_t collected_count() const { return collected_.size(); }
-  void Clear() { collected_.clear(); }
+  void Clear() { collected_.Clear(); }
 
   /// Tear down all subscriptions (also runs on destruction).
   void UnsubscribeAll();
@@ -78,10 +76,9 @@ class EventCollector {
  private:
   std::string name_;
   GatewayResolver resolver_;
-  std::vector<ulm::FlatRecord> collected_;
+  ulm::FlatBatch collected_;
   std::vector<std::pair<gateway::EventGateway*, std::string>> subscriptions_;
   std::unique_ptr<gateway::GatewayClient> remote_;
-  std::uint64_t remote_dropped_ = 0;
 };
 
 }  // namespace jamm::consumers

@@ -378,7 +378,7 @@ Status RepublisherGateway::Unsubscribe(const std::string& subscription_id) {
   return local_.Unsubscribe(subscription_id);
 }
 
-Result<ulm::Record> RepublisherGateway::Query(
+Result<ulm::FlatRecord> RepublisherGateway::Query(
     const std::string& event_glob, const std::string& principal) const {
   return local_.Query(event_glob, principal);
 }

@@ -138,8 +138,9 @@ class RepublisherGateway : public gateway::GatewaySurface {
       EncodedCallback callback, const std::string& principal = "") override;
   Status Unsubscribe(const std::string& subscription_id) override;
 
-  Result<ulm::Record> Query(const std::string& event_glob = "",
-                            const std::string& principal = "") const override;
+  Result<ulm::FlatRecord> Query(
+      const std::string& event_glob = "",
+      const std::string& principal = "") const override;
   Result<std::string> QueryXml(
       const std::string& event_glob = "",
       const std::string& principal = "") const override;

@@ -4,7 +4,6 @@
 #include "common/strings.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
-#include "ulm/xml.hpp"
 
 namespace jamm::gateway {
 
@@ -162,19 +161,19 @@ Status EventGateway::Unsubscribe(const std::string& subscription_id) {
   return Status::Ok();
 }
 
-Result<ulm::Record> EventGateway::Query(const std::string& event_glob,
-                                        const std::string& principal) const {
+Result<const ulm::FlatRecord*> EventGateway::Latest(
+    const std::string& event_glob, const std::string& principal) const {
   JAMM_RETURN_IF_ERROR(CheckAccess(Action::kQuery, principal));
   Instruments().queries.Increment();
   if (event_glob.empty()) {
     if (!has_last_event_) return Status::NotFound("gateway has seen no events");
-    return last_event_.ToRecord();
+    return &last_event_;
   }
   // Exact name fast path (Find, not Intern: query strings must not grow
   // the symbol table), then glob scan over the per-event latest map.
   if (auto sym = ulm::FindSymbol(event_glob)) {
     if (auto it = last_by_event_.find(*sym); it != last_by_event_.end()) {
-      return it->second.ToRecord();
+      return &it->second;
     }
   }
   const ulm::FlatRecord* best = nullptr;
@@ -185,14 +184,21 @@ Result<ulm::Record> EventGateway::Query(const std::string& event_glob,
     }
   }
   if (!best) return Status::NotFound("no event matching '" + event_glob + "'");
-  return best->ToRecord();
+  return best;
+}
+
+Result<ulm::FlatRecord> EventGateway::Query(
+    const std::string& event_glob, const std::string& principal) const {
+  auto latest = Latest(event_glob, principal);
+  if (!latest.ok()) return latest.status();
+  return **latest;
 }
 
 Result<std::string> EventGateway::QueryXml(const std::string& event_glob,
                                            const std::string& principal) const {
-  auto rec = Query(event_glob, principal);
-  if (!rec.ok()) return rec.status();
-  return ulm::ToXml(*rec);
+  auto latest = Latest(event_glob, principal);
+  if (!latest.ok()) return latest.status();
+  return (*latest)->View().ToXml();
 }
 
 Status EventGateway::StartSensor(const std::string& sensor,

@@ -28,7 +28,6 @@
 #include "gateway/summary.hpp"
 #include "ulm/encoded.hpp"
 #include "ulm/flat.hpp"
-#include "ulm/record.hpp"
 
 namespace jamm::gateway {
 
@@ -66,8 +65,9 @@ class GatewaySurface {
       const std::string& principal = "") = 0;
   virtual Status Unsubscribe(const std::string& subscription_id) = 0;
 
-  virtual Result<ulm::Record> Query(const std::string& event_glob = "",
-                                    const std::string& principal = "") const = 0;
+  virtual Result<ulm::FlatRecord> Query(
+      const std::string& event_glob = "",
+      const std::string& principal = "") const = 0;
   virtual Result<std::string> QueryXml(
       const std::string& event_glob = "",
       const std::string& principal = "") const = 0;
@@ -107,8 +107,9 @@ class EventGateway : public GatewaySurface {
   /// Query mode: "the consumer does not open an event channel, but only
   /// requests the most recent event". `event_glob` narrows by NL.EVNT
   /// (empty = the most recent event of any kind).
-  Result<ulm::Record> Query(const std::string& event_glob = "",
-                            const std::string& principal = "") const override;
+  Result<ulm::FlatRecord> Query(
+      const std::string& event_glob = "",
+      const std::string& principal = "") const override;
 
   /// Query with the result converted to XML (paper §7.0: "a consumer can
   /// request either format").
@@ -180,6 +181,11 @@ class EventGateway : public GatewaySurface {
     bool active = true;        // false = unsubscribed, awaiting sweep
   };
 
+  /// The cached record Query answers with (access-checked and counted);
+  /// valid until the next Publish.
+  Result<const ulm::FlatRecord*> Latest(const std::string& event_glob,
+                                        const std::string& principal) const;
+
   std::string name_;
   const Clock& clock_;
   /// Fan-out order. Subscriptions live behind stable shared_ptrs so
@@ -192,7 +198,8 @@ class EventGateway : public GatewaySurface {
   std::map<std::string, std::shared_ptr<Subscription>> subs_by_id_;
   // Symbol-keyed caches (ISSUE 7): the per-publish writes are flat-record
   // assignments that reuse capacity, so the query caches stop allocating
-  // on the hot path. Query materializes Records on demand.
+  // on the hot path. Query copies the cached record out; QueryXml renders
+  // it in place.
   std::map<ulm::Symbol, SummaryWindow> summaries_;    // event sym → window
   std::map<ulm::Symbol, ulm::Symbol> summary_fields_; // event sym → field sym
   ulm::FlatRecord last_event_;

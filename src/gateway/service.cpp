@@ -7,7 +7,6 @@
 #include "common/strings.hpp"
 #include "telemetry/metrics.hpp"
 #include "transport/net_sink.hpp"
-#include "ulm/xml.hpp"
 
 namespace jamm::gateway {
 namespace {
@@ -278,7 +277,7 @@ void GatewayService::HandleMessage(Connection& conn,
     }
     // A distinct type: streamed subscription events may interleave on this
     // channel and must not be mistaken for the query reply.
-    (void)conn.channel->Send({"gw.query.reply", rec->ToAscii()});
+    (void)conn.channel->Send({"gw.query.reply", rec->View().ToAscii()});
     return;
   }
   if (msg.type == "gw.query.xml") {
@@ -819,12 +818,12 @@ Status GatewayClient::Unsubscribe(const std::string& subscription_id) {
   return reply.ok() ? Status::Ok() : reply.status();
 }
 
-Result<ulm::Record> GatewayClient::Query(const std::string& event_glob,
-                                         Duration timeout) {
+Result<ulm::FlatRecord> GatewayClient::Query(const std::string& event_glob,
+                                             Duration timeout) {
   JAMM_RETURN_IF_ERROR(SendControl({"gw.query", event_glob}));
   auto msg = WaitFor("gw.query.reply", timeout);
   if (!msg.ok()) return msg.status();
-  return ulm::Record::FromAscii(msg->payload);
+  return ulm::FlatRecord::FromAscii(msg->payload);
 }
 
 Result<std::string> GatewayClient::QueryXml(const std::string& event_glob,

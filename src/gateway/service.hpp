@@ -304,8 +304,8 @@ class GatewayClient {
   Status StopSensor(const std::string& sensor);
   Status Unsubscribe(const std::string& subscription_id);
 
-  Result<ulm::Record> Query(const std::string& event_glob,
-                            Duration timeout = kSecond);
+  Result<ulm::FlatRecord> Query(const std::string& event_glob,
+                                Duration timeout = kSecond);
   Result<std::string> QueryXml(const std::string& event_glob,
                                Duration timeout = kSecond);
   Result<SummaryData> Summary(const std::string& event_name,

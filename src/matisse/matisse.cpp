@@ -27,7 +27,7 @@ MatisseApp::MatisseApp(netsim::Simulator& sim, netsim::Network& net,
       auto rec = MakeEvent(compute_host_->host(), "tcpdump",
                            event::kTcpdRetransmits);
       rec.SetField("VAL", std::int64_t{1});
-      events_.push_back(std::move(rec));
+      (void)events_.Append(rec.View());
     };
     flow->on_window_change = [this](double cwnd_bytes) {
       compute_host_->SetTcpWindow(static_cast<std::int64_t>(cwnd_bytes));
@@ -38,11 +38,10 @@ MatisseApp::MatisseApp(netsim::Simulator& sim, netsim::Network& net,
 
 MatisseApp::~MatisseApp() { Stop(); }
 
-ulm::Record MatisseApp::MakeEvent(const std::string& host,
-                                  const std::string& prog,
-                                  std::string_view event_name) const {
-  return ulm::Record(sim_.Now(), host, prog, "Usage",
-                     std::string(event_name));
+ulm::FlatRecord MatisseApp::MakeEvent(const std::string& host,
+                                      const std::string& prog,
+                                      std::string_view event_name) const {
+  return ulm::FlatRecord(sim_.Now(), host, prog, "Usage", event_name);
 }
 
 void MatisseApp::Start() {
@@ -66,7 +65,7 @@ void MatisseApp::StartFrame() {
   auto start = MakeEvent(net_.NodeName(topo_.viz), "mplay",
                          event::kStartReadFrame);
   start.SetField("FRAME.ID", static_cast<std::int64_t>(frame_id_));
-  events_.push_back(std::move(start));
+  (void)events_.Append(start.View());
 
   // Each stripe server pushes its share of the frame.
   const std::uint64_t stripe =
@@ -76,7 +75,7 @@ void MatisseApp::StartFrame() {
                           event::kDpssStartSend);
     send.SetField("FRAME.ID", static_cast<std::int64_t>(frame_id_));
     send.SetField("STRIPE.SZ", static_cast<std::int64_t>(stripe));
-    events_.push_back(std::move(send));
+    (void)events_.Append(send.View());
     flows_[i]->OfferBytes(stripe);
   }
 }
@@ -107,7 +106,7 @@ void MatisseApp::FinishFrameRead() {
 
   auto end = MakeEvent(compute_host_->host(), "mplay", event::kEndReadFrame);
   end.SetField("FRAME.ID", static_cast<std::int64_t>(frame_id_));
-  events_.push_back(std::move(end));
+  (void)events_.Append(end.View());
 
   const std::uint64_t display_frame = frame_id_;
   // Analysis, then display on the workstation; fetch of the next frame is
@@ -117,13 +116,13 @@ void MatisseApp::FinishFrameRead() {
     auto start = MakeEvent(net_.NodeName(topo_.viz), "mplay",
                            event::kStartPutImage);
     start.SetField("FRAME.ID", static_cast<std::int64_t>(display_frame));
-    events_.push_back(std::move(start));
+    (void)events_.Append(start.View());
     sim_.Schedule(config_.display_time, [this, display_frame] {
       if (!running_) return;
       auto end_put = MakeEvent(net_.NodeName(topo_.viz), "mplay",
                                event::kEndPutImage);
       end_put.SetField("FRAME.ID", static_cast<std::int64_t>(display_frame));
-      events_.push_back(std::move(end_put));
+      (void)events_.Append(end_put.View());
     });
   });
   StartFrame();

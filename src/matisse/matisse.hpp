@@ -29,7 +29,7 @@
 #include "netsim/profiles.hpp"
 #include "netsim/tcp.hpp"
 #include "sysmon/simhost.hpp"
-#include "ulm/record.hpp"
+#include "ulm/flat.hpp"
 
 namespace jamm::matisse {
 
@@ -59,7 +59,7 @@ class MatisseApp {
 
   /// Every ULM event emitted so far (MPLAY_*, DPSS_*, TCPD_RETRANSMITS),
   /// in emission order.
-  const std::vector<ulm::Record>& events() const { return events_; }
+  const ulm::FlatBatch& events() const { return events_; }
 
   /// read() sizes observed by the application reader (Figure 3 data).
   const std::vector<double>& read_sizes() const { return read_sizes_; }
@@ -87,8 +87,8 @@ class MatisseApp {
   void ReaderTick();
   void FinishFrameRead();
   void CoupleSensors();
-  ulm::Record MakeEvent(const std::string& host, const std::string& prog,
-                        std::string_view event_name) const;
+  ulm::FlatRecord MakeEvent(const std::string& host, const std::string& prog,
+                            std::string_view event_name) const;
 
   netsim::Simulator& sim_;
   netsim::Network& net_;
@@ -104,7 +104,7 @@ class MatisseApp {
   std::uint64_t available_ = 0;        // delivered but not yet read()
   bool frame_in_flight_ = false;
 
-  std::vector<ulm::Record> events_;
+  ulm::FlatBatch events_;
   std::vector<double> read_sizes_;
   std::vector<TimePoint> frame_arrivals_;
   std::uint64_t frames_completed_ = 0;

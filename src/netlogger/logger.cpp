@@ -8,7 +8,7 @@ NetLogger::NetLogger(std::string prog, const Clock& clock, std::string host,
       clock_(clock),
       host_(std::move(host)),
       buffer_capacity_(buffer_capacity == 0 ? 1 : buffer_capacity) {
-  buffer_.reserve(buffer_capacity_);
+  buffer_.Reserve(buffer_capacity_, 0);
 }
 
 NetLogger::~NetLogger() { (void)Close(); }
@@ -36,27 +36,38 @@ void NetLogger::OpenSink(std::shared_ptr<LogSink> sink) {
   memory_.reset();
 }
 
+ulm::FlatRecord& NetLogger::Begin(std::string_view event_name,
+                                  std::string_view lvl) {
+  scratch_.Clear();
+  scratch_.set_timestamp(clock_.Now());
+  scratch_.set_host(host_);
+  scratch_.set_prog(prog_);
+  scratch_.set_lvl(lvl);
+  scratch_.set_event_name(event_name);
+  return scratch_;
+}
+
 Status NetLogger::Write(
     std::string_view event_name,
     std::initializer_list<std::pair<std::string_view, std::string_view>>
         fields) {
-  ulm::Record rec(clock_.Now(), host_, prog_, std::string(ulm::level::kUsage),
-                  std::string(event_name));
+  ulm::FlatRecord& rec = Begin(event_name, ulm::level::kUsage);
   for (const auto& [k, v] : fields) rec.SetField(k, v);
-  return Write(std::move(rec));
+  return Write(rec.View());
 }
 
 Status NetLogger::Write(
     std::string_view event_name, std::string_view lvl,
     const std::vector<std::pair<std::string, std::string>>& fields) {
-  ulm::Record rec(clock_.Now(), host_, prog_, std::string(lvl),
-                  std::string(event_name));
+  ulm::FlatRecord& rec = Begin(event_name, lvl);
   for (const auto& [k, v] : fields) rec.SetField(k, std::string_view(v));
-  return Write(std::move(rec));
+  return Write(rec.View());
 }
 
-Status NetLogger::Write(ulm::Record rec) {
-  buffer_.push_back(std::move(rec));
+Status NetLogger::Write(const ulm::RecordView& rec) {
+  if (!buffer_.Append(rec)) {
+    return Status::Unavailable("netlogger: buffer arena full");
+  }
   if (buffer_.size() >= buffer_capacity_) return Flush();
   return Status::Ok();
 }
@@ -67,11 +78,11 @@ Status NetLogger::Flush() {
     return Status::Ok();
   }
   Status first;
-  for (auto& rec : buffer_) {
-    Status s = sink_->Write(rec);
+  for (std::size_t i = 0; i < buffer_.size(); ++i) {
+    Status s = sink_->Write(buffer_.View(i));
     if (!s.ok() && first.ok()) first = s;
   }
-  buffer_.clear();
+  buffer_.Clear();
   Status s = sink_->Flush();
   if (!s.ok() && first.ok()) first = s;
   return first;
@@ -83,10 +94,10 @@ Status NetLogger::Close() {
   return s;
 }
 
-std::vector<ulm::Record> NetLogger::TakeBuffered() {
+ulm::FlatBatch NetLogger::TakeBuffered() {
   if (memory_) return memory_->TakeRecords();
-  std::vector<ulm::Record> out;
-  out.swap(buffer_);
+  ulm::FlatBatch out;
+  std::swap(out, buffer_);
   return out;
 }
 

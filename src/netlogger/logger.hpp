@@ -27,7 +27,7 @@
 #include "common/clock.hpp"
 #include "common/status.hpp"
 #include "netlogger/sinks.hpp"
-#include "ulm/record.hpp"
+#include "ulm/flat.hpp"
 
 namespace jamm::netlogger {
 
@@ -55,8 +55,9 @@ class NetLogger {
                    fields = {});
   Status Write(std::string_view event_name, std::string_view lvl,
                const std::vector<std::pair<std::string, std::string>>& fields);
-  /// Log a pre-built record (application sensors hand these over).
-  Status Write(ulm::Record rec);
+  /// Log a pre-built record (application sensors hand these over). The
+  /// view is copied into the buffer.
+  Status Write(const ulm::RecordView& rec);
 
   /// Flush the in-memory buffer to the destination sink.
   Status Flush();
@@ -64,18 +65,23 @@ class NetLogger {
   Status Close();
 
   /// For OpenMemory: take everything flushed so far.
-  std::vector<ulm::Record> TakeBuffered();
+  ulm::FlatBatch TakeBuffered();
 
   std::size_t buffered_count() const { return buffer_.size(); }
   const std::string& prog() const { return prog_; }
   const std::string& host() const { return host_; }
 
  private:
+  /// Reset scratch_ to a fresh record stamped now with this logger's
+  /// HOST/PROG.
+  ulm::FlatRecord& Begin(std::string_view event_name, std::string_view lvl);
+
   std::string prog_;
   const Clock& clock_;
   std::string host_;
   std::size_t buffer_capacity_;
-  std::vector<ulm::Record> buffer_;
+  ulm::FlatBatch buffer_;
+  ulm::FlatRecord scratch_;  // the record Write(event, ...) builds
   std::shared_ptr<LogSink> sink_;
   std::shared_ptr<MemorySink> memory_;  // set by OpenMemory
 };

@@ -1,91 +1,47 @@
 #include "netlogger/merge.hpp"
 
-#include <algorithm>
 #include <fstream>
-#include <queue>
 #include <sstream>
 
 namespace jamm::netlogger {
 
-void SortByTime(std::vector<ulm::Record>& records) {
-  std::stable_sort(records.begin(), records.end(),
-                   [](const ulm::Record& a, const ulm::Record& b) {
-                     return a.timestamp() < b.timestamp();
-                   });
-}
-
-std::vector<ulm::Record> MergeSorted(
-    const std::vector<std::vector<ulm::Record>>& streams) {
-  // Heap of (next timestamp, stream index, element index); stream index as
-  // tie-break keeps the merge deterministic.
-  struct Cursor {
-    TimePoint ts;
-    std::size_t stream;
-    std::size_t index;
-  };
-  auto greater = [](const Cursor& a, const Cursor& b) {
-    return a.ts != b.ts ? a.ts > b.ts : a.stream > b.stream;
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(greater)> heap(
-      greater);
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < streams.size(); ++s) {
-    total += streams[s].size();
-    if (!streams[s].empty()) {
-      heap.push({streams[s][0].timestamp(), s, 0});
-    }
-  }
-  std::vector<ulm::Record> out;
-  out.reserve(total);
-  while (!heap.empty()) {
-    Cursor c = heap.top();
-    heap.pop();
-    out.push_back(streams[c.stream][c.index]);
-    if (c.index + 1 < streams[c.stream].size()) {
-      heap.push({streams[c.stream][c.index + 1].timestamp(), c.stream,
-                 c.index + 1});
-    }
-  }
+ulm::FlatBatch MergeLogs(const std::vector<ulm::FlatBatch>& logs) {
+  ulm::FlatBatch out;
+  for (const auto& log : logs) (void)out.Append(log);
+  out.SortByTime();
   return out;
 }
 
-std::vector<ulm::Record> MergeLogs(
-    const std::vector<std::vector<ulm::Record>>& logs) {
-  std::vector<ulm::Record> out;
-  std::size_t total = 0;
-  for (const auto& log : logs) total += log.size();
-  out.reserve(total);
-  for (const auto& log : logs) out.insert(out.end(), log.begin(), log.end());
-  SortByTime(out);
-  return out;
-}
-
-Result<std::vector<ulm::Record>> LoadLogFile(const std::string& path) {
+Result<ulm::FlatBatch> LoadLogFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::NotFound("log file not found: " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  Status error;
-  auto records = ulm::ParseLog(buf.str(), &error);
-  if (!error.ok()) return error;
+  ulm::FlatBatch records;
+  JAMM_RETURN_IF_ERROR(ulm::ParseLog(buf.str(), records));
   return records;
 }
 
-Status WriteLogFile(const std::string& path,
-                    const std::vector<ulm::Record>& records) {
+Status WriteLogFile(const std::string& path, const ulm::FlatBatch& records) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return Status::Unavailable("cannot open for write: " + path);
-  for (const auto& rec : records) {
-    out << rec.ToAscii() << '\n';
+  std::string line;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    line.clear();
+    records.View(i).AppendAscii(line);
+    line += '\n';
+    out << line;
   }
   out.flush();
   if (!out) return Status::Unavailable("write failed: " + path);
   return Status::Ok();
 }
 
-bool IsSortedByTime(const std::vector<ulm::Record>& records) {
+bool IsSortedByTime(const ulm::FlatBatch& records) {
   for (std::size_t i = 1; i < records.size(); ++i) {
-    if (records[i].timestamp() < records[i - 1].timestamp()) return false;
+    if (records.View(i).timestamp() < records.View(i - 1).timestamp()) {
+      return false;
+    }
   }
   return true;
 }

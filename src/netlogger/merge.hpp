@@ -1,36 +1,29 @@
 // Log collection/sorting tools (paper §4.1: "a set of tools for collecting
 // and sorting log files"). The event collector merges many sensor streams
 // into one time-ordered file for nlv; these are the primitives it uses.
+// Sorting is FlatBatch::SortByTime (stable: ties keep input order, so
+// events that share a microsecond stay in arrival order).
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "common/status.hpp"
-#include "ulm/record.hpp"
+#include "ulm/flat.hpp"
 
 namespace jamm::netlogger {
 
-/// Stable sort by timestamp (ties keep input order, so events that share a
-/// microsecond stay in arrival order).
-void SortByTime(std::vector<ulm::Record>& records);
-
-/// K-way merge of already-sorted streams into one sorted stream.
-std::vector<ulm::Record> MergeSorted(
-    const std::vector<std::vector<ulm::Record>>& streams);
-
 /// Merge arbitrary (possibly unsorted) logs: concatenates then sorts.
-std::vector<ulm::Record> MergeLogs(
-    const std::vector<std::vector<ulm::Record>>& logs);
+ulm::FlatBatch MergeLogs(const std::vector<ulm::FlatBatch>& logs);
 
-/// Load an ASCII ULM log file.
-Result<std::vector<ulm::Record>> LoadLogFile(const std::string& path);
+/// Load an ASCII ULM log file. Blank lines are skipped; the first
+/// malformed line fails the load.
+Result<ulm::FlatBatch> LoadLogFile(const std::string& path);
 
 /// Write records to an ASCII ULM log file (one per line).
-Status WriteLogFile(const std::string& path,
-                    const std::vector<ulm::Record>& records);
+Status WriteLogFile(const std::string& path, const ulm::FlatBatch& records);
 
 /// True if timestamps are non-decreasing.
-bool IsSortedByTime(const std::vector<ulm::Record>& records);
+bool IsSortedByTime(const ulm::FlatBatch& records);
 
 }  // namespace jamm::netlogger

@@ -5,14 +5,16 @@
 
 namespace jamm::netlogger {
 
-Status MemorySink::Write(const ulm::Record& rec) {
-  records_.push_back(rec);
+Status MemorySink::Write(const ulm::RecordView& rec) {
+  if (!records_.Append(rec)) {
+    return Status::Unavailable("memory sink: batch arena full");
+  }
   return Status::Ok();
 }
 
-std::vector<ulm::Record> MemorySink::TakeRecords() {
-  std::vector<ulm::Record> out;
-  out.swap(records_);
+ulm::FlatBatch MemorySink::TakeRecords() {
+  ulm::FlatBatch out;
+  std::swap(out, records_);
   return out;
 }
 
@@ -30,11 +32,11 @@ Status FileSink::Open() {
   return Status::Ok();
 }
 
-Status FileSink::Write(const ulm::Record& rec) {
+Status FileSink::Write(const ulm::RecordView& rec) {
   JAMM_RETURN_IF_ERROR(Open());
-  const std::string line = rec.ToAscii();
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fputc('\n', file_) == EOF) {
+  std::string line = rec.ToAscii();
+  line += '\n';
+  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
     return Status::Unavailable("write failed: " + path_);
   }
   return Status::Ok();
@@ -49,19 +51,21 @@ Status FileSink::Flush() {
 
 namespace {
 std::mutex g_syslog_mu;
-std::map<std::string, std::vector<ulm::Record>>& SyslogStore() {
-  static std::map<std::string, std::vector<ulm::Record>> store;
+std::map<std::string, ulm::FlatBatch>& SyslogStore() {
+  static std::map<std::string, ulm::FlatBatch> store;
   return store;
 }
 }  // namespace
 
-Status SyslogSimSink::Write(const ulm::Record& rec) {
+Status SyslogSimSink::Write(const ulm::RecordView& rec) {
   std::lock_guard lock(g_syslog_mu);
-  SyslogStore()[facility_].push_back(rec);
+  if (!SyslogStore()[facility_].Append(rec)) {
+    return Status::Unavailable("syslog " + facility_ + ": batch arena full");
+  }
   return Status::Ok();
 }
 
-std::vector<ulm::Record> SyslogSimSink::Read(const std::string& facility) {
+ulm::FlatBatch SyslogSimSink::Read(const std::string& facility) {
   std::lock_guard lock(g_syslog_mu);
   auto it = SyslogStore().find(facility);
   if (it == SyslogStore().end()) return {};
@@ -73,7 +77,7 @@ void SyslogSimSink::Reset() {
   SyslogStore().clear();
 }
 
-Status TeeSink::Write(const ulm::Record& rec) {
+Status TeeSink::Write(const ulm::RecordView& rec) {
   Status first;
   for (auto& sink : sinks_) {
     Status s = sink->Write(rec);

@@ -1,7 +1,8 @@
 // Log destinations for the NetLogger client API (paper §4.4: "logging to
 // either memory, a local file, syslog, a remote host").
 //
-// Sinks receive fully-formed ULM records. The network destination is a
+// Sinks receive fully-formed ULM records as views, valid for the call
+// only: a sink that keeps a record copies it. The network destination is a
 // sink too — the transport module wraps a Channel in one — so the logger
 // core has no transport dependency.
 #pragma once
@@ -13,14 +14,14 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "ulm/record.hpp"
+#include "ulm/flat.hpp"
 
 namespace jamm::netlogger {
 
 class LogSink {
  public:
   virtual ~LogSink() = default;
-  virtual Status Write(const ulm::Record& rec) = 0;
+  virtual Status Write(const ulm::RecordView& rec) = 0;
   /// Push buffered data toward the destination; default no-op.
   virtual Status Flush() { return Status::Ok(); }
 };
@@ -28,14 +29,14 @@ class LogSink {
 /// In-memory destination; also the explicit-flush buffer backing store.
 class MemorySink final : public LogSink {
  public:
-  Status Write(const ulm::Record& rec) override;
+  Status Write(const ulm::RecordView& rec) override;
 
-  const std::vector<ulm::Record>& records() const { return records_; }
-  std::vector<ulm::Record> TakeRecords();
-  void Clear() { records_.clear(); }
+  const ulm::FlatBatch& records() const { return records_; }
+  ulm::FlatBatch TakeRecords();
+  void Clear() { records_.Clear(); }
 
  private:
-  std::vector<ulm::Record> records_;
+  ulm::FlatBatch records_;
 };
 
 /// Appends ASCII ULM lines to a file.
@@ -46,7 +47,7 @@ class FileSink final : public LogSink {
   ~FileSink() override;
 
   Status Open();
-  Status Write(const ulm::Record& rec) override;
+  Status Write(const ulm::RecordView& rec) override;
   Status Flush() override;
 
   const std::string& path() const { return path_; }
@@ -60,10 +61,10 @@ class FileSink final : public LogSink {
 /// Invokes a callback per record; adapter for gateways, tests, consumers.
 class CallbackSink final : public LogSink {
  public:
-  using Callback = std::function<void(const ulm::Record&)>;
+  using Callback = std::function<void(const ulm::RecordView&)>;
   explicit CallbackSink(Callback cb) : cb_(std::move(cb)) {}
 
-  Status Write(const ulm::Record& rec) override {
+  Status Write(const ulm::RecordView& rec) override {
     cb_(rec);
     return Status::Ok();
   }
@@ -79,10 +80,10 @@ class SyslogSimSink final : public LogSink {
   explicit SyslogSimSink(std::string facility = "local0")
       : facility_(std::move(facility)) {}
 
-  Status Write(const ulm::Record& rec) override;
+  Status Write(const ulm::RecordView& rec) override;
 
   /// Read back everything logged to a facility (thread-safe snapshot).
-  static std::vector<ulm::Record> Read(const std::string& facility);
+  static ulm::FlatBatch Read(const std::string& facility);
   static void Reset();
 
  private:
@@ -94,7 +95,7 @@ class TeeSink final : public LogSink {
  public:
   void Add(std::shared_ptr<LogSink> sink) { sinks_.push_back(std::move(sink)); }
 
-  Status Write(const ulm::Record& rec) override;
+  Status Write(const ulm::RecordView& rec) override;
   Status Flush() override;
 
  private:

@@ -10,8 +10,8 @@ AppSensorBridge::AppSensorBridge(std::string name, const Clock& clock,
   sink_ = buffer_;
 }
 
-void AppSensorBridge::Inject(ulm::Record rec) {
-  (void)buffer_->Write(std::move(rec));
+void AppSensorBridge::Inject(const ulm::Record& rec) {
+  (void)buffer_->Write(ulm::FlatRecord::FromRecord(rec).View());
 }
 
 void AppSensorBridge::SetStaticThreshold(std::string field, double limit) {
@@ -22,7 +22,9 @@ void AppSensorBridge::SetStaticThreshold(std::string field, double limit) {
 
 Status AppSensorBridge::DoPoll(std::vector<ulm::Record>& out) {
   if (!poll_failure_.ok()) return poll_failure_;
-  for (auto& rec : buffer_->TakeRecords()) {
+  const ulm::FlatBatch buffered = buffer_->TakeRecords();
+  for (std::size_t i = 0; i < buffered.size(); ++i) {
+    ulm::Record rec = buffered.View(i).ToRecord();
     bool fire_threshold = false;
     double value = 0;
     if (threshold_set_) {

@@ -5,9 +5,10 @@
 //
 // Applications log through the NetLogger API into this bridge's sink; the
 // sensor manager polls the bridge like any other sensor and forwards the
-// buffered application events into the event stream. A static-threshold
-// helper reproduces the "if the number of locks taken exceeds a threshold"
-// example.
+// buffered application events into the event stream. The buffer holds flat
+// records; a poll converts them to the Records a sensor emits. A
+// static-threshold helper reproduces the "if the number of locks taken
+// exceeds a threshold" example.
 #pragma once
 
 #include <memory>
@@ -31,8 +32,8 @@ class AppSensorBridge final : public Sensor {
   std::shared_ptr<netlogger::LogSink> sink() { return sink_; }
 
   /// Direct injection for application sensors that build records
-  /// themselves.
-  void Inject(ulm::Record rec);
+  /// themselves; the record joins the NetLogger buffer like any write.
+  void Inject(const ulm::Record& rec);
 
   /// Static threshold: when a buffered record carries `field` and its
   /// numeric value exceeds `limit`, an APP_THRESHOLD_EXCEEDED event is

@@ -1,28 +1,33 @@
 #include "transport/net_sink.hpp"
 
-#include "ulm/binary.hpp"
-
 namespace jamm::transport {
 
-Status NetSink::Write(const ulm::Record& rec) {
+Status NetSink::Write(const ulm::RecordView& rec) {
   Message msg;
   if (binary_) {
     msg.type = kBinaryEventMessageType;
-    msg.payload = ulm::EncodeBinary(rec);
+    rec.EncodeBinary(msg.payload);
   } else {
     msg.type = kEventMessageType;
-    msg.payload = rec.ToAscii();
+    rec.AppendAscii(msg.payload);
   }
   return channel_->Send(msg);
 }
 
-Result<ulm::Record> DecodeEventMessage(const Message& msg) {
+Result<ulm::FlatRecord> DecodeEventMessage(const Message& msg) {
   if (msg.type == kEventMessageType) {
-    return ulm::Record::FromAscii(msg.payload);
+    return ulm::FlatRecord::FromAscii(msg.payload);
   }
   if (msg.type == kBinaryEventMessageType) {
-    std::size_t offset = 0;
-    return ulm::DecodeBinary(msg.payload, &offset);
+    ulm::FlatBatch batch;
+    JAMM_RETURN_IF_ERROR(batch.DecodeBinaryStreamInto(msg.payload));
+    if (batch.size() != 1) {
+      return Status::ParseError("binary event message holds " +
+                                std::to_string(batch.size()) + " records");
+    }
+    ulm::FlatRecord rec;
+    rec.Assign(batch.View(0));
+    return rec;
   }
   return Status::InvalidArgument("not an event message: " + msg.type);
 }

@@ -26,14 +26,15 @@ class NetSink final : public netlogger::LogSink {
   explicit NetSink(std::shared_ptr<Channel> channel, bool binary = false)
       : channel_(std::move(channel)), binary_(binary) {}
 
-  Status Write(const ulm::Record& rec) override;
+  Status Write(const ulm::RecordView& rec) override;
 
  private:
   std::shared_ptr<Channel> channel_;
   bool binary_;
 };
 
-/// Decode an event message produced by NetSink (either encoding).
-Result<ulm::Record> DecodeEventMessage(const Message& msg);
+/// Decode an event message produced by NetSink (either encoding). A
+/// binary payload must hold exactly one record.
+Result<ulm::FlatRecord> DecodeEventMessage(const Message& msg);
 
 }  // namespace jamm::transport

@@ -10,32 +10,20 @@
 //   pairs   (varint len + bytes) * 2 per field
 //
 // Encoded records are self-delimiting, so streams concatenate directly.
+// The encoder is RecordView::EncodeBinary and the decoder
+// FlatBatch::DecodeBinaryStreamInto (ulm/flat.hpp); this header holds the
+// wire primitives they share with the archive's SEG2 segments.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
-
-#include "common/status.hpp"
-#include "ulm/record.hpp"
 
 namespace jamm::ulm {
 
-/// Append the binary encoding of `rec` to `out`.
-void EncodeBinary(const Record& rec, std::string& out);
-std::string EncodeBinary(const Record& rec);
-
-/// Decode one record starting at *offset; advances *offset past it.
-Result<Record> DecodeBinary(std::string_view data, std::size_t* offset);
-
-/// Decode a whole concatenated stream.
-Result<std::vector<Record>> DecodeBinaryStream(std::string_view data);
-
 namespace detail {
-/// Wire primitives shared with the flat transcoder (ulm/flat.cpp) so both
-/// codecs emit byte-identical streams. GetStringView returns a view into
-/// `data` — valid only while the buffer lives.
+/// Wire primitives. GetStringView returns a view into `data` — valid only
+/// while the buffer lives.
 void PutVarint(std::string& out, std::uint64_t v);
 /// Inline with a one-byte fast path: most varints on the wire and in SEG2
 /// blobs (dictionary indexes, field counts, short lengths) are < 0x80.

@@ -1,12 +1,12 @@
 #include "ulm/flat.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
 #include "common/strings.hpp"
 #include "common/time_util.hpp"
 #include "ulm/binary.hpp"
-#include "ulm/xml.hpp"
 
 namespace jamm::ulm {
 namespace {
@@ -30,6 +30,107 @@ const CoreSyms& Core() {
 constexpr std::uint32_t kBinaryMagicLo = 0x4C;  // "L"
 constexpr std::uint32_t kBinaryMagicHi = 0x55;  // "U"
 constexpr std::uint8_t kBinaryVersion = 1;
+
+bool NeedsQuoting(std::string_view value) {
+  if (value.empty()) return true;
+  for (char c : value) {
+    if (c == ' ' || c == '\t' || c == '"' || c == '\n' || c == '\\') return true;
+  }
+  return false;
+}
+
+// Append " key=value" (no leading space when `out` is empty). Values with
+// whitespace, '"' or '\' — and the empty value — are double-quoted with
+// backslash escapes.
+void AppendUlmPair(std::string& out, std::string_view key,
+                   std::string_view value) {
+  if (!out.empty()) out += ' ';
+  out += key;
+  out += '=';
+  if (!NeedsQuoting(value)) {
+    out += value;
+    return;
+  }
+  out += '"';
+  for (char c : value) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      default: out += c;
+    }
+  }
+  out += '"';
+}
+
+// Scans one field=value token starting at `i`; advances `i` past it.
+// `key` views `line`; `value` views `line` too, or `scratch` when the
+// value was quoted and had to be unescaped.
+Status ScanPair(std::string_view line, std::size_t& i, std::string_view& key,
+                std::string_view& value, std::string& scratch) {
+  while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
+  if (i >= line.size()) return Status::NotFound("end of line");
+  const std::size_t key_start = i;
+  // Tab delimits a key exactly like space does — the value scan below
+  // already stopped at tabs, and Validate rejects tabs in field names, so
+  // the tokenizer and the validator agree on what a key can contain.
+  while (i < line.size() && line[i] != '=' && line[i] != ' ' &&
+         line[i] != '\t') {
+    ++i;
+  }
+  if (i >= line.size() || line[i] != '=') {
+    return Status::ParseError("expected '=' after field name near offset " +
+                              std::to_string(key_start));
+  }
+  key = line.substr(key_start, i - key_start);
+  if (key.empty()) return Status::ParseError("empty field name");
+  ++i;  // consume '='
+  if (i < line.size() && line[i] == '"') {
+    ++i;
+    scratch.clear();
+    bool closed = false;
+    while (i < line.size()) {
+      char c = line[i++];
+      if (c == '\\' && i < line.size()) {
+        char esc = line[i++];
+        switch (esc) {
+          case 'n': scratch += '\n'; break;
+          case '"': scratch += '"'; break;
+          case '\\': scratch += '\\'; break;
+          default: scratch += esc;
+        }
+      } else if (c == '"') {
+        closed = true;
+        break;
+      } else {
+        scratch += c;
+      }
+    }
+    if (!closed) return Status::ParseError("unterminated quoted value");
+    value = scratch;
+  } else {
+    const std::size_t value_start = i;
+    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
+    value = line.substr(value_start, i - value_start);
+  }
+  return Status::Ok();
+}
+
+std::string XmlEscape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (char c : text) {
+    switch (c) {
+      case '&': out += "&amp;"; break;
+      case '<': out += "&lt;"; break;
+      case '>': out += "&gt;"; break;
+      case '"': out += "&quot;"; break;
+      case '\'': out += "&apos;"; break;
+      default: out += c;
+    }
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -70,7 +171,6 @@ Result<double> RecordView::GetDouble(Symbol key) const {
 }
 
 void RecordView::AppendAscii(std::string& out) const {
-  using detail::AppendUlmPair;
   // AppendUlmPair keys its leading space off `out` being non-empty, so a
   // non-empty destination gets the line built separately and appended.
   if (!out.empty()) {
@@ -79,7 +179,8 @@ void RecordView::AppendAscii(std::string& out) const {
     out += line;
     return;
   }
-  // Same field order and quoting as Record::ToAscii — byte-identical.
+  // Required fields first, an empty NL.EVNT left out, then user fields
+  // in order.
   AppendUlmPair(out, field::kDate, FormatUlmDate(ts_));
   AppendUlmPair(out, field::kHost, host());
   AppendUlmPair(out, field::kProg, prog());
@@ -261,10 +362,74 @@ void FlatRecord::AssignRecord(const Record& rec) {
   }
 }
 
+Status FlatRecord::AssignAscii(std::string_view line) {
+  Clear();
+  const CoreSyms& core = Core();
+  bool saw_date = false, saw_host = false, saw_prog = false, saw_lvl = false;
+  std::size_t i = 0;
+  std::string_view key, value;
+  std::string scratch;
+  while (true) {
+    Status s = ScanPair(line, i, key, value, scratch);
+    if (s.code() == StatusCode::kNotFound) break;  // clean end of line
+    if (!s.ok()) return s;
+    // Required names route to the members (the last one wins); a user key
+    // that repeats is kept twice, in line order.
+    const Symbol sym = InternSymbol(key);
+    if (sym == core.date) {
+      auto t = ParseUlmDate(value);
+      if (!t.ok()) return t.status();
+      ts_ = *t;
+      saw_date = true;
+    } else if (sym == core.host) {
+      host_ = InternSymbol(value);
+      saw_host = true;
+    } else if (sym == core.prog) {
+      prog_ = InternSymbol(value);
+      saw_prog = true;
+    } else if (sym == core.lvl) {
+      lvl_ = InternSymbol(value);
+      saw_lvl = true;
+    } else if (sym == core.event) {
+      event_ = InternSymbol(value);
+    } else {
+      AddFieldUnchecked(sym, value);
+    }
+  }
+  if (!saw_date || !saw_host || !saw_prog || !saw_lvl) {
+    return Status::ParseError(
+        "ULM record missing required field(s) in: " + std::string(line));
+  }
+  return Status::Ok();
+}
+
 Result<FlatRecord> FlatRecord::FromAscii(std::string_view line) {
-  auto rec = Record::FromAscii(line);
-  if (!rec.ok()) return rec.status();
-  return FromRecord(*rec);
+  FlatRecord rec;
+  JAMM_RETURN_IF_ERROR(rec.AssignAscii(line));
+  return rec;
+}
+
+Status ParseLog(std::string_view text, FlatBatch& out) {
+  Status first;
+  auto note = [&first](Status s) {
+    if (first.ok()) first = std::move(s);
+  };
+  FlatRecord rec;
+  std::size_t pos = 0;
+  while (pos <= text.size()) {
+    std::size_t end = text.find('\n', pos);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string_view line = TrimView(text.substr(pos, end - pos));
+    pos = end + 1;
+    if (line.empty()) continue;
+    Status s = rec.AssignAscii(line);
+    if (!s.ok()) {
+      note(std::move(s));
+    } else if (!out.Append(rec.View())) {
+      note(Status::InvalidArgument("ULM log overflows one batch arena"));
+    }
+  }
+  return first;
 }
 
 // ---------------------------------------------------------------------------
@@ -331,10 +496,41 @@ bool FlatBatch::Append(const Record& rec) {
   return true;
 }
 
+bool FlatBatch::Append(const FlatBatch& other) {
+  for (std::size_t i = 0; i < other.size(); ++i) {
+    if (!Append(other.View(i))) return false;
+  }
+  return true;
+}
+
 void FlatBatch::Clear() {
   values_.clear();
   fields_.clear();
   metas_.clear();
+}
+
+void FlatBatch::SortByTime() {
+  auto earlier = [](const Meta& a, const Meta& b) { return a.ts < b.ts; };
+  if (std::is_sorted(metas_.begin(), metas_.end(), earlier)) return;
+  std::stable_sort(metas_.begin(), metas_.end(), earlier);
+  // Lay the fields and value bytes out again in the new record order, so
+  // the arenas stay in record order (Truncate depends on it).
+  std::string values;
+  values.reserve(values_.size());
+  std::vector<FlatField> fields;
+  fields.reserve(fields_.size());
+  for (Meta& m : metas_) {
+    const std::uint32_t begin = static_cast<std::uint32_t>(fields.size());
+    for (std::uint32_t f = 0; f < m.field_count; ++f) {
+      const FlatField& old = fields_[m.field_begin + f];
+      fields.push_back(FlatField{
+          old.key, static_cast<std::uint32_t>(values.size()), old.len});
+      values.append(values_, old.offset, old.len);
+    }
+    m.field_begin = begin;
+  }
+  values_.swap(values);
+  fields_.swap(fields);
 }
 
 void FlatBatch::Truncate(std::size_t n) {

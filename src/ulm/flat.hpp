@@ -1,6 +1,7 @@
 // Arena-backed flat ULM records — the one record type on the live
 // pipeline: sensor manager → gateway → wire client → republisher →
-// archiver → archive all carry these.
+// archiver → archive all carry these, and so do the NetLogger API, the
+// archive's query results and the gateway's query mode.
 //
 // The string-keyed `Record` stores every field as a pair of heap strings;
 // at millions of records per second the allocator and the string compares
@@ -14,27 +15,26 @@
 //
 // A RecordView is the non-owning face of either: 40-odd bytes passed by
 // value/reference through the pipeline with zero allocation. The codecs
-// here are flat↔wire TRANSCODERS built on the same primitives as the
-// Record codecs (ulm/record.cpp, ulm/binary.cpp, ulm/xml.cpp), so a view
-// serializes byte-identically to the equivalent Record — property tests
-// enforce this. `Record` remains the type of the NetLogger/offline API and
-// of archive query results; ToRecord/AssignRecord/FromRecord convert at
-// those edges.
+// here are the only ULM codecs: ASCII (AppendAscii / FromAscii /
+// ParseLog), binary (EncodeBinary / DecodeBinaryStreamInto) and XML
+// (ToXml). `Record` is left only where callers still hand over
+// string-keyed records — sensor output, ArchiveClient results — and
+// ToRecord/AssignRecord/FromRecord convert at those edges.
 //
 // Aliasing rules (DESIGN.md §15):
 //   * A RecordView borrows its owner. Views from FlatRecord::View() are
 //     invalidated by any subsequent mutation of that FlatRecord; views
-//     from FlatBatch::View(i) are invalidated by Append/Clear/Truncate or
-//     a decode into the batch. Take views after building, never across
-//     mutation. GatewayClient::DrainEvents() lends its batch this way: it
-//     is valid until that client's next DrainEvents().
+//     from FlatBatch::View(i) are invalidated by Append/Clear/Truncate/
+//     SortByTime or a decode into the batch. Take views after building,
+//     never across mutation. GatewayClient::DrainEvents() lends its batch
+//     this way: it is valid until that client's next DrainEvents().
 //   * Symbol names outlive everything (the global table never evicts), so
 //     host()/prog()/field_name() views are safe to keep forever.
 //   * Field VALUES are never interned — only keys and the low-cardinality
 //     required fields — so hostile high-cardinality values cannot grow
 //     the process-wide table. Keys decoded from untrusted wire input DO
-//     intern; transports that accept third-party records should validate
-//     first (Record::Validate rejects malformed keys).
+//     intern, and no decoder here screens them: a peer that sends many
+//     distinct keys grows the table.
 #pragma once
 
 #include <cstdint>
@@ -99,8 +99,8 @@ class RecordView {
     return std::string_view(values_ + fields_[i].offset, fields_[i].len);
   }
 
-  /// Same present-and-empty core-field contract as Record::GetField
-  /// (record.hpp): HOST/PROG/LVL/NL.EVNT always answer, DATE is
+  /// Present-and-empty core-field contract (the same as
+  /// Record::GetField): HOST/PROG/LVL/NL.EVNT always answer, DATE is
   /// timestamp(). The Symbol overload is the hot path — one 4-byte
   /// compare per field, no hashing, no allocation.
   std::optional<std::string_view> GetField(Symbol key) const;
@@ -109,15 +109,15 @@ class RecordView {
   Result<std::int64_t> GetInt(Symbol key) const;
   Result<double> GetDouble(Symbol key) const;
 
-  /// Flat→wire transcoders, byte-identical to the Record codecs applied
-  /// to the equivalent Record.
+  /// Flat→wire encoders. ASCII is one line, required fields first; see
+  /// binary.hpp for the binary layout.
   void AppendAscii(std::string& out) const;
   std::string ToAscii() const;
   void EncodeBinary(std::string& out) const;
   std::string ToXml() const;
 
-  /// Materialize a Record (copies everything) — for query results and
-  /// the NetLogger API, which stay string-keyed.
+  /// Materialize a Record (copies everything) — for the edges that stay
+  /// string-keyed (ArchiveClient results, AppSensorBridge's poll).
   Record ToRecord() const;
 
  private:
@@ -204,9 +204,13 @@ class FlatRecord {
   void AssignRecord(const Record& rec);
   Record ToRecord() const { return View().ToRecord(); }
 
-  /// Parse one ASCII ULM line (same grammar and errors as
-  /// Record::FromAscii).
+  /// Parse one ASCII ULM line. Missing DATE/HOST/PROG/LVL is a
+  /// ParseError (the ULM draft requires them); a repeated required name
+  /// keeps its last value, a repeated user key is kept twice.
   static Result<FlatRecord> FromAscii(std::string_view line);
+  /// The same parse into this record, reusing its capacity; on error the
+  /// record holds a partial parse.
+  Status AssignAscii(std::string_view line);
 
  private:
   TimePoint ts_ = 0;
@@ -252,16 +256,26 @@ class FlatBatch {
   /// on 32-bit arena overflow — in which case the batch is unchanged).
   bool Append(const RecordView& v);
   bool Append(const Record& rec);
+  /// Copy every record of `other` (not this batch) onto the end, in
+  /// order; false on arena overflow, with the records before it kept.
+  bool Append(const FlatBatch& other);
 
   void Clear();
+
+  /// Stable sort by timestamp: ties keep their order, so records that
+  /// share a microsecond stay in arrival order. The one time-order helper
+  /// of the archive's query results, the NetLogger merge and the event
+  /// collector. A batch already in order is left untouched.
+  void SortByTime();
 
   /// Drop every record from index `n` on, keeping capacity — the rollback
   /// to a mark taken with size() before a decode that must land whole.
   void Truncate(std::size_t n);
 
   /// Decode a concatenated binary ULM stream into this batch, appending.
-  /// Same grammar and hostile-input hardening as DecodeBinaryStream; on
-  /// error the batch keeps the records decoded before the bad frame.
+  /// Every input is treated as hostile: lengths are bounds-checked without
+  /// wrapping, and on error the batch keeps the records decoded before
+  /// the bad frame.
   Status DecodeBinaryStreamInto(std::string_view data);
 
  private:
@@ -281,11 +295,12 @@ class FlatBatch {
   std::vector<Meta> metas_;
 };
 
-/// Free-function spellings used by code templated over record types.
-inline std::string ToXml(const RecordView& v) { return v.ToXml(); }
-inline void EncodeBinary(const RecordView& v, std::string& out) {
-  v.EncodeBinary(out);
-}
+/// Parse a whole ASCII log (one record per line; blank lines skipped) into
+/// `out`, appending. A malformed line is skipped; the first error is
+/// returned after every line has been tried.
+Status ParseLog(std::string_view text, FlatBatch& out);
+
+/// The binary encoding of one record as a fresh string.
 inline std::string EncodeBinary(const RecordView& v) {
   std::string out;
   v.EncodeBinary(out);

@@ -6,94 +6,8 @@
 #include "common/time_util.hpp"
 
 namespace jamm::ulm {
-namespace {
-
-bool NeedsQuoting(std::string_view value) {
-  if (value.empty()) return true;
-  for (char c : value) {
-    if (c == ' ' || c == '\t' || c == '"' || c == '\n' || c == '\\') return true;
-  }
-  return false;
-}
-
-void AppendValue(std::string& out, std::string_view value) {
-  if (!NeedsQuoting(value)) {
-    out += value;
-    return;
-  }
-  out += '"';
-  for (char c : value) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
-
-// Scans one field=value token starting at `i`; advances `i` past it.
-Status ScanPair(std::string_view line, std::size_t& i, std::string& key,
-                std::string& value) {
-  while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  if (i >= line.size()) return Status::NotFound("end of line");
-  const std::size_t key_start = i;
-  // Tab delimits a key exactly like space does — the value scan below
-  // already stopped at tabs, and Validate rejects tabs in field names, so
-  // the tokenizer and the validator agree on what a key can contain.
-  while (i < line.size() && line[i] != '=' && line[i] != ' ' &&
-         line[i] != '\t') {
-    ++i;
-  }
-  if (i >= line.size() || line[i] != '=') {
-    return Status::ParseError("expected '=' after field name near offset " +
-                              std::to_string(key_start));
-  }
-  key.assign(line.substr(key_start, i - key_start));
-  if (key.empty()) return Status::ParseError("empty field name");
-  ++i;  // consume '='
-  value.clear();
-  if (i < line.size() && line[i] == '"') {
-    ++i;
-    bool closed = false;
-    while (i < line.size()) {
-      char c = line[i++];
-      if (c == '\\' && i < line.size()) {
-        char esc = line[i++];
-        switch (esc) {
-          case 'n': value += '\n'; break;
-          case '"': value += '"'; break;
-          case '\\': value += '\\'; break;
-          default: value += esc;
-        }
-      } else if (c == '"') {
-        closed = true;
-        break;
-      } else {
-        value += c;
-      }
-    }
-    if (!closed) return Status::ParseError("unterminated quoted value");
-  } else {
-    const std::size_t value_start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t') ++i;
-    value.assign(line.substr(value_start, i - value_start));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 namespace detail {
-
-void AppendUlmPair(std::string& out, std::string_view key,
-                   std::string_view value) {
-  if (!out.empty()) out += ' ';
-  out += key;
-  out += '=';
-  AppendValue(out, value);
-}
 
 void AppendUlmDouble(std::string& out, double value) {
   // %.6f expands huge magnitudes in fixed notation (1e300 needs ~308
@@ -115,8 +29,6 @@ void AppendUlmDouble(std::string& out, double value) {
 }
 
 }  // namespace detail
-
-using detail::AppendUlmPair;
 
 Record::Record(TimePoint timestamp, std::string host, std::string prog,
                std::string lvl, std::string event_name)
@@ -183,53 +95,6 @@ bool Record::HasField(std::string_view key) const {
   return GetField(key).has_value();
 }
 
-std::string Record::ToAscii() const {
-  std::string out;
-  AppendUlmPair(out, field::kDate, FormatUlmDate(timestamp_));
-  AppendUlmPair(out, field::kHost, host_);
-  AppendUlmPair(out, field::kProg, prog_);
-  AppendUlmPair(out, field::kLevel, lvl_);
-  if (!event_name_.empty()) AppendUlmPair(out, field::kEvent, event_name_);
-  for (const auto& [k, v] : fields_) AppendUlmPair(out, k, v);
-  return out;
-}
-
-Result<Record> Record::FromAscii(std::string_view line) {
-  Record rec;
-  bool saw_date = false, saw_host = false, saw_prog = false, saw_lvl = false;
-  std::size_t i = 0;
-  std::string key, value;
-  while (true) {
-    Status s = ScanPair(line, i, key, value);
-    if (s.code() == StatusCode::kNotFound) break;  // clean end of line
-    if (!s.ok()) return s;
-    if (key == field::kDate) {
-      auto t = ParseUlmDate(value);
-      if (!t.ok()) return t.status();
-      rec.timestamp_ = *t;
-      saw_date = true;
-    } else if (key == field::kHost) {
-      rec.host_ = value;
-      saw_host = true;
-    } else if (key == field::kProg) {
-      rec.prog_ = value;
-      saw_prog = true;
-    } else if (key == field::kLevel) {
-      rec.lvl_ = value;
-      saw_lvl = true;
-    } else if (key == field::kEvent) {
-      rec.event_name_ = value;
-    } else {
-      rec.fields_.emplace_back(key, value);
-    }
-  }
-  if (!saw_date || !saw_host || !saw_prog || !saw_lvl) {
-    return Status::ParseError(
-        "ULM record missing required field(s) in: " + std::string(line));
-  }
-  return rec;
-}
-
 Status Record::Validate() const {
   if (host_.empty()) return Status::InvalidArgument("ULM record: empty HOST");
   if (prog_.empty()) return Status::InvalidArgument("ULM record: empty PROG");
@@ -256,22 +121,6 @@ bool operator==(const Record& a, const Record& b) {
   return a.timestamp_ == b.timestamp_ && a.host_ == b.host_ &&
          a.prog_ == b.prog_ && a.lvl_ == b.lvl_ &&
          a.event_name_ == b.event_name_ && a.fields_ == b.fields_;
-}
-
-std::vector<Record> ParseLog(std::string_view text, Status* error) {
-  std::vector<Record> out;
-  if (error) *error = Status::Ok();
-  for (const auto& line : Split(text, '\n')) {
-    std::string_view trimmed = TrimView(line);
-    if (trimmed.empty()) continue;
-    auto rec = Record::FromAscii(trimmed);
-    if (!rec.ok()) {
-      if (error && error->ok()) *error = rec.status();
-      continue;
-    }
-    out.push_back(std::move(*rec));
-  }
-  return out;
 }
 
 }  // namespace jamm::ulm

@@ -10,6 +10,10 @@
 //
 // User-defined fields follow the required ones and preserve insertion order
 // so serialized records round-trip byte-identically.
+//
+// `Record` is the string-keyed form of one record, kept only at the edges
+// that still hand records over by value: sensor output and ArchiveClient
+// results. Every codec works on the flat records of ulm/flat.hpp.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +81,8 @@ class Record {
   void SetField(std::string_view key, std::int64_t value);
   void SetField(std::string_view key, double value);
 
-  /// Append without the overwrite scan — for decoders that guarantee
-  /// unique keys (the binary codec). Key must not be a required name.
+  /// Append without the overwrite scan — for converters that guarantee
+  /// unique keys (RecordView::ToRecord). Key must not be a required name.
   void AppendFieldUnchecked(std::string key, std::string value) {
     fields_.emplace_back(std::move(key), std::move(value));
   }
@@ -89,10 +93,10 @@ class Record {
   /// four are members of every Record, so GetField always returns their
   /// current value — possibly the empty string — and HasField is always
   /// true for them. Emptiness is not absence: an empty NL.EVNT means "no
-  /// NetLogger event-name extension" for serialization (ToAscii omits
-  /// it), but the field still reads as present-and-empty, exactly like
-  /// an empty HOST/PROG/LVL. DATE is not surfaced through GetField; use
-  /// timestamp().
+  /// NetLogger event-name extension" for serialization (the ASCII and XML
+  /// forms omit it), but the field still reads as present-and-empty,
+  /// exactly like an empty HOST/PROG/LVL. DATE is not surfaced through
+  /// GetField; use timestamp().
   std::optional<std::string> GetField(std::string_view key) const;
   Result<std::int64_t> GetInt(std::string_view key) const;
   Result<double> GetDouble(std::string_view key) const;
@@ -103,15 +107,9 @@ class Record {
     return fields_;
   }
 
-  /// Single-line ASCII ULM form, required fields first. Values containing
-  /// whitespace or '"' are double-quoted with backslash escapes.
-  std::string ToAscii() const;
-
-  /// Parse one ASCII ULM line. Missing DATE/HOST/PROG/LVL is a ParseError
-  /// (they are required by the ULM draft).
-  static Result<Record> FromAscii(std::string_view line);
-
-  /// Validation used by gateways before forwarding third-party events.
+  /// Checks that HOST/PROG/LVL are set, the timestamp is not negative,
+  /// and no field name holds a character the ASCII form cannot carry
+  /// (space, tab, newline, '=', '"').
   Status Validate() const;
 
   friend bool operator==(const Record& a, const Record& b);
@@ -125,16 +123,7 @@ class Record {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-/// Parse a whole log (one record per line; blank lines skipped). Returns
-/// records parsed so far plus the first error, if any, via `error`.
-std::vector<Record> ParseLog(std::string_view text, Status* error = nullptr);
-
 namespace detail {
-/// Append " key=value" (no leading space when `out` is empty) using the
-/// ULM quoting rules. Shared by Record::ToAscii and the flat transcoder
-/// so both emit byte-identical lines.
-void AppendUlmPair(std::string& out, std::string_view key,
-                   std::string_view value);
 /// Append the canonical ULM decimal form of `value` (%.6f, grown on
 /// demand so huge magnitudes are never truncated). Shared by
 /// Record::SetField(double) and FlatRecord::SetField(double).

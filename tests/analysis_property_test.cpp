@@ -476,13 +476,13 @@ TEST(AnalysisPropertyTest, CompressionInvisibleToRecordQueries) {
   const auto b = packed.QueryRange(0, 2 * kSecond);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].ToAscii(), b[i].ToAscii());
+    EXPECT_EQ(a.View(i).ToAscii(), b.View(i).ToAscii());
   }
   const auto ae = plain.QueryEvents("REQ.*", 0, kSecond);
   const auto be = packed.QueryEvents("REQ.*", 0, kSecond);
   ASSERT_EQ(ae.size(), be.size());
   for (std::size_t i = 0; i < ae.size(); ++i) {
-    EXPECT_EQ(ae[i].ToAscii(), be[i].ToAscii());
+    EXPECT_EQ(ae.View(i).ToAscii(), be.View(i).ToAscii());
   }
 }
 

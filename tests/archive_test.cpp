@@ -47,7 +47,16 @@ ulm::Record Event(TimePoint ts, const std::string& name, double value,
 std::vector<std::string> Ascii(const std::vector<ulm::Record>& records) {
   std::vector<std::string> out;
   out.reserve(records.size());
-  for (const auto& rec : records) out.push_back(rec.ToAscii());
+  for (const auto& rec : records) out.push_back(test::Ascii(rec));
+  return out;
+}
+
+std::vector<std::string> Ascii(const ulm::FlatBatch& records) {
+  std::vector<std::string> out;
+  out.reserve(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    out.push_back(records.View(i).ToAscii());
+  }
   return out;
 }
 
@@ -125,7 +134,8 @@ class PrunedQueryTest : public ::testing::Test {
 
 TEST_F(PrunedQueryTest, TimeRangePrunesNonCoveringSegments) {
   QueryStats stats;
-  auto rows = ar_.QueryRange(kHour, kHour + 5 * kSecond, &stats);
+  auto rows =
+      test::ToRecords(ar_.QueryRange(kHour, kHour + 5 * kSecond, &stats));
   EXPECT_EQ(rows.size(), 5u);
   EXPECT_EQ(stats.segments_total, 3u);
   EXPECT_EQ(stats.segments_scanned, 1u);
@@ -135,21 +145,22 @@ TEST_F(PrunedQueryTest, TimeRangePrunesNonCoveringSegments) {
 
 TEST_F(PrunedQueryTest, EventGlobPrunesViaEventIndex) {
   QueryStats stats;
-  auto rows = ar_.QueryEvents("EVT_B", 0, 10 * kHour, &stats);
+  auto rows = test::ToRecords(ar_.QueryEvents("EVT_B", 0, 10 * kHour, &stats));
   EXPECT_EQ(rows.size(), 10u);
   EXPECT_EQ(stats.segments_scanned, 1u);
   EXPECT_EQ(stats.segments_pruned, 2u);
   // A glob that spans two segments scans exactly those two.
-  auto both = ar_.QueryEvents("EVT_[AB]", 0, 10 * kHour, &stats);
+  auto both =
+      test::ToRecords(ar_.QueryEvents("EVT_[AB]", 0, 10 * kHour, &stats));
   EXPECT_EQ(both.size(), 0u);  // '[' is not a glob metacharacter here
-  auto star = ar_.QueryEvents("EVT_*", 0, 10 * kHour, &stats);
+  auto star = test::ToRecords(ar_.QueryEvents("EVT_*", 0, 10 * kHour, &stats));
   EXPECT_EQ(star.size(), 30u);
   EXPECT_EQ(stats.segments_scanned, 3u);
 }
 
 TEST_F(PrunedQueryTest, HostPrunesViaHostIndex) {
   QueryStats stats;
-  auto rows = ar_.QueryHost("host2", 0, 10 * kHour, &stats);
+  auto rows = test::ToRecords(ar_.QueryHost("host2", 0, 10 * kHour, &stats));
   EXPECT_EQ(rows.size(), 10u);
   EXPECT_EQ(stats.segments_scanned, 1u);
   EXPECT_EQ(stats.segments_pruned, 2u);
@@ -158,7 +169,7 @@ TEST_F(PrunedQueryTest, HostPrunesViaHostIndex) {
 }
 
 TEST_F(PrunedQueryTest, RangeIsHalfOpenAndTimeOrdered) {
-  auto rows = ar_.QueryRange(5 * kSecond, kHour + kSecond);
+  auto rows = test::ToRecords(ar_.QueryRange(5 * kSecond, kHour + kSecond));
   // [5 s, 1 h) takes records 5..9 of segment 0, plus second 0 of segment 1.
   ASSERT_EQ(rows.size(), 6u);
   for (std::size_t i = 1; i < rows.size(); ++i) {
@@ -204,7 +215,7 @@ TEST(CompactionTest, TiersKeepAbnormalAndNest) {
   const TimePoint newest = ar.TimeSpan().second;
   const std::size_t removed1 = ar.Compact(newest + 2 * kHour);
   EXPECT_GT(removed1, 0u);
-  auto tier1 = ar.QueryRange(0, 10 * kHour);
+  auto tier1 = test::ToRecords(ar.QueryRange(0, 10 * kHour));
   // Every abnormal record survives; normals thin to roughly 30 %.
   EXPECT_EQ(ar.QueryEvents("BAD", 0, 10 * kHour).size(), 10u);
   const std::size_t tier1_normals = tier1.size() - 10;
@@ -216,7 +227,7 @@ TEST(CompactionTest, TiersKeepAbnormalAndNest) {
 
   // The deeper tier keeps a subset of the shallower one.
   ar.Compact(newest + 48 * kHour);
-  auto tier2 = ar.QueryRange(0, 10 * kHour);
+  auto tier2 = test::ToRecords(ar.QueryRange(0, 10 * kHour));
   EXPECT_EQ(ar.QueryEvents("BAD", 0, 10 * kHour).size(), 10u);
   EXPECT_LT(tier2.size(), tier1.size());
   auto tier1_vals = Vals(tier1);
@@ -340,7 +351,7 @@ TEST(ArchiveConcurrencyTest, ParallelIngestLosesNothing) {
   for (auto& w : workers) w.join();
   EXPECT_EQ(ar.ingested(), static_cast<std::uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(ar.size(), static_cast<std::size_t>(kThreads * kPerThread));
-  auto rows = ar.QueryRange(0, kHour);
+  auto rows = test::ToRecords(ar.QueryRange(0, kHour));
   ASSERT_EQ(rows.size(), static_cast<std::size_t>(kThreads * kPerThread));
   EXPECT_EQ(Vals(rows).size(), rows.size());  // every VAL exactly once
 }
@@ -356,7 +367,7 @@ TEST(ArchiveConcurrencyTest, QueriesDuringIngestNeverDuplicate) {
   std::atomic<std::uint64_t> queries{0};
   std::thread reader([&] {
     while (!done.load()) {
-      auto rows = ar.QueryRange(0, kHour);
+      auto rows = test::ToRecords(ar.QueryRange(0, kHour));
       // A query racing seals may see a prefix of the data, but never a
       // duplicate and never out of order.
       std::set<double> seen;
@@ -439,7 +450,7 @@ TEST(ArchiveConcurrencyTest, QueryRacingSealsSeesEveryEarlierRecordOnce) {
                                                             before + kWriters) -
                                    32);
         QueryStats stats;
-        const auto rows = ar.QueryRange(lo, kEnd, &stats);
+        const auto rows = test::ToRecords(ar.QueryRange(lo, kEnd, &stats));
         check_stats(stats);
         const auto buckets = engine.Loadline(per_record, lo, kEnd, &stats);
         check_stats(stats);
@@ -653,18 +664,17 @@ TEST(ArchiveIntegrationTest, GatewayCrashToClientQueryExactAccounting) {
   EXPECT_EQ(Vals(*remote), delivered);
 }
 
-// One PumpRemote ingests at most the newest ArchiverAgent::kRemoteDrainCap
-// records of its drain; the older rest are counted as dropped, never lost
-// silently.
-TEST(ArchiveIntegrationTest, OneDrainKeepsNewestCapAndCountsTheRest) {
+// One PumpRemote archives its whole drain, however large: nothing is
+// skipped and nothing is counted as dropped.
+TEST(ArchiveIntegrationTest, OneDrainArchivesEveryRecord) {
   SimClock clock;
   transport::InProcNetwork net;
   gateway::EventGateway gw("gw", clock);
   auto listener = net.Listen("gw");
   ASSERT_TRUE(listener.ok());
   gateway::GatewayService service(gw, std::move(*listener));
-  EventArchive archive("cap", 1, SegmentConfig{});
-  consumers::ArchiverAgent archiver("cap", archive);
+  EventArchive archive("whole", 1, SegmentConfig{});
+  consumers::ArchiverAgent archiver("whole", archive);
   ASSERT_TRUE(archiver
                   .AttachRemote(std::make_unique<gateway::GatewayClient>(
                                     [&net] { return net.Dial("gw"); }),
@@ -679,14 +689,11 @@ TEST(ArchiveIntegrationTest, OneDrainKeepsNewestCapAndCountsTheRest) {
   clock.Advance(kSecond);
   service.PollOnce();  // age-flush the partial batch
 
-  EXPECT_EQ(archiver.PumpRemote(), consumers::ArchiverAgent::kRemoteDrainCap);
-  EXPECT_EQ(archiver.remote_dropped(), 476u);
-  EXPECT_EQ(archive.size() + archiver.remote_dropped(),
-            static_cast<std::size_t>(kSent));
-  // The newest records are the ones kept.
+  EXPECT_EQ(archiver.PumpRemote(), static_cast<std::size_t>(kSent));
+  EXPECT_EQ(archiver.remote_dropped(), 0u);
+  EXPECT_EQ(archive.size(), static_cast<std::size_t>(kSent));
   EXPECT_EQ(archive.TimeSpan(),
-            std::make_pair(TimePoint{476 * kSecond},
-                           TimePoint{(kSent - 1) * kSecond}));
+            std::make_pair(TimePoint{0}, TimePoint{(kSent - 1) * kSecond}));
   EXPECT_EQ(archiver.PumpRemote(), 0u);
 }
 

@@ -36,8 +36,9 @@ TEST(ArchiveTest, IngestAndRangeQuery) {
   EXPECT_EQ(ar.size(), 10u);
   auto mid = ar.QueryRange(3 * kSecond, 7 * kSecond);
   ASSERT_EQ(mid.size(), 4u);
-  EXPECT_EQ(*mid.front().GetDouble("VAL"), 3);
-  EXPECT_EQ(*mid.back().GetDouble("VAL"), 6);
+  const ulm::Symbol val = ulm::InternSymbol("VAL");
+  EXPECT_EQ(*mid.View(0).GetDouble(val), 3);
+  EXPECT_EQ(*mid.View(3).GetDouble(val), 6);
   EXPECT_TRUE(netlogger::IsSortedByTime(mid));
 }
 
@@ -146,8 +147,8 @@ TEST_F(CollectorTest, DiscoversViaDirectoryAndMerges) {
   auto merged = collector.Merged();
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_TRUE(netlogger::IsSortedByTime(merged));
-  EXPECT_EQ(merged[0].host(), "hostA");
-  EXPECT_EQ(merged[1].host(), "hostB");
+  EXPECT_EQ(merged.View(0).host(), "hostA");
+  EXPECT_EQ(merged.View(1).host(), "hostB");
 }
 
 TEST_F(CollectorTest, SkipsStoppedSensorsAndStaleGateways) {

@@ -861,7 +861,7 @@ std::string MaskedDigest(const std::vector<ulm::Record>& records) {
     for (const char* key : {"TRACE.ID", "SPAN.ID", "SPAN.PARENT"}) {
       if (rec.HasField(key)) rec.SetField(key, "*");
     }
-    for (unsigned char c : rec.ToAscii() + "\n") {
+    for (unsigned char c : test::Ascii(rec) + "\n") {
       hash ^= c;
       hash *= 1099511628211ull;
     }
@@ -940,7 +940,7 @@ TEST(FederationArchiveDigestTest, ManagerToArchiveThroughTwoTiersIsPinned) {
 
   const auto records = archive.QueryRange(0, clock.Now() + kHour);
   EXPECT_GT(records.size(), 400u);
-  EXPECT_EQ(MaskedDigest(records), "0412aa41589654b4");
+  EXPECT_EQ(MaskedDigest(test::ToRecords(records)), "0412aa41589654b4");
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Tests for the flat ULM core (ISSUE 7): the process-wide symbol table,
-// FlatRecord/RecordView/FlatBatch, and the flat↔wire transcoders'
-// byte-identity with the legacy codecs. The concurrency cases (parallel
-// interning, interleaved Intern/Name readers) run under TSan via
-// scripts/check_tsan.sh.
+// FlatRecord/RecordView/FlatBatch, and the flat codecs' byte-identity
+// with the reference Record codecs (ulm_reference.hpp). The concurrency
+// cases (parallel interning, interleaved Intern/Name readers) run under
+// TSan via scripts/check_tsan.sh.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,12 +11,11 @@
 
 #include "common/rng.hpp"
 #include "common/time_util.hpp"
-#include "ulm/binary.hpp"
 #include "ulm/encoded.hpp"
 #include "ulm/flat.hpp"
 #include "ulm/intern.hpp"
 #include "ulm/record.hpp"
-#include "ulm/xml.hpp"
+#include "ulm_reference.hpp"
 
 namespace jamm::ulm {
 namespace {
@@ -147,14 +146,41 @@ TEST(FlatRecordTest, ClearKeepsCapacityAndAssignRecordReuses) {
   EXPECT_EQ(rec.host(), "");
 }
 
-TEST(FlatRecordTest, FromAsciiMatchesLegacyParser) {
-  const std::string line = SampleRecord().ToAscii();
+TEST(FlatRecordTest, FromAsciiMatchesReferenceParser) {
+  const std::string line = reference::ToAscii(SampleRecord());
   auto flat = FlatRecord::FromAscii(line);
   ASSERT_TRUE(flat.ok());
   EXPECT_EQ(flat->ToRecord(), SampleRecord());
-  // Same grammar: what the legacy parser rejects, the flat parser rejects.
+  // Same grammar: what the reference parser rejects, the flat parser
+  // rejects.
   EXPECT_FALSE(FlatRecord::FromAscii("HOST=h PROG=p LVL=Usage").ok());
   EXPECT_FALSE(FlatRecord::FromAscii("=v").ok());
+}
+
+TEST(FlatRecordTest, FromAsciiKeepsRepeatedUserKeysAndLastRequiredName) {
+  const std::string line =
+      "DATE=20000101000000.0 HOST=a PROG=p LVL=Usage K=1 HOST=b K=\"2 3\"";
+  auto flat = FlatRecord::FromAscii(line);
+  auto want = reference::FromAscii(line);
+  ASSERT_TRUE(flat.ok());
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(flat->host(), "b");
+  EXPECT_EQ(flat->field_count(), 2u);
+  EXPECT_EQ(flat->ToRecord(), *want);
+  EXPECT_EQ(flat->View().ToAscii(),
+            "DATE=20000101000000.000000 HOST=b PROG=p LVL=Usage K=1 "
+            "K=\"2 3\"");
+}
+
+TEST(FlatRecordTest, AssignAsciiReusesTheRecord) {
+  FlatRecord rec;
+  ASSERT_TRUE(rec.AssignAscii(reference::ToAscii(SampleRecord())).ok());
+  EXPECT_EQ(rec.ToRecord(), SampleRecord());
+  EXPECT_FALSE(rec.AssignAscii("DATE=bad HOST=h PROG=p LVL=Usage").ok());
+  ASSERT_TRUE(
+      rec.AssignAscii("DATE=20000101000000.0 HOST=h PROG=p LVL=x").ok());
+  EXPECT_EQ(rec.host(), "h");
+  EXPECT_EQ(rec.field_count(), 0u);  // nothing left over from earlier parses
 }
 
 // ------------------------------------------------------- transcoder parity
@@ -165,29 +191,29 @@ TEST(FlatTranscoderTest, AsciiBinaryXmlAreByteIdentical) {
   legacy.SetField("EMPTY", "");
   const FlatRecord flat = FlatRecord::FromRecord(legacy);
   const RecordView view = flat.View();
-  EXPECT_EQ(view.ToAscii(), legacy.ToAscii());
-  EXPECT_EQ(EncodeBinary(view), EncodeBinary(legacy));
-  EXPECT_EQ(view.ToXml(), ToXml(legacy));
+  EXPECT_EQ(view.ToAscii(), reference::ToAscii(legacy));
+  EXPECT_EQ(EncodeBinary(view), reference::EncodeBinary(legacy));
+  EXPECT_EQ(view.ToXml(), reference::ToXml(legacy));
 }
 
-TEST(FlatTranscoderTest, EmptyEventNameOmittedLikeLegacy) {
+TEST(FlatTranscoderTest, EmptyEventNameOmittedLikeReference) {
   Record legacy(77, "h", "p", "Usage", "");
   legacy.SetField("K", "v");
   const FlatRecord flat = FlatRecord::FromRecord(legacy);
-  EXPECT_EQ(flat.View().ToAscii(), legacy.ToAscii());
-  EXPECT_EQ(EncodeBinary(flat.View()), EncodeBinary(legacy));
-  EXPECT_EQ(flat.View().ToXml(), ToXml(legacy));
+  EXPECT_EQ(flat.View().ToAscii(), reference::ToAscii(legacy));
+  EXPECT_EQ(EncodeBinary(flat.View()), reference::EncodeBinary(legacy));
+  EXPECT_EQ(flat.View().ToXml(), reference::ToXml(legacy));
 }
 
 // ------------------------------------------------------------- EncodedRecord
 
-TEST(FlatTranscoderTest, ViewBackedEncodedRecordMatchesLegacy) {
+TEST(FlatTranscoderTest, ViewBackedEncodedRecordMatchesReference) {
   Record legacy = SampleRecord();
   const FlatRecord flat = FlatRecord::FromRecord(legacy);
   const EncodedRecord enc(flat.View());
-  EXPECT_EQ(enc.Ascii(), legacy.ToAscii());
-  EXPECT_EQ(enc.Binary(), EncodeBinary(legacy));
-  EXPECT_EQ(enc.Xml(), ToXml(legacy));
+  EXPECT_EQ(enc.Ascii(), reference::ToAscii(legacy));
+  EXPECT_EQ(enc.Binary(), reference::EncodeBinary(legacy));
+  EXPECT_EQ(enc.Xml(), reference::ToXml(legacy));
   EXPECT_EQ(enc.view().ToRecord(), legacy);
   EXPECT_EQ(enc.encodes(), 3u);
   EXPECT_EQ(enc.accesses(), 3u);
@@ -213,7 +239,7 @@ TEST(FlatBatchTest, AppendsAndViews) {
   EXPECT_TRUE(batch.empty());
 }
 
-TEST(FlatBatchTest, DecodeBinaryStreamMatchesLegacyDecoder) {
+TEST(FlatBatchTest, DecodeBinaryStreamMatchesReferenceDecoder) {
   std::string data;
   Rng rng(7);
   std::vector<Record> sent;
@@ -223,7 +249,7 @@ TEST(FlatBatchTest, DecodeBinaryStreamMatchesLegacyDecoder) {
                i % 4 ? "EVNT" + std::to_string(i % 3) : "");
     rec.SetField("I", static_cast<std::int64_t>(i));
     if (i % 2) rec.SetField("MSG", "has some spaces " + std::to_string(i));
-    EncodeBinary(rec, data);
+    reference::EncodeBinary(rec, data);
     sent.push_back(std::move(rec));
   }
   FlatBatch batch;
@@ -236,12 +262,35 @@ TEST(FlatBatchTest, DecodeBinaryStreamMatchesLegacyDecoder) {
 
 TEST(FlatBatchTest, CorruptStreamKeepsDecodedPrefix) {
   std::string data;
-  EncodeBinary(SampleRecord(), data);
-  EncodeBinary(SampleRecord(), data);
+  reference::EncodeBinary(SampleRecord(), data);
+  reference::EncodeBinary(SampleRecord(), data);
   data += "garbage that is not a record";
   FlatBatch batch;
   EXPECT_FALSE(batch.DecodeBinaryStreamInto(data).ok());
   EXPECT_EQ(batch.size(), 2u);  // records before the bad frame survive
+}
+
+TEST(FlatBatchTest, SortByTimeIsStableAndKeepsArenasInOrder) {
+  FlatBatch batch;
+  const std::vector<std::pair<TimePoint, std::string>> in = {
+      {30, "C"}, {10, "A1"}, {20, "B"}, {10, "A2"}, {30, "D"}};
+  for (const auto& [ts, name] : in) {
+    FlatRecord rec(ts, "h", "p", "Usage", name);
+    rec.SetField("NAME", name);
+    ASSERT_TRUE(batch.Append(rec.View()));
+  }
+  batch.SortByTime();
+  const std::vector<std::string> want = {"A1", "A2", "B", "C", "D"};
+  ASSERT_EQ(batch.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(batch.View(i).event_name(), want[i]);
+    EXPECT_EQ(*batch.View(i).GetField("NAME"), want[i]);
+  }
+  // Truncate after a sort drops exactly the tail records.
+  batch.Truncate(2);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch.value_bytes(), 4u);  // "A1" + "A2"
+  EXPECT_EQ(*batch.View(1).GetField("NAME"), "A2");
 }
 
 }  // namespace

@@ -15,8 +15,8 @@
 #include "transport/inproc.hpp"
 #include "transport/net_sink.hpp"
 #include "transport/tcp.hpp"
-#include "ulm/binary.hpp"
 #include "record_helpers.hpp"
+#include "ulm_reference.hpp"
 
 namespace jamm::gateway {
 namespace {
@@ -346,7 +346,7 @@ TEST_F(GatewayTest, EncodeOnceSharedAcrossEncodedSubscribers) {
   test::Publish(gw_, ValueEvent(5, "CPU", 42));
   EXPECT_NE(seen, nullptr);
   // The decoded form round-trips: subscribers saw the real record bytes.
-  auto decoded = ulm::DecodeBinaryStream(first_binary);
+  auto decoded = ulm::reference::DecodeBinaryStream(first_binary);
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->size(), 1u);
   EXPECT_EQ((*decoded)[0].event_name(), "CPU");
@@ -417,7 +417,7 @@ TEST_F(GatewayTest, QueryMostRecent) {
   EXPECT_EQ(latest->event_name(), "B");
   auto a = gw_.Query("A");
   ASSERT_TRUE(a.ok());
-  EXPECT_NEAR(*a->GetDouble("VAL"), 10, 1e-9);
+  EXPECT_NEAR(*a->View().GetDouble(ulm::InternSymbol("VAL")), 10, 1e-9);
   auto glob = gw_.Query("VMSTAT_*");
   EXPECT_FALSE(glob.ok());
   test::Publish(gw_, ValueEvent(3, "VMSTAT_SYS_TIME", 33));
@@ -634,7 +634,7 @@ TEST(GatewayServiceTest, BatchedSubscriptionFlushesOnSize) {
   auto frame = client->channel().TryReceive();
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->type, transport::kEventBatchMessageType);
-  auto records = ulm::DecodeBinaryStream(frame->payload);
+  auto records = ulm::reference::DecodeBinaryStream(frame->payload);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 4u);
   for (int i = 0; i < 4; ++i) {
@@ -663,7 +663,7 @@ TEST(GatewayServiceTest, BatchedSubscriptionFlushesOnAge) {
   h.service->PollOnce();  // age reached — partial batch ships
   auto frame = client->channel().TryReceive();
   ASSERT_TRUE(frame.has_value());
-  auto records = ulm::DecodeBinaryStream(frame->payload);
+  auto records = ulm::reference::DecodeBinaryStream(frame->payload);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 2u);
 
@@ -675,7 +675,7 @@ TEST(GatewayServiceTest, BatchedSubscriptionFlushesOnAge) {
   h.service->PollOnce();
   frame = client->channel().TryReceive();
   ASSERT_TRUE(frame.has_value());
-  records = ulm::DecodeBinaryStream(frame->payload);
+  records = ulm::reference::DecodeBinaryStream(frame->payload);
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(records->size(), 1u);
 }
@@ -693,7 +693,7 @@ TEST(GatewayServiceTest, UnsubscribeFlushesPartialBatch) {
   auto frame = client->channel().Receive(kSecond);
   ASSERT_TRUE(frame.ok());
   ASSERT_EQ(frame->type, transport::kEventBatchMessageType);
-  auto records = ulm::DecodeBinaryStream(frame->payload);
+  auto records = ulm::reference::DecodeBinaryStream(frame->payload);
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(records->size(), 1u);
   auto ok = client->channel().Receive(kSecond);
@@ -726,7 +726,7 @@ TEST(GatewayServiceTest, BatchingReducesWireSends) {
   while (auto msg = batched->channel().TryReceive()) {
     EXPECT_EQ(msg->type, transport::kEventBatchMessageType);
     ++batch_frames;
-    auto records = ulm::DecodeBinaryStream(msg->payload);
+    auto records = ulm::reference::DecodeBinaryStream(msg->payload);
     ASSERT_TRUE(records.ok());
     batch_records += static_cast<int>(records->size());
   }

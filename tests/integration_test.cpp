@@ -22,6 +22,7 @@
 #include "sensors/host_sensors.hpp"
 #include "sensors/process_sensor.hpp"
 #include "transport/inproc.hpp"
+#include "record_helpers.hpp"
 
 namespace jamm {
 namespace {
@@ -143,7 +144,7 @@ TEST_F(PipelineTest, DiscoveryCollectionAndMergedLog) {
   ASSERT_GT(merged.size(), 30u);
   EXPECT_TRUE(netlogger::IsSortedByTime(merged));
   bool saw_a = false, saw_b = false;
-  for (const auto& rec : merged) {
+  for (const auto& rec : test::ToRecords(merged)) {
     saw_a = saw_a || rec.host() == "dpss1.lbl.gov";
     saw_b = saw_b || rec.host() == "dpss2.lbl.gov";
   }
@@ -464,11 +465,11 @@ TEST(ClusterScaleTest, TwentyNodeFarmMonitoredThroughOneCollector) {
   EXPECT_TRUE(netlogger::IsSortedByTime(merged));
   // Every node contributed.
   std::set<std::string> hosts;
-  for (const auto& rec : merged) hosts.insert(rec.host());
+  for (const auto& rec : test::ToRecords(merged)) hosts.insert(rec.host());
   EXPECT_EQ(hosts.size(), static_cast<std::size_t>(kNodes));
   // Node 7's crash is visible in the merged stream.
   bool crash_seen = false;
-  for (const auto& rec : merged) {
+  for (const auto& rec : test::ToRecords(merged)) {
     if (rec.event_name() == sensors::event::kProcDiedAbnormal &&
         rec.host() == "node7.farm") {
       crash_seen = true;

@@ -32,8 +32,8 @@ TEST(MatisseTest, CompletesFramesAndEmitsPipelineEvents) {
   const auto& events = rig.app->events();
   auto count = [&](std::string_view name) {
     std::size_t n = 0;
-    for (const auto& rec : events) {
-      if (rec.event_name() == name) ++n;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (events.View(i).event_name() == name) ++n;
     }
     return n;
   };

@@ -11,6 +11,7 @@
 
 #include "archive/nlv.hpp"
 #include "common/rng.hpp"
+#include "ulm/flat.hpp"
 #include "ulm/record.hpp"
 
 namespace jamm::archive {
@@ -22,6 +23,12 @@ ulm::Record MakeEvent(TimePoint ts, const std::string& event,
 }
 
 /// Synthetic client-server path per frame: request → arrive → done.
+ulm::FlatBatch Batch(const std::vector<ulm::Record>& records) {
+  ulm::FlatBatch batch;
+  for (const auto& rec : records) EXPECT_TRUE(batch.Append(rec));
+  return batch;
+}
+
 std::vector<ulm::Record> FramePipeline(int nframes, Duration step) {
   std::vector<ulm::Record> log;
   for (int f = 0; f < nframes; ++f) {
@@ -59,7 +66,7 @@ PointSample Valued(TimePoint ts, double value) {
 // ---------------------------------------------------------- engine views
 
 TEST(NlvTest, LifelinesGroupById) {
-  const OfflineLog log(FramePipeline(5, kSecond));
+  const OfflineLog log(Batch(FramePipeline(5, kSecond)));
   auto lifelines = log.Lifelines({"FRAME.ID"});
   ASSERT_EQ(lifelines.size(), 5u);
   for (const auto& line : lifelines) {
@@ -74,7 +81,7 @@ TEST(NlvTest, LifelinesGroupById) {
 TEST(NlvTest, LifelineIgnoresRecordsWithoutId) {
   auto records = FramePipeline(2, kSecond);
   records.push_back(MakeEvent(99, "NOISE"));
-  const OfflineLog log(std::move(records));
+  const OfflineLog log(Batch(records));
   EXPECT_EQ(log.Lifelines({"FRAME.ID"}).size(), 2u);
 }
 
@@ -94,7 +101,7 @@ TEST(NlvTest, CompositeIdFields) {
   rec.SetField("SET", "s2");
   records.push_back(rec);
   records.push_back(MakeEvent(4, "E", "hostA"));
-  const OfflineLog log(std::move(records));
+  const OfflineLog log(Batch(records));
   auto lifelines = log.Lifelines({"SET", "BLOCK"});
   ASSERT_EQ(lifelines.size(), 3u);
   EXPECT_EQ(lifelines[0].object_id, "s1|7");
@@ -106,7 +113,7 @@ TEST(NlvTest, PointsFilterByName) {
   std::vector<ulm::Record> records = {MakeEvent(1, "TCPD_RETRANSMITS"),
                                       MakeEvent(2, "OTHER"),
                                       MakeEvent(3, "TCPD_RETRANSMITS")};
-  const OfflineLog log(std::move(records));
+  const OfflineLog log(Batch(records));
   auto points = log.Points("TCPD_RETRANSMITS");
   ASSERT_EQ(points.size(), 2u);
   EXPECT_EQ(points[0].ts, 1);
@@ -121,7 +128,7 @@ TEST(NlvTest, PointsCarryParsedValues) {
     rec.SetField("VAL", i == 2 ? std::string("n/a") : std::to_string(i));
     records.push_back(rec);
   }
-  const OfflineLog log(std::move(records));
+  const OfflineLog log(Batch(records));
   auto series = log.Points("VMSTAT_SYS_TIME", "VAL");
   ASSERT_EQ(series.size(), 4u);
   EXPECT_TRUE(series[3].has_value);
@@ -132,7 +139,7 @@ TEST(NlvTest, PointsCarryParsedValues) {
 // ------------------------------------------------------ post-processing
 
 TEST(NlvTest, SegmentLatencyStats) {
-  const OfflineLog log(FramePipeline(100, 100 * kMillisecond));
+  const OfflineLog log(Batch(FramePipeline(100, 100 * kMillisecond)));
   auto lifelines = log.Lifelines({"FRAME.ID"});
   auto stats = SegmentLatency(lifelines, "REQUEST", "ARRIVE");
   EXPECT_EQ(stats.count, 100u);
@@ -223,7 +230,7 @@ TEST(NlvTest, RendersAllPrimitives) {
     load.push_back(Valued(i * kSecond, static_cast<double>(i)));
   }
   nlv.AddLoadlineRow("VMSTAT_SYS_TIME", load);
-  const OfflineLog log(FramePipeline(3, 3 * kSecond));
+  const OfflineLog log(Batch(FramePipeline(3, 3 * kSecond)));
   nlv.AddLifelines({"REQUEST", "ARRIVE", "DONE"}, log.Lifelines({"FRAME.ID"}));
   const std::string out = nlv.Render();
   EXPECT_NE(out.find("TCPD_RETRANSMITS"), std::string::npos);

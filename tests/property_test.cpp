@@ -26,11 +26,10 @@
 #include "transport/inproc.hpp"
 #include "netsim/tcp.hpp"
 #include "ntp/ntp.hpp"
-#include "ulm/binary.hpp"
 #include "ulm/flat.hpp"
 #include "ulm/record.hpp"
-#include "ulm/xml.hpp"
 #include "record_helpers.hpp"
+#include "ulm_reference.hpp"
 
 namespace jamm {
 namespace {
@@ -65,15 +64,43 @@ ulm::Record RandomRecord(Rng& rng, const UlmShape& shape) {
   return rec;
 }
 
+// The flat codecs under test, spelled over Record so the assertions can
+// compare whole records.
+Result<ulm::Record> ParseAscii(std::string_view line) {
+  auto flat = ulm::FlatRecord::FromAscii(line);
+  if (!flat.ok()) return flat.status();
+  return flat->ToRecord();
+}
+
+std::string Binary(const ulm::Record& rec) {
+  return ulm::EncodeBinary(ulm::FlatRecord::FromRecord(rec).View());
+}
+
+Result<std::vector<ulm::Record>> DecodeStream(std::string_view wire) {
+  ulm::FlatBatch batch;
+  JAMM_RETURN_IF_ERROR(batch.DecodeBinaryStreamInto(wire));
+  return test::ToRecords(batch);
+}
+
+Result<ulm::Record> DecodeOne(std::string_view wire) {
+  auto records = DecodeStream(wire);
+  if (!records.ok()) return records.status();
+  if (records->size() != 1) return Status::ParseError("not one record");
+  return records->front();
+}
+
+std::string Xml(const ulm::Record& rec) {
+  return ulm::FlatRecord::FromRecord(rec).View().ToXml();
+}
+
 TEST_P(UlmRoundTrip, AsciiAndBinaryPreserveEverything) {
   Rng rng(0xC0FFEE ^ static_cast<std::uint64_t>(GetParam().field_count));
   for (int trial = 0; trial < 100; ++trial) {
     const ulm::Record rec = RandomRecord(rng, GetParam());
-    auto ascii = ulm::Record::FromAscii(rec.ToAscii());
-    ASSERT_TRUE(ascii.ok()) << rec.ToAscii();
+    auto ascii = ParseAscii(test::Ascii(rec));
+    ASSERT_TRUE(ascii.ok()) << test::Ascii(rec);
     EXPECT_EQ(*ascii, rec);
-    std::size_t offset = 0;
-    auto binary = ulm::DecodeBinary(ulm::EncodeBinary(rec), &offset);
+    auto binary = DecodeOne(Binary(rec));
     ASSERT_TRUE(binary.ok());
     EXPECT_EQ(*binary, rec);
   }
@@ -91,25 +118,22 @@ TEST_P(UlmRoundTrip, CrossCodecRoundTripsAreByteIdentical) {
     const ulm::Record rec = RandomRecord(rng, GetParam());
 
     // ASCII → binary → ASCII, byte-identical.
-    auto from_ascii = ulm::Record::FromAscii(rec.ToAscii());
+    auto from_ascii = ParseAscii(test::Ascii(rec));
     ASSERT_TRUE(from_ascii.ok());
-    std::size_t offset = 0;
-    auto via_binary = ulm::DecodeBinary(ulm::EncodeBinary(*from_ascii),
-                                        &offset);
+    auto via_binary = DecodeOne(Binary(*from_ascii));
     ASSERT_TRUE(via_binary.ok());
-    EXPECT_EQ(via_binary->ToAscii(), rec.ToAscii());
+    EXPECT_EQ(test::Ascii(*via_binary), test::Ascii(rec));
 
     // binary → ASCII → binary, byte-identical.
-    offset = 0;
-    auto from_binary = ulm::DecodeBinary(ulm::EncodeBinary(rec), &offset);
+    auto from_binary = DecodeOne(Binary(rec));
     ASSERT_TRUE(from_binary.ok());
-    auto via_ascii = ulm::Record::FromAscii(from_binary->ToAscii());
+    auto via_ascii = ParseAscii(test::Ascii(*from_binary));
     ASSERT_TRUE(via_ascii.ok());
-    EXPECT_EQ(ulm::EncodeBinary(*via_ascii), ulm::EncodeBinary(rec));
+    EXPECT_EQ(Binary(*via_ascii), Binary(rec));
 
     // The XML projection agrees no matter which codec carried the record.
-    EXPECT_EQ(ulm::ToXml(*via_binary), ulm::ToXml(rec));
-    EXPECT_EQ(ulm::ToXml(*via_ascii), ulm::ToXml(rec));
+    EXPECT_EQ(Xml(*via_binary), Xml(rec));
+    EXPECT_EQ(Xml(*via_ascii), Xml(rec));
 
     // Fine-grained field invariants, so a failure names the culprit.
     EXPECT_EQ(via_binary->timestamp(), rec.timestamp());
@@ -132,59 +156,62 @@ TEST_P(UlmRoundTrip, BatchEncodeDecodeIsIdentity) {
     std::string wire;
     for (int i = 0; i < n; ++i) {
       batch.push_back(RandomRecord(rng, GetParam()));
-      ulm::EncodeBinary(batch.back(), wire);
+      wire += Binary(batch.back());
     }
-    auto decoded = ulm::DecodeBinaryStream(wire);
+    auto decoded = DecodeStream(wire);
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(*decoded, batch);
   }
 }
 
-// ISSUE 7: the flat core's codecs are TRANSCODERS — a RecordView must
-// serialize byte-identically to the equivalent legacy Record in every
-// wire format, whichever way the flat record was built (converted from a
-// Record or parsed from ASCII). This is the invariant that lets flat and
-// legacy components interoperate on the wire indefinitely.
-TEST_P(UlmRoundTrip, FlatTranscodersAreByteIdenticalToLegacy) {
+// The flat codecs must serialize byte-identically to the reference Record
+// codecs (ulm_reference.hpp) in every wire format, whichever way the flat
+// record was built (converted from a Record or parsed from ASCII). This
+// is the invariant that keeps the wire bytes unchanged across the codec
+// rewrite.
+TEST_P(UlmRoundTrip, FlatCodecsAreByteIdenticalToReference) {
   Rng rng(0xBEEF03 ^ static_cast<std::uint64_t>(GetParam().field_count));
   for (int trial = 0; trial < 100; ++trial) {
     const ulm::Record rec = RandomRecord(rng, GetParam());
+    const std::string line = ulm::reference::ToAscii(rec);
 
     // Built by conversion.
     const ulm::FlatRecord flat = ulm::FlatRecord::FromRecord(rec);
     const ulm::RecordView view = flat.View();
-    EXPECT_EQ(view.ToAscii(), rec.ToAscii());
-    EXPECT_EQ(ulm::EncodeBinary(view), ulm::EncodeBinary(rec));
-    EXPECT_EQ(view.ToXml(), ulm::ToXml(rec));
+    EXPECT_EQ(view.ToAscii(), line);
+    EXPECT_EQ(ulm::EncodeBinary(view), ulm::reference::EncodeBinary(rec));
+    EXPECT_EQ(view.ToXml(), ulm::reference::ToXml(rec));
     EXPECT_EQ(view.ToRecord(), rec);
 
     // Built by the flat ASCII parser.
-    auto parsed = ulm::FlatRecord::FromAscii(rec.ToAscii());
-    ASSERT_TRUE(parsed.ok()) << rec.ToAscii();
-    EXPECT_EQ(parsed->View().ToAscii(), rec.ToAscii());
-    EXPECT_EQ(ulm::EncodeBinary(parsed->View()), ulm::EncodeBinary(rec));
+    auto parsed = ulm::FlatRecord::FromAscii(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    EXPECT_EQ(parsed->View().ToAscii(), line);
+    EXPECT_EQ(ulm::EncodeBinary(parsed->View()),
+              ulm::reference::EncodeBinary(rec));
+    EXPECT_EQ(parsed->ToRecord(), *ulm::reference::FromAscii(line));
   }
 }
 
-// The batched flat decoder and the legacy stream decoder must agree on
+// The batched flat decoder and the reference stream decoder must agree on
 // every stream: same records, in order, and re-encoding each decoded view
 // reproduces the wire bytes exactly.
-TEST_P(UlmRoundTrip, FlatBatchDecodeMatchesLegacyStreamDecode) {
+TEST_P(UlmRoundTrip, FlatBatchDecodeMatchesReferenceStreamDecode) {
   Rng rng(0xBEEF04 ^ static_cast<std::uint64_t>(GetParam().field_count));
   for (int trial = 0; trial < 20; ++trial) {
     const int n = static_cast<int>(rng.Uniform(0, 40));
     std::string wire;
     for (int i = 0; i < n; ++i) {
-      ulm::EncodeBinary(RandomRecord(rng, GetParam()), wire);
+      ulm::reference::EncodeBinary(RandomRecord(rng, GetParam()), wire);
     }
-    auto legacy = ulm::DecodeBinaryStream(wire);
-    ASSERT_TRUE(legacy.ok());
+    auto want = ulm::reference::DecodeBinaryStream(wire);
+    ASSERT_TRUE(want.ok());
     ulm::FlatBatch batch;
     ASSERT_TRUE(batch.DecodeBinaryStreamInto(wire).ok());
-    ASSERT_EQ(batch.size(), legacy->size());
+    ASSERT_EQ(batch.size(), want->size());
     std::string reencoded;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(batch.View(i).ToRecord(), (*legacy)[i]);
+      EXPECT_EQ(batch.View(i).ToRecord(), (*want)[i]);
       batch.View(i).EncodeBinary(reencoded);
     }
     EXPECT_EQ(reencoded, wire);
@@ -420,8 +447,12 @@ class ArchiveQueries : public ::testing::TestWithParam<ArchiveShape> {};
 std::vector<std::string> ArchiveAscii(const std::vector<ulm::Record>& rows) {
   std::vector<std::string> out;
   out.reserve(rows.size());
-  for (const auto& rec : rows) out.push_back(rec.ToAscii());
+  for (const auto& rec : rows) out.push_back(test::Ascii(rec));
   return out;
+}
+
+std::vector<std::string> ArchiveAscii(const ulm::FlatBatch& rows) {
+  return ArchiveAscii(test::ToRecords(rows));
 }
 
 // Any query equals a brute-force filter of the full kept-record set: the
@@ -445,11 +476,11 @@ TEST_P(ArchiveQueries, EqualBruteForceFilterOverKeptRecords) {
     rec.SetField("VAL", static_cast<std::int64_t>(i));
     test::Ingest(ar, rec);
   }
-  const auto kept = ar.QueryRange(0, 2000 * kSecond);
+  const auto kept = test::ToRecords(ar.QueryRange(0, 2000 * kSecond));
   EXPECT_EQ(kept.size(), ar.size());
 
   auto expect_filtered =
-      [&](const std::vector<ulm::Record>& got, TimePoint t0, TimePoint t1,
+      [&](const ulm::FlatBatch& got, TimePoint t0, TimePoint t1,
           const std::function<bool(const ulm::Record&)>& pred) {
         std::vector<ulm::Record> want;
         for (const auto& rec : kept) {
@@ -457,7 +488,7 @@ TEST_P(ArchiveQueries, EqualBruteForceFilterOverKeptRecords) {
             want.push_back(rec);
           }
         }
-        EXPECT_EQ(ArchiveAscii(got), ArchiveAscii(want));
+        EXPECT_EQ(ArchiveAscii(test::ToRecords(got)), ArchiveAscii(want));
       };
 
   for (int trial = 0; trial < 40; ++trial) {

@@ -378,7 +378,7 @@ TEST(GatewayClientRegressionTest, ControlTimeoutIsAnAbsoluteDeadline) {
 
   std::atomic<bool> stop{false};
   std::thread feeder([&] {
-    const std::string event = ValueEvent(1, "CPU", 42).ToAscii();
+    const std::string event = test::Ascii(ValueEvent(1, "CPU", 42));
     for (int i = 0; i < 40 && !stop.load(); ++i) {
       (void)server_end->Send({transport::kEventMessageType, event});
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -408,10 +408,10 @@ TEST(GatewayClientRegressionTest, StaleControlReplyDoesNotPoisonStream) {
 
   ASSERT_TRUE(server_end->Send({"gw.ok", "sub-stale"}).ok());
   ASSERT_TRUE(server_end->Send({"gw.query.reply",
-                                ValueEvent(1, "X", 1).ToAscii()}).ok());
+                                test::Ascii(ValueEvent(1, "X", 1))}).ok());
   ASSERT_TRUE(server_end
                   ->Send({transport::kEventMessageType,
-                          ValueEvent(2, "CPU", 42).ToAscii()})
+                          test::Ascii(ValueEvent(2, "CPU", 42))})
                   .ok());
 
   auto event = client.NextEvent(kSecond);
@@ -437,11 +437,11 @@ TEST(GatewayClientRegressionTest, PendingEventBufferIsBounded) {
   for (int i = 1; i <= 10; ++i) {
     ASSERT_TRUE(server_end
                     ->Send({transport::kEventMessageType,
-                            ValueEvent(i, "CPU", i).ToAscii()})
+                            test::Ascii(ValueEvent(i, "CPU", i))})
                     .ok());
   }
   ASSERT_TRUE(server_end->Send({"gw.query.reply",
-                                ValueEvent(99, "Q", 9).ToAscii()}).ok());
+                                test::Ascii(ValueEvent(99, "Q", 9))}).ok());
 
   auto reply = client.Query("Q", kSecond);
   ASSERT_TRUE(reply.ok());
@@ -578,7 +578,7 @@ TEST(ConsumerResilienceTest, CollectorRemoteFeedCollects) {
   EXPECT_EQ(collector.PumpRemote(), 2u);
   auto merged = collector.Merged();
   ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0].event_name(), "A");  // time-merged for nlv
+  EXPECT_EQ(merged.View(0).event_name(), "A");  // time-merged for nlv
 }
 
 TEST(ConsumerResilienceTest, CollectorBatchedRemoteFeedCollects) {

@@ -286,7 +286,8 @@ TEST_F(SensorTest, AppBridgeSinkPath) {
   AppSensorBridge bridge("app", clock_, "h", kSecond);
   (void)bridge.Start();
   auto sink = bridge.sink();
-  ASSERT_TRUE(sink->Write(ulm::Record(1, "h", "p", "Usage", "E")).ok());
+  const ulm::FlatRecord rec(1, "h", "p", "Usage", "E");
+  ASSERT_TRUE(sink->Write(rec.View()).ok());
   auto events = PollOnce(bridge);
   EXPECT_EQ(events.size(), 1u);
 }

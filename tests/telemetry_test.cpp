@@ -18,6 +18,7 @@
 #include "telemetry/http_export.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
+#include "record_helpers.hpp"
 
 namespace jamm::telemetry {
 namespace {
@@ -192,9 +193,9 @@ TEST(TraceTest, ContextRoundTripsThroughUlmAscii) {
   Inject(ctx, rec);
   EXPECT_EQ(Extract(rec.View()), ctx);
 
-  auto parsed = ulm::Record::FromAscii(rec.View().ToAscii());
+  auto parsed = ulm::FlatRecord::FromAscii(rec.View().ToAscii());
   ASSERT_TRUE(parsed.ok());
-  auto extracted = Extract(*parsed);
+  auto extracted = Extract(parsed->View());
   ASSERT_TRUE(extracted.has_value());
   EXPECT_EQ(*extracted, ctx);
 }
@@ -220,9 +221,9 @@ TEST(TraceTest, HopsComeBackInStampOrder) {
   StampHop(rec, "manager", 150);
   StampHop(rec, "gateway", 220);
 
-  auto parsed = ulm::Record::FromAscii(rec.View().ToAscii());
+  auto parsed = ulm::FlatRecord::FromAscii(rec.View().ToAscii());
   ASSERT_TRUE(parsed.ok());
-  auto hops = Hops(*parsed);
+  auto hops = Hops(parsed->ToRecord());
   ASSERT_EQ(hops.size(), 3u);
   EXPECT_EQ(hops[0].name, "SENSOR");
   EXPECT_EQ(hops[0].ts, 100);
@@ -345,7 +346,7 @@ TEST(PipelineTraceTest, EventCarriesAtLeastThreeHopsIntoArchive) {
     clock.Advance(kSecond);
   }
 
-  auto records = archive.QueryRange(0, clock.Now() + kSecond);
+  auto records = test::ToRecords(archive.QueryRange(0, clock.Now() + kSecond));
   ASSERT_FALSE(records.empty());
 
   std::size_t traced = 0;
@@ -355,7 +356,7 @@ TEST(PipelineTraceTest, EventCarriesAtLeastThreeHopsIntoArchive) {
     ++traced;
     EXPECT_TRUE(ctx->valid());
     auto hops = Hops(rec);
-    ASSERT_GE(hops.size(), 3u) << rec.ToAscii();
+    ASSERT_GE(hops.size(), 3u) << test::Ascii(rec);
     EXPECT_EQ(hops[0].name, "SENSOR");
     EXPECT_EQ(hops[1].name, "MANAGER");
     EXPECT_EQ(hops[2].name, "GATEWAY");

@@ -612,7 +612,7 @@ TEST(NetSinkTest, ShipsAsciiRecordsOverChannel) {
   auto rec = DecodeEventMessage(*msg);
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(rec->event_name(), "Ev");
-  EXPECT_EQ(*rec->GetInt("K"), 7);
+  EXPECT_EQ(*rec->View().GetInt(ulm::InternSymbol("K")), 7);
   EXPECT_EQ(rec->timestamp(), 42 * kSecond);
 }
 
@@ -630,6 +630,16 @@ TEST(NetSinkTest, BinaryModeRoundTrips) {
   auto rec = DecodeEventMessage(*msg);
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(rec->event_name(), "Ev");
+  EXPECT_EQ(*rec->View().GetInt(ulm::InternSymbol("K")), 7);
+}
+
+TEST(NetSinkTest, BinaryMessageMustHoldOneRecord) {
+  ulm::FlatRecord rec(1, "h", "p", "Usage", "Ev");
+  Message msg{kBinaryEventMessageType, ulm::EncodeBinary(rec.View())};
+  msg.payload += msg.payload;  // two records
+  EXPECT_EQ(DecodeEventMessage(msg).status().code(), StatusCode::kParseError);
+  msg.payload.clear();  // none
+  EXPECT_EQ(DecodeEventMessage(msg).status().code(), StatusCode::kParseError);
 }
 
 TEST(NetSinkTest, RejectsForeignMessageType) {
@@ -659,7 +669,7 @@ TEST(NetSinkTest, EndToEndOverRealTcp) {
     ASSERT_TRUE(msg.ok());
     auto rec = DecodeEventMessage(*msg);
     ASSERT_TRUE(rec.ok());
-    EXPECT_EQ(*rec->GetInt("SEQ"), i);
+    EXPECT_EQ(*rec->View().GetInt(ulm::InternSymbol("SEQ")), i);
   }
 }
 

@@ -1,14 +1,13 @@
-// Fuzz-style corpus tests for the binary ULM decoder (ISSUE 3 satellite).
-// The gateway's batched event path feeds DecodeBinary/DecodeBinaryStream
-// bytes straight off the wire, so the decoder must treat every input as
-// hostile: truncations, oversized varints, bad magic/version, and random
-// mutations of valid encodings must return errors (or a valid record),
-// never crash, over-read, or fail to terminate.
+// Fuzz-style corpus tests for the binary and ASCII ULM decoders. The
+// wire client parses untrusted bytes with the flat decoders
+// (FlatBatch::DecodeBinaryStreamInto, FlatRecord::FromAscii), so they
+// must treat every input as hostile: truncations, oversized varints, bad
+// magic/version, and random mutations of valid encodings must return
+// errors (or valid records), never crash, over-read, or fail to terminate.
 //
-// The wire client parses untrusted bytes with the flat decoders
-// (FlatBatch::DecodeBinaryStreamInto, FlatRecord::FromAscii), so every
-// corpus also runs through them and must agree with the Record decoders:
-// the same accept/reject verdict and byte-identical records.
+// Every corpus runs through the reference Record codecs too
+// (ulm_reference.hpp), and the flat decoders must agree with them: the
+// same accept/reject verdict and byte-identical records.
 //
 // Deterministic Rng instead of a coverage-guided fuzzer: the toolchain
 // has no libFuzzer baked in, and a seeded corpus of tens of thousands of
@@ -21,9 +20,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "ulm/binary.hpp"
 #include "ulm/flat.hpp"
 #include "ulm/record.hpp"
+#include "ulm_reference.hpp"
 
 namespace jamm::ulm {
 namespace {
@@ -52,19 +51,19 @@ void MustDecodeSafely(const std::string& data) {
   std::size_t offset = 0;
   while (offset < data.size()) {
     const std::size_t before = offset;
-    auto rec = DecodeBinary(data, &offset);
+    auto rec = reference::DecodeBinary(data, &offset);
     if (!rec.ok()) return;  // clean rejection is success
     ASSERT_LE(offset, data.size()) << "decoder over-read";
     ASSERT_GT(offset, before) << "decoder failed to make progress";
   }
 }
 
-/// Flat stream decoder parity with DecodeBinaryStream on the same bytes:
+/// Flat stream decoder parity with the reference stream decoder:
 /// identical accept/reject, and byte-identical records. On rejection the
 /// batch keeps the records decoded before the bad frame (its documented
 /// prefix), which must equal what DecodeBinary yields frame by frame.
 void ExpectFlatStreamParity(const std::string& data) {
-  auto records = DecodeBinaryStream(data);
+  auto records = reference::DecodeBinaryStream(data);
   FlatBatch batch;
   const Status flat = batch.DecodeBinaryStreamInto(data);
   ASSERT_EQ(records.ok(), flat.ok()) << flat.ToString();
@@ -74,34 +73,35 @@ void ExpectFlatStreamParity(const std::string& data) {
   } else {
     std::size_t offset = 0;
     while (offset < data.size()) {
-      auto rec = DecodeBinary(data, &offset);
+      auto rec = reference::DecodeBinary(data, &offset);
       if (!rec.ok()) break;
       expected.push_back(std::move(*rec));
     }
   }
   ASSERT_EQ(batch.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(EncodeBinary(batch.View(i)), EncodeBinary(expected[i]));
-    EXPECT_EQ(batch.View(i).ToAscii(), expected[i].ToAscii());
+    EXPECT_EQ(EncodeBinary(batch.View(i)),
+              reference::EncodeBinary(expected[i]));
+    EXPECT_EQ(batch.View(i).ToAscii(), reference::ToAscii(expected[i]));
   }
 }
 
-/// Flat ASCII parser parity with Record::FromAscii on the same line.
+/// Flat ASCII parser parity with the reference parser on the same line.
 void ExpectFlatAsciiParity(const std::string& line) {
-  auto rec = Record::FromAscii(line);
+  auto rec = reference::FromAscii(line);
   auto flat = FlatRecord::FromAscii(line);
   ASSERT_EQ(rec.ok(), flat.ok()) << line;
   if (!rec.ok()) return;
-  EXPECT_EQ(flat->View().ToAscii(), rec->ToAscii());
-  EXPECT_EQ(EncodeBinary(flat->View()), EncodeBinary(*rec));
+  EXPECT_EQ(flat->View().ToAscii(), reference::ToAscii(*rec));
+  EXPECT_EQ(EncodeBinary(flat->View()), reference::EncodeBinary(*rec));
 }
 
 TEST(UlmFuzzTest, TruncatedAtEveryByteRejectsOrParsesPrefix) {
   Rng rng(0xFEED01);
-  const std::string data = EncodeBinary(CorpusRecord(rng));
+  const std::string data = reference::EncodeBinary(CorpusRecord(rng));
   for (std::size_t cut = 0; cut < data.size(); ++cut) {
     std::size_t offset = 0;
-    auto rec = DecodeBinary(data.substr(0, cut), &offset);
+    auto rec = reference::DecodeBinary(data.substr(0, cut), &offset);
     // A strict prefix can never hold the whole record.
     EXPECT_FALSE(rec.ok()) << "cut=" << cut;
     EXPECT_EQ(offset, 0u) << "failed decode must not move the offset";
@@ -139,7 +139,7 @@ TEST(UlmFuzzTest, OversizedVarintCorpus) {
 
 TEST(UlmFuzzTest, BadMagicAndVersionCorpus) {
   Rng rng(0xFEED02);
-  std::string data = EncodeBinary(CorpusRecord(rng));
+  std::string data = reference::EncodeBinary(CorpusRecord(rng));
   for (int b0 = 0; b0 < 256; ++b0) {
     std::string mutant = data;
     mutant[0] = static_cast<char>(b0);
@@ -162,7 +162,9 @@ TEST(UlmFuzzTest, RandomMutationsOfValidEncodingsNeverCrash) {
     // A small stream of 1–4 valid records...
     std::string data;
     const int nrecs = static_cast<int>(rng.Uniform(1, 4));
-    for (int r = 0; r < nrecs; ++r) EncodeBinary(CorpusRecord(rng), data);
+    for (int r = 0; r < nrecs; ++r) {
+      reference::EncodeBinary(CorpusRecord(rng), data);
+    }
     // ...with 1–8 random byte flips, insertions, or deletions.
     const int edits = static_cast<int>(rng.Uniform(1, 8));
     for (int e = 0; e < edits && !data.empty(); ++e) {
@@ -183,7 +185,7 @@ TEST(UlmFuzzTest, RandomMutationsOfValidEncodingsNeverCrash) {
     }
     MustDecodeSafely(data);
     // The whole-stream API must agree: error or records, never a hang.
-    (void)DecodeBinaryStream(data);
+    (void)reference::DecodeBinaryStream(data);
     ExpectFlatStreamParity(data);
   }
 }
@@ -197,7 +199,7 @@ TEST(UlmFuzzTest, PureGarbageCorpus) {
       data += static_cast<char>(rng.Uniform(0, 255));
     }
     MustDecodeSafely(data);
-    (void)DecodeBinaryStream(data);
+    (void)reference::DecodeBinaryStream(data);
     ExpectFlatStreamParity(data);
     ExpectFlatAsciiParity(data);
   }
@@ -211,7 +213,7 @@ TEST(UlmFuzzTest, AsciiMutationsParseIdenticallyFlatAndRecord) {
     Record rec = CorpusRecord(rng);
     rec.set_timestamp(rng.Uniform(0, 4102444800) * kSecond +
                       rng.Uniform(0, 999999));
-    std::string line = rec.ToAscii();
+    std::string line = reference::ToAscii(rec);
     ExpectFlatAsciiParity(line);
     ExpectFlatAsciiParity(line.substr(
         0, static_cast<std::size_t>(
@@ -262,14 +264,14 @@ TEST(UlmFuzzTest, HostileKeyCorpusNeverRoundTripsBadKeys) {
     // Feed the hostile key through the parsers raw.
     const std::string line =
         "DATE=20000330112320.957943 HOST=h PROG=p LVL=Usage " + key + "=v";
-    auto parsed = Record::FromAscii(line);
+    auto parsed = reference::FromAscii(line);
     if (key.find('\t') != std::string::npos) {
       // Tab is a delimiter: the embedded-tab "key" parses as a pair with
       // no '=' and the whole line is rejected.
       EXPECT_FALSE(parsed.ok()) << "line=" << line;
     }
     if (parsed.ok() && parsed->Validate().ok()) {
-      auto rt = Record::FromAscii(parsed->ToAscii());
+      auto rt = reference::FromAscii(reference::ToAscii(*parsed));
       ASSERT_TRUE(rt.ok()) << "line=" << line;
       EXPECT_EQ(*rt, *parsed);
     }
@@ -298,24 +300,24 @@ TEST(UlmFuzzTest, ExtremeDoubleCorpusRoundTrips) {
   for (double value : corpus) {
     Record rec(0, "h", "p", "Usage", "E");
     rec.SetField("V", value);
-    auto ascii = Record::FromAscii(rec.ToAscii());
+    auto ascii = reference::FromAscii(reference::ToAscii(rec));
     ASSERT_TRUE(ascii.ok()) << value;
     EXPECT_EQ(*ascii->GetDouble("V"), value);
     std::size_t offset = 0;
-    auto bin = DecodeBinary(EncodeBinary(rec), &offset);
+    auto bin = reference::DecodeBinary(reference::EncodeBinary(rec), &offset);
     ASSERT_TRUE(bin.ok()) << value;
     EXPECT_EQ(*bin->GetDouble("V"), value);
     // The flat writer shares the same primitive; byte-identical output.
     FlatRecord flat(0, "h", "p", "Usage", "E");
     flat.SetField("V", value);
-    EXPECT_EQ(flat.View().ToAscii(), rec.ToAscii());
+    EXPECT_EQ(flat.View().ToAscii(), reference::ToAscii(rec));
   }
 }
 
 TEST(UlmFuzzTest, ValidRecordsAlwaysRoundTripThroughEveryCodec) {
   // The Validate ⇒ round-trip property (S5): any record that passes
   // Validate survives ASCII and binary round trips exactly, through the
-  // legacy codecs and the flat transcoders alike.
+  // reference codecs and the flat codecs alike.
   Rng rng(0xFEED07);
   for (int trial = 0; trial < 500; ++trial) {
     Record rec = CorpusRecord(rng);
@@ -325,15 +327,15 @@ TEST(UlmFuzzTest, ValidRecordsAlwaysRoundTripThroughEveryCodec) {
     rec.set_timestamp(rng.Uniform(0, 4102444800) * kSecond +
                       rng.Uniform(0, 999999));
     if (!rec.Validate().ok()) continue;  // values are unrestricted; keys pass
-    auto ascii = Record::FromAscii(rec.ToAscii());
+    auto ascii = reference::FromAscii(reference::ToAscii(rec));
     ASSERT_TRUE(ascii.ok());
     EXPECT_EQ(*ascii, rec);
-    auto flat_ascii = FlatRecord::FromAscii(rec.ToAscii());
+    auto flat_ascii = FlatRecord::FromAscii(reference::ToAscii(rec));
     ASSERT_TRUE(flat_ascii.ok());
     EXPECT_EQ(flat_ascii->ToRecord(), rec);
     const FlatRecord flat = FlatRecord::FromRecord(rec);
-    EXPECT_EQ(flat.View().ToAscii(), rec.ToAscii());
-    EXPECT_EQ(EncodeBinary(flat.View()), EncodeBinary(rec));
+    EXPECT_EQ(flat.View().ToAscii(), reference::ToAscii(rec));
+    EXPECT_EQ(EncodeBinary(flat.View()), reference::EncodeBinary(rec));
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the ULM record format: ASCII parse/serialize round-trips
 // (including the paper's literal example), quoting, binary codec, XML
-// emission, and randomized property sweeps.
+// emission, and randomized property sweeps. The codecs under test are the
+// flat ones (ulm/flat.hpp); the Record field API is tested directly.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,10 +14,9 @@
 #include "common/rng.hpp"
 #include "common/time_util.hpp"
 #include "netlogger/merge.hpp"
-#include "ulm/binary.hpp"
 #include "ulm/flat.hpp"
 #include "ulm/record.hpp"
-#include "ulm/xml.hpp"
+#include "ulm_reference.hpp"
 
 namespace jamm::ulm {
 namespace {
@@ -29,17 +29,47 @@ Record SampleRecord() {
   return rec;
 }
 
+// The flat codecs under test, spelled over Record so the assertions can
+// compare whole records.
+std::string Ascii(const Record& rec) {
+  return FlatRecord::FromRecord(rec).View().ToAscii();
+}
+
+Result<Record> ParseAscii(std::string_view line) {
+  auto flat = FlatRecord::FromAscii(line);
+  if (!flat.ok()) return flat.status();
+  return flat->ToRecord();
+}
+
+std::string Binary(const Record& rec) {
+  return EncodeBinary(FlatRecord::FromRecord(rec).View());
+}
+
+Result<std::vector<Record>> DecodeStream(std::string_view data) {
+  FlatBatch batch;
+  JAMM_RETURN_IF_ERROR(batch.DecodeBinaryStreamInto(data));
+  std::vector<Record> out;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    out.push_back(batch.View(i).ToRecord());
+  }
+  return out;
+}
+
+std::string Xml(const Record& rec) {
+  return FlatRecord::FromRecord(rec).View().ToXml();
+}
+
 // ------------------------------------------------------------------ ASCII
 
 TEST(UlmAsciiTest, SerializesPaperExample) {
   // Paper §4.2 sample event, verbatim.
-  EXPECT_EQ(SampleRecord().ToAscii(),
+  EXPECT_EQ(Ascii(SampleRecord()),
             "DATE=20000330112320.957943 HOST=dpss1.lbl.gov PROG=testProg "
             "LVL=Usage NL.EVNT=WriteData SEND.SZ=49332");
 }
 
 TEST(UlmAsciiTest, ParsesPaperExample) {
-  auto rec = Record::FromAscii(
+  auto rec = ParseAscii(
       "DATE=20000330112320.957943 HOST=dpss1.lbl.gov PROG=testProg "
       "LVL=Usage NL.EVNT=WriteData SEND.SZ=49332");
   ASSERT_TRUE(rec.ok());
@@ -53,7 +83,7 @@ TEST(UlmAsciiTest, ParsesPaperExample) {
 
 TEST(UlmAsciiTest, RoundTripsExactly) {
   Record rec = SampleRecord();
-  auto parsed = Record::FromAscii(rec.ToAscii());
+  auto parsed = ParseAscii(Ascii(rec));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(*parsed, rec);
 }
@@ -62,7 +92,7 @@ TEST(UlmAsciiTest, FieldOrderPreserved) {
   Record rec = SampleRecord();
   rec.SetField("B", "2");
   rec.SetField("A", "1");
-  auto parsed = Record::FromAscii(rec.ToAscii());
+  auto parsed = ParseAscii(Ascii(rec));
   ASSERT_TRUE(parsed.ok());
   ASSERT_EQ(parsed->fields().size(), 3u);
   EXPECT_EQ(parsed->fields()[0].first, "SEND.SZ");
@@ -73,10 +103,10 @@ TEST(UlmAsciiTest, FieldOrderPreserved) {
 TEST(UlmAsciiTest, QuotesValuesWithSpaces) {
   Record rec = SampleRecord();
   rec.SetField("MSG", "server exited with status 1");
-  const std::string line = rec.ToAscii();
+  const std::string line = Ascii(rec);
   EXPECT_NE(line.find("MSG=\"server exited with status 1\""),
             std::string::npos);
-  auto parsed = Record::FromAscii(line);
+  auto parsed = ParseAscii(line);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(*parsed->GetField("MSG"), "server exited with status 1");
 }
@@ -84,7 +114,7 @@ TEST(UlmAsciiTest, QuotesValuesWithSpaces) {
 TEST(UlmAsciiTest, EscapesQuotesBackslashesNewlines) {
   Record rec = SampleRecord();
   rec.SetField("MSG", "a \"quoted\" \\ multi\nline");
-  auto parsed = Record::FromAscii(rec.ToAscii());
+  auto parsed = ParseAscii(Ascii(rec));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(*parsed->GetField("MSG"), "a \"quoted\" \\ multi\nline");
 }
@@ -92,27 +122,27 @@ TEST(UlmAsciiTest, EscapesQuotesBackslashesNewlines) {
 TEST(UlmAsciiTest, EmptyValueQuoted) {
   Record rec = SampleRecord();
   rec.SetField("EMPTY", "");
-  auto parsed = Record::FromAscii(rec.ToAscii());
+  auto parsed = ParseAscii(Ascii(rec));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(*parsed->GetField("EMPTY"), "");
 }
 
 TEST(UlmAsciiTest, MissingRequiredFieldRejected) {
-  EXPECT_FALSE(Record::FromAscii("HOST=h PROG=p LVL=Usage").ok());     // no DATE
+  EXPECT_FALSE(ParseAscii("HOST=h PROG=p LVL=Usage").ok());     // no DATE
   EXPECT_FALSE(
-      Record::FromAscii("DATE=20000101000000.0 PROG=p LVL=Usage").ok());  // no HOST
+      ParseAscii("DATE=20000101000000.0 PROG=p LVL=Usage").ok());  // no HOST
   EXPECT_FALSE(
-      Record::FromAscii("DATE=20000101000000.0 HOST=h LVL=Usage").ok());  // no PROG
+      ParseAscii("DATE=20000101000000.0 HOST=h LVL=Usage").ok());  // no PROG
   EXPECT_FALSE(
-      Record::FromAscii("DATE=20000101000000.0 HOST=h PROG=p").ok());     // no LVL
+      ParseAscii("DATE=20000101000000.0 HOST=h PROG=p").ok());     // no LVL
 }
 
 TEST(UlmAsciiTest, MalformedPairsRejected) {
-  EXPECT_FALSE(Record::FromAscii("DATE").ok());
-  EXPECT_FALSE(Record::FromAscii("DATE=20000101000000.0 HOST=h PROG=p "
+  EXPECT_FALSE(ParseAscii("DATE").ok());
+  EXPECT_FALSE(ParseAscii("DATE=20000101000000.0 HOST=h PROG=p "
                                  "LVL=Usage MSG=\"unterminated")
                    .ok());
-  EXPECT_FALSE(Record::FromAscii("=v").ok());
+  EXPECT_FALSE(ParseAscii("=v").ok());
 }
 
 TEST(UlmAsciiTest, SetFieldOverwrites) {
@@ -156,7 +186,7 @@ TEST(UlmAsciiTest, HugeDoubleValuesSerializeInFull) {
   EXPECT_DOUBLE_EQ(*rec.GetDouble("BIG"), 1e300);
   EXPECT_DOUBLE_EQ(*rec.GetDouble("NEG"), -1e300);
   EXPECT_DOUBLE_EQ(*rec.GetDouble("MAX"), std::numeric_limits<double>::max());
-  auto parsed = Record::FromAscii(rec.ToAscii());
+  auto parsed = ParseAscii(Ascii(rec));
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(*parsed, rec);
 }
@@ -177,11 +207,11 @@ TEST(UlmAsciiTest, TabDelimitsKeysExactlyLikeSpace) {
   // Companion to the S2 fix: the key scan now stops at '\t' as the value
   // scan always did, so a tab-truncated key is a parse error instead of
   // silently becoming a field name Validate would reject.
-  EXPECT_FALSE(Record::FromAscii("DATE=20000101000000.0 HOST=h PROG=p "
+  EXPECT_FALSE(ParseAscii("DATE=20000101000000.0 HOST=h PROG=p "
                                  "LVL=Usage A\tB=v")
                    .ok());
   // Tabs between pairs are ordinary separators.
-  auto rec = Record::FromAscii(
+  auto rec = ParseAscii(
       "DATE=20000101000000.0\tHOST=h\tPROG=p\tLVL=Usage\tK=v");
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(*rec->GetField("K"), "v");
@@ -212,27 +242,46 @@ TEST(UlmAsciiTest, ValidateCatchesBadRecords) {
 }
 
 TEST(UlmAsciiTest, ParseLogSkipsBlanksCollectsError) {
-  Status error;
-  auto records = ParseLog(
+  FlatBatch records;
+  const Status error = ParseLog(
       "DATE=20000101000000.0 HOST=h PROG=p LVL=Usage NL.EVNT=A\n"
       "\n"
       "garbage line\n"
       "DATE=20000101000001.0 HOST=h PROG=p LVL=Usage NL.EVNT=B\n",
-      &error);
+      records);
   EXPECT_EQ(records.size(), 2u);
   EXPECT_FALSE(error.ok());
+}
+
+TEST(UlmAsciiTest, ParseLogMatchesTheReference) {
+  // Same records and same first error as the reference whole-log parser,
+  // over a log mixing good lines, blank lines and several bad ones.
+  const std::string log =
+      "DATE=20000101000000.0 HOST=h PROG=p LVL=Usage NL.EVNT=A K=\"x y\"\n"
+      " \t \n"
+      "HOST=h PROG=p LVL=Usage\n"
+      "DATE=20000101000001.0 HOST=h PROG=p LVL=Usage K=1 K=2\n"
+      "DATE=20000101000002.0 HOST=h PROG=p LVL=Usage MSG=\"open\n"
+      "\tDATE=20000101000003.0 HOST=h2 PROG=p LVL=Error NL.EVNT=B\r\n";
+  Status want_error;
+  const auto want = reference::ParseLog(log, &want_error);
+  FlatBatch got;
+  const Status error = ParseLog(log, got);
+  EXPECT_EQ(error.ToString(), want_error.ToString());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.View(i).ToAscii(), reference::ToAscii(want[i]));
+  }
 }
 
 // ----------------------------------------------------------------- binary
 
 TEST(UlmBinaryTest, RoundTripsSample) {
   Record rec = SampleRecord();
-  std::string data = EncodeBinary(rec);
-  std::size_t offset = 0;
-  auto decoded = DecodeBinary(data, &offset);
+  auto decoded = DecodeStream(Binary(rec));
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(offset, data.size());
-  EXPECT_EQ(*decoded, rec);
+  ASSERT_EQ(decoded->size(), 1u);
+  EXPECT_EQ(decoded->front(), rec);
 }
 
 TEST(UlmBinaryTest, StreamsConcatenate) {
@@ -241,9 +290,9 @@ TEST(UlmBinaryTest, StreamsConcatenate) {
     Record rec = SampleRecord();
     rec.set_timestamp(rec.timestamp() + i);
     rec.SetField("SEQ", static_cast<std::int64_t>(i));
-    EncodeBinary(rec, data);
+    data += Binary(rec);
   }
-  auto decoded = DecodeBinaryStream(data);
+  auto decoded = DecodeStream(data);
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->size(), 10u);
   for (int i = 0; i < 10; ++i) {
@@ -252,23 +301,22 @@ TEST(UlmBinaryTest, StreamsConcatenate) {
 }
 
 TEST(UlmBinaryTest, RejectsCorruption) {
-  std::string data = EncodeBinary(SampleRecord());
-  std::size_t offset = 0;
+  std::string data = Binary(SampleRecord());
   std::string bad_magic = data;
   bad_magic[0] = 'Z';
-  EXPECT_FALSE(DecodeBinary(bad_magic, &offset).ok());
+  EXPECT_FALSE(DecodeStream(bad_magic).ok());
 
-  offset = 0;
   std::string bad_version = data;
   bad_version[2] = 99;
-  EXPECT_FALSE(DecodeBinary(bad_version, &offset).ok());
+  EXPECT_FALSE(DecodeStream(bad_version).ok());
 
-  offset = 0;
   std::string truncated = data.substr(0, data.size() / 2);
-  EXPECT_FALSE(DecodeBinary(truncated, &offset).ok());
+  EXPECT_FALSE(DecodeStream(truncated).ok());
 
-  offset = 0;
-  EXPECT_FALSE(DecodeBinary("", &offset).ok());
+  // An empty stream holds no records; it is not an error.
+  auto empty = DecodeStream("");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
 }
 
 // ISSUE 3 satellite: the length check used to be `i + len > data.size()`,
@@ -303,8 +351,7 @@ TEST(UlmBinaryTest, HostileVarintLengthNearSizeMaxRejected) {
   std::string data = HostileRecordHeader();
   PutHostileVarint(data, ~std::uint64_t{0});  // key length 2^64 - 1
   data += "HOST";                             // residue, far short of len
-  std::size_t offset = 0;
-  auto decoded = DecodeBinary(data, &offset);
+  auto decoded = DecodeStream(data);
   EXPECT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
 }
@@ -312,24 +359,26 @@ TEST(UlmBinaryTest, HostileVarintLengthNearSizeMaxRejected) {
 TEST(UlmBinaryTest, WrappingLengthCannotRewindStreamDecode) {
   // A valid record followed by a field whose length is exactly
   // 2^64 - (offset after the varint): with the wrapping comparison the
-  // offset would land back on byte 0 and DecodeBinaryStream would decode
+  // offset would land back on byte 0 and the stream decode would decode
   // the leading record forever.
-  std::string data = EncodeBinary(SampleRecord());
+  std::string data = Binary(SampleRecord());
   data += HostileRecordHeader();
   // The wrap-to-zero length is 10 varint bytes long; aim past them.
   const std::uint64_t len =
       ~static_cast<std::uint64_t>(data.size() + 10) + 1;  // -(i) mod 2^64
   PutHostileVarint(data, len);
   data += "residue bytes";
-  auto decoded = DecodeBinaryStream(data);
+  auto decoded = DecodeStream(data);
   EXPECT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
 }
 
 TEST(UlmBinaryTest, HugeCallerOffsetRejected) {
-  std::string data = EncodeBinary(SampleRecord());
+  // The caller-offset decoder is the reference's; the fuzz corpora rely
+  // on it rejecting a wrapping offset rather than reading past the end.
+  std::string data = Binary(SampleRecord());
   std::size_t offset = ~std::size_t{0} - 4;  // would wrap `offset + 11`
-  EXPECT_FALSE(DecodeBinary(data, &offset).ok());
+  EXPECT_FALSE(reference::DecodeBinary(data, &offset).ok());
 }
 
 TEST(UlmBinaryTest, BinarySmallerThanAsciiForNumericHeavyRecords) {
@@ -337,7 +386,7 @@ TEST(UlmBinaryTest, BinarySmallerThanAsciiForNumericHeavyRecords) {
   for (int i = 0; i < 20; ++i) {
     rec.SetField("F" + std::to_string(i), static_cast<std::int64_t>(i * 1000));
   }
-  EXPECT_LT(EncodeBinary(rec).size(), rec.ToAscii().size());
+  EXPECT_LT(Binary(rec).size(), Ascii(rec).size());
 }
 
 TEST(UlmBinaryTest, PropertyRandomRecordsRoundTrip) {
@@ -356,23 +405,26 @@ TEST(UlmBinaryTest, PropertyRandomRecordsRoundTrip) {
       }
       rec.SetField("F" + std::to_string(f), std::string_view(value));
     }
-    // Binary round-trip.
-    std::string data = EncodeBinary(rec);
-    std::size_t offset = 0;
-    auto bin = DecodeBinary(data, &offset);
+    // Binary round-trip, byte-identical to the reference encoder.
+    std::string data = Binary(rec);
+    EXPECT_EQ(data, reference::EncodeBinary(rec));
+    auto bin = DecodeStream(data);
     ASSERT_TRUE(bin.ok());
-    EXPECT_EQ(*bin, rec);
-    // ASCII round-trip.
-    auto asc = Record::FromAscii(rec.ToAscii());
-    ASSERT_TRUE(asc.ok()) << rec.ToAscii();
+    ASSERT_EQ(bin->size(), 1u);
+    EXPECT_EQ(bin->front(), rec);
+    // ASCII round-trip, byte-identical to the reference writer.
+    EXPECT_EQ(Ascii(rec), reference::ToAscii(rec));
+    auto asc = ParseAscii(Ascii(rec));
+    ASSERT_TRUE(asc.ok()) << Ascii(rec);
     EXPECT_EQ(*asc, rec);
+    EXPECT_EQ(Xml(rec), reference::ToXml(rec));
   }
 }
 
 // -------------------------------------------------------------------- XML
 
 TEST(UlmXmlTest, EmitsEventElement) {
-  const std::string xml = ToXml(SampleRecord());
+  const std::string xml = Xml(SampleRecord());
   EXPECT_NE(xml.find("<event date=\"20000330112320.957943\""),
             std::string::npos);
   EXPECT_NE(xml.find("host=\"dpss1.lbl.gov\""), std::string::npos);
@@ -383,29 +435,16 @@ TEST(UlmXmlTest, EmitsEventElement) {
 
 TEST(UlmXmlTest, SelfClosesWithoutFields) {
   Record rec(0, "h", "p", "Usage", "E");
-  EXPECT_NE(ToXml(rec).find("/>"), std::string::npos);
+  EXPECT_NE(Xml(rec).find("/>"), std::string::npos);
 }
 
 TEST(UlmXmlTest, EscapesSpecials) {
   Record rec(0, "h", "p", "Usage", "E");
   rec.SetField("MSG", "a<b&c>\"d'");
-  const std::string xml = ToXml(rec);
+  const std::string xml = Xml(rec);
   EXPECT_NE(xml.find("a&lt;b&amp;c&gt;&quot;d&apos;"), std::string::npos);
   EXPECT_EQ(xml.find("a<b"), std::string::npos);
 }
-
-TEST(UlmXmlTest, DocumentWrapsAll) {
-  std::vector<Record> records = {SampleRecord(), SampleRecord()};
-  const std::string doc = ToXmlDocument(records);
-  EXPECT_NE(doc.find("<?xml version=\"1.0\"?>"), std::string::npos);
-  std::size_t count = 0, pos = 0;
-  while ((pos = doc.find("<event ", pos)) != std::string::npos) {
-    ++count;
-    pos += 7;
-  }
-  EXPECT_EQ(count, 2u);
-}
-
 
 // ------------------------------------------------------------ golden bytes
 //
