@@ -34,7 +34,7 @@ build_dir="${1:-$repo_root/build}"
 tolerance="${TOLERANCE:-0.35}"
 
 cmake -B "$build_dir" -S "$repo_root"
-cmake --build "$build_dir" -j --target bench_pipeline_throughput bench_liveness bench_archive bench_federation bench_nlv_primitives bench_directory bench_security bench_telemetry_overhead
+cmake --build "$build_dir" -j "$(nproc)" --target bench_pipeline_throughput bench_liveness bench_archive bench_federation bench_nlv_primitives bench_directory bench_security bench_telemetry_overhead
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

@@ -19,7 +19,7 @@ export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 
 cmake -B "$build_dir" -S "$repo_root" -DJAMM_SANITIZE=address
-cmake --build "$build_dir" -j
+cmake --build "$build_dir" -j "$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure
 
 echo "asan+ubsan: all tests clean"

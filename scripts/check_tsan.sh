@@ -29,7 +29,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build-tsan}"
 
 cmake -B "$build_dir" -S "$repo_root" -DJAMM_SANITIZE=thread
-cmake --build "$build_dir" -j --target telemetry_test gateway_test resilience_test chaos_test archive_test analysis_property_test nlv_test federation_test directory_test flat_test ulm_test ulm_fuzz_test transport_test security_test security_fuzz_test
+cmake --build "$build_dir" -j "$(nproc)" --target telemetry_test gateway_test resilience_test chaos_test archive_test analysis_property_test nlv_test federation_test directory_test flat_test ulm_test ulm_fuzz_test transport_test security_test security_fuzz_test
 ctest --test-dir "$build_dir" -L 'concurrency|resilience|chaos|archive|analysis|federation|directory|ulm|security' --output-on-failure
 
 echo "tsan: concurrency/resilience/chaos/archive/analysis/federation/directory/ulm/security-labelled tests clean"

@@ -315,6 +315,16 @@ std::size_t EventArchive::StorageBytes() const {
   return total;
 }
 
+std::size_t EventArchive::IndexBytes() const {
+  // Active segments are never compressed, so only the sealed ones count.
+  std::lock_guard lock(shared_->mu);
+  std::size_t total = 0;
+  for (const auto& segment : shared_->sealed) {
+    total += segment->block_index().MemoryBytes();
+  }
+  return total;
+}
+
 // ---------------------------------------------------------------- queries
 
 void EventArchive::NoteQueryStats(const QueryStats& stats,

@@ -163,6 +163,9 @@ class EventArchive {
   /// Total resting bytes across all segments (Segment::StorageBytes) —
   /// the numerator/denominator of the compression-ratio bench gate.
   std::size_t StorageBytes() const;
+  /// Resident bytes of the compressed segments' block indexes
+  /// (BlockIndex::MemoryBytes), held beside StorageBytes.
+  std::size_t IndexBytes() const;
 
   // -------------------------------------------------------------- queries
   //

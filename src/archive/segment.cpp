@@ -70,6 +70,10 @@ std::int64_t UnZigZag(std::uint64_t v) {
 /// counts are sanity-capped against this before any allocation.
 constexpr std::uint64_t kMinCompressedRecordBytes = 6;
 
+Status Corrupt(const char* what) {
+  return Status::ParseError(std::string("compressed segment: ") + what);
+}
+
 }  // namespace
 
 std::uint32_t Crc32(std::string_view data) {
@@ -132,37 +136,43 @@ void Segment::AppendFlatFrame(ulm::FlatBatch&& batch) {
   tail_open_ = false;
 }
 
-std::string CompressPayload(const Segment& segment) {
+std::string CompressPayload(const Segment& segment, BlockIndex* index) {
   using ulm::detail::PutVarint;
   // Dictionary of every distinct symbol the segment uses, in first-use
   // order. Symbols are already interned process-wide, so dictionary
   // assignment is one hash-map probe on a 4-byte id per use — never a
   // string hash. The blob stores the NAMES, so it is self-contained and
   // stable across processes with different symbol numbering.
-  std::unordered_map<ulm::Symbol, std::uint32_t> index;
+  std::unordered_map<ulm::Symbol, std::uint32_t> ids;
   std::vector<ulm::Symbol> dict;
   auto dict_id = [&](ulm::Symbol sym) {
-    auto [it, fresh] = index.try_emplace(
-        sym, static_cast<std::uint32_t>(dict.size()));
+    auto [it, fresh] =
+        ids.try_emplace(sym, static_cast<std::uint32_t>(dict.size()));
     if (fresh) dict.push_back(sym);
     return it->second;
   };
 
-  // One pass assigns the dictionary and encodes the record bodies; the
-  // dictionary section is prepended afterwards.
+  // One pass assigns the dictionary, encodes the record bodies, and
+  // builds the block index (offsets relative to the body until the
+  // dictionary section is prepended afterwards).
   // Timestamps are zigzag deltas from the previous record; the first
   // record's delta is from 0 (i.e. absolute), which keeps the blob
   // self-contained — DecompressPayload needs no header context.
+  BlockIndex built;
+  built.Reserve(segment.size());
   std::string body;
   TimePoint prev_ts = 0;
+  std::uint64_t record = 0;
   segment.ForEachView(ScanFilter{}, [&](const ulm::RecordView& view) {
+    const std::uint32_t host = dict_id(view.host_sym());
+    built.Add(record++, body.size(), prev_ts, view.timestamp(), host);
     // Delta in unsigned space: wraps instead of overflowing for extreme
     // timestamp pairs, and the decoder's matching unsigned add undoes it.
     PutVarint(body, ZigZag(static_cast<std::int64_t>(
                         static_cast<std::uint64_t>(view.timestamp()) -
                         static_cast<std::uint64_t>(prev_ts))));
     prev_ts = view.timestamp();
-    PutVarint(body, dict_id(view.host_sym()));
+    PutVarint(body, host);
     PutVarint(body, dict_id(view.prog_sym()));
     PutVarint(body, dict_id(view.lvl_sym()));
     PutVarint(body, dict_id(view.event_sym()));
@@ -183,101 +193,178 @@ std::string CompressPayload(const Segment& segment) {
     PutVarint(blob, name.size());
     blob += name;
   }
+  if (index) {
+    for (auto& block : built.blocks) block.offset += blob.size();
+    dict.shrink_to_fit();
+    built.dict = std::move(dict);
+    *index = std::move(built);
+  }
   blob += body;
   return blob;
 }
 
-Result<std::uint64_t> DecompressPayload(std::string_view blob,
-                                        ulm::FlatBatch& out,
-                                        const ScanFilter& filter) {
-  using ulm::detail::GetVarint;
-  auto corrupt = [](const char* what) {
-    return Status::ParseError(std::string("compressed segment: ") + what);
-  };
-  std::size_t i = 0;
-  std::uint64_t record_count = 0, dict_n = 0;
-  if (!GetVarint(blob, i, record_count)) return corrupt("short record count");
-  if (!GetVarint(blob, i, dict_n)) return corrupt("short dictionary count");
-  // Every dictionary entry costs at least its 1-byte length prefix, so a
-  // count beyond the remaining bytes is garbage — reject before reserving.
-  if (dict_n > blob.size() - i) return corrupt("oversized dictionary");
-  // Each entry carries the filter's verdict as a host and as an event
-  // name, so the per-record test is two loads, never a glob.
-  struct Entry {
-    ulm::Symbol sym;
-    bool host_passes;
-    bool event_passes;
-  };
-  std::vector<Entry> dict;
-  dict.reserve(static_cast<std::size_t>(dict_n));
-  for (std::uint64_t d = 0; d < dict_n; ++d) {
-    std::uint64_t len = 0;
-    if (!GetVarint(blob, i, len)) return corrupt("short dictionary entry");
-    if (len > blob.size() - i) return corrupt("dictionary entry overruns");
-    const ulm::Symbol sym = ulm::InternSymbol(blob.substr(i, len));
-    dict.push_back({sym, filter.PassesHost(sym), filter.PassesEvent(sym)});
-    i += len;
-  }
-  if (record_count > (blob.size() - i) / kMinCompressedRecordBytes) {
-    return corrupt("record count exceeds payload");
+namespace {
+
+/// A ScanFilter resolved against one blob dictionary. Time and host are
+/// compares; an event glob is matched the first time the scan meets a
+/// dictionary entry as an event name, and the verdict cached.
+class DictMatcher {
+ public:
+  DictMatcher(const ScanFilter& filter, std::size_t dict_n) : filter_(filter) {
+    if (!filter.event_glob.empty()) verdicts_.assign(dict_n, kUnknown);
   }
 
-  // Reads one dictionary index; every index of every record is checked,
-  // kept or not, so the filter never changes which blobs are rejected.
-  auto entry = [&](const Entry** e) {
-    std::uint64_t idx = 0;
-    if (!GetVarint(blob, i, idx) || idx >= dict.size()) return false;
-    *e = &dict[static_cast<std::size_t>(idx)];
-    return true;
+  bool Passes(TimePoint ts, ulm::Symbol host, std::size_t event,
+              ulm::Symbol event_sym) {
+    if (!filter_.PassesTime(ts) || !filter_.PassesHost(host)) return false;
+    if (verdicts_.empty()) return true;
+    std::uint8_t& verdict = verdicts_[event];
+    if (verdict == kUnknown) {
+      verdict = filter_.PassesEvent(event_sym) ? kPass : kFail;
+    }
+    return verdict == kPass;
+  }
+
+ private:
+  static constexpr std::uint8_t kUnknown = 0, kPass = 1, kFail = 2;
+  const ScanFilter& filter_;
+  std::vector<std::uint8_t> verdicts_;
+};
+
+/// The one compressed-record decoder: walks `count` records of `blob`
+/// from byte `i`, whose first timestamp delta is from `prev_ts`. Every
+/// dictionary index is checked against `dict` and every length against
+/// the blob, kept or not, so the filter never changes which blobs are
+/// rejected. Records `match` passes are appended to `out`; `index`, when
+/// given, is fed every record (a walk from the blob's first record).
+/// Advances `i` past the records walked.
+Status DecodeRecords(std::string_view blob, std::size_t& i, TimePoint prev_ts,
+                     std::uint64_t count, const std::vector<ulm::Symbol>& dict,
+                     DictMatcher& match, ulm::FlatBatch& out,
+                     BlockIndex* index) {
+  using ulm::detail::GetVarint;
+  auto entry = [&](std::uint64_t* idx) {
+    return GetVarint(blob, i, *idx) && *idx < dict.size();
   };
   ulm::FlatRecord scratch;
-  std::int64_t prev_ts = 0;  // mirrors the encoder: first delta is absolute
-  for (std::uint64_t r = 0; r < record_count; ++r) {
+  for (std::uint64_t r = 0; r < count; ++r) {
+    const std::size_t start = i;
+    const TimePoint base_ts = prev_ts;
     std::uint64_t delta = 0;
-    if (!GetVarint(blob, i, delta)) return corrupt("short timestamp delta");
+    if (!GetVarint(blob, i, delta)) return Corrupt("short timestamp delta");
     prev_ts = static_cast<std::int64_t>(static_cast<std::uint64_t>(prev_ts) +
                                         static_cast<std::uint64_t>(
                                             UnZigZag(delta)));
-    const Entry *host = nullptr, *prog = nullptr, *lvl = nullptr,
-                *event = nullptr;
-    if (!entry(&host)) return corrupt("bad host index");
-    if (!entry(&prog)) return corrupt("bad prog index");
-    if (!entry(&lvl)) return corrupt("bad lvl index");
-    if (!entry(&event)) return corrupt("bad event index");
+    std::uint64_t host = 0, prog = 0, lvl = 0, event = 0;
+    if (!entry(&host)) return Corrupt("bad host index");
+    if (!entry(&prog)) return Corrupt("bad prog index");
+    if (!entry(&lvl)) return Corrupt("bad lvl index");
+    if (!entry(&event)) return Corrupt("bad event index");
     std::uint64_t nfields = 0;
-    if (!GetVarint(blob, i, nfields)) return corrupt("short field count");
+    if (!GetVarint(blob, i, nfields)) return Corrupt("short field count");
     // A field is at least a key index, a length, and no bytes.
-    if (nfields > (blob.size() - i) / 2) return corrupt("oversized fields");
-    const bool keep = filter.PassesTime(prev_ts) && host->host_passes &&
-                      event->event_passes;
+    if (nfields > (blob.size() - i) / 2) return Corrupt("oversized fields");
+    const bool keep = match.Passes(prev_ts, dict[host], event, dict[event]);
     if (keep) {
       scratch.Clear();
       scratch.set_timestamp(prev_ts);
-      scratch.set_host_sym(host->sym);
-      scratch.set_prog_sym(prog->sym);
-      scratch.set_lvl_sym(lvl->sym);
-      scratch.set_event_sym(event->sym);
+      scratch.set_host_sym(dict[host]);
+      scratch.set_prog_sym(dict[prog]);
+      scratch.set_lvl_sym(dict[lvl]);
+      scratch.set_event_sym(dict[event]);
     }
     for (std::uint64_t f = 0; f < nfields; ++f) {
-      const Entry* key = nullptr;
-      if (!entry(&key)) return corrupt("bad field key index");
+      std::uint64_t key = 0;
+      if (!entry(&key)) return Corrupt("bad field key index");
       std::uint64_t len = 0;
-      if (!GetVarint(blob, i, len)) return corrupt("short field value");
-      if (len > blob.size() - i) return corrupt("field value overruns");
-      if (keep) scratch.AddFieldUnchecked(key->sym, blob.substr(i, len));
+      if (!GetVarint(blob, i, len)) return Corrupt("short field value");
+      if (len > blob.size() - i) return Corrupt("field value overruns");
+      if (keep) scratch.AddFieldUnchecked(dict[key], blob.substr(i, len));
       i += len;
     }
     if (keep && !out.Append(scratch.View())) {
-      return corrupt("batch arena overflow");
+      return Corrupt("batch arena overflow");
+    }
+    if (index) index->Add(r, start, base_ts, prev_ts, host);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<std::uint64_t> DecompressPayload(std::string_view blob,
+                                        ulm::FlatBatch& out,
+                                        const ScanFilter& filter,
+                                        BlockIndex* index) {
+  using ulm::detail::GetVarint;
+  std::size_t i = 0;
+  std::uint64_t record_count = 0, dict_n = 0;
+  if (!GetVarint(blob, i, record_count)) return Corrupt("short record count");
+  if (!GetVarint(blob, i, dict_n)) return Corrupt("short dictionary count");
+  // Every dictionary entry costs at least its 1-byte length prefix, so a
+  // count beyond the remaining bytes is garbage — reject before reserving.
+  if (dict_n > blob.size() - i) return Corrupt("oversized dictionary");
+  std::vector<ulm::Symbol> dict;
+  dict.reserve(static_cast<std::size_t>(dict_n));
+  for (std::uint64_t d = 0; d < dict_n; ++d) {
+    std::uint64_t len = 0;
+    if (!GetVarint(blob, i, len)) return Corrupt("short dictionary entry");
+    if (len > blob.size() - i) return Corrupt("dictionary entry overruns");
+    dict.push_back(ulm::InternSymbol(blob.substr(i, len)));
+    i += len;
+  }
+  if (record_count > (blob.size() - i) / kMinCompressedRecordBytes) {
+    return Corrupt("record count exceeds payload");
+  }
+  if (index) {
+    *index = {};
+    index->Reserve(record_count);
+  }
+  DictMatcher match(filter, dict.size());
+  // Mirrors the encoder: the first delta is absolute.
+  JAMM_RETURN_IF_ERROR(
+      DecodeRecords(blob, i, 0, record_count, dict, match, out, index));
+  if (i != blob.size()) return Corrupt("trailing bytes after records");
+  if (index) index->dict = std::move(dict);
+  return record_count;
+}
+
+void Segment::ScanBlocks(const ScanFilter& filter, ulm::FlatBatch& out) const {
+  const BlockIndex& index = block_index_;
+  // The mask bits of every dictionary entry naming the filter's host; a
+  // host absent from the dictionary leaves none set and every block
+  // skipped.
+  BlockIndex::HostMask host_bits;
+  host_bits.fill(~std::uint64_t{0});
+  if (filter.host) {
+    host_bits.fill(0);
+    for (std::size_t d = 0; d < index.dict.size(); ++d) {
+      if (index.dict[d] == *filter.host) BlockIndex::SetHostBit(host_bits, d);
     }
   }
-  if (i != blob.size()) return corrupt("trailing bytes after records");
-  return record_count;
+  DictMatcher match(filter, index.dict.size());
+  for (std::size_t b = 0; b < index.blocks.size(); ++b) {
+    const BlockIndex::Block& block = index.blocks[b];
+    std::uint64_t admitted = 0;
+    for (std::size_t w = 0; w < host_bits.size(); ++w) {
+      admitted |= block.host_mask[w] & host_bits[w];
+    }
+    if (admitted == 0) continue;
+    if (filter.windowed &&
+        (block.max_ts < filter.t0 || block.min_ts >= filter.t1)) {
+      continue;
+    }
+    const std::size_t first = b * BlockIndex::kBlockRecords;
+    std::size_t i = static_cast<std::size_t>(block.offset);
+    (void)DecodeRecords(compressed, i, block.base_ts,
+                        std::min(BlockIndex::kBlockRecords, size() - first),
+                        index.dict, match, out, nullptr);
+  }
 }
 
 void Segment::Compress() {
   if (!compressed.empty() || record_count_ == 0) return;
-  compressed = CompressPayload(*this);
+  compressed = CompressPayload(*this, &block_index_);
   chunks.clear();
   tail_open_ = false;
 }
@@ -287,12 +374,6 @@ std::size_t Segment::StorageBytes() const {
   std::size_t total = 0;
   for (const auto& chunk : chunks) total += chunk.footprint_bytes();
   return total;
-}
-
-bool Segment::DecompressScratch(const ScanFilter& filter,
-                                ulm::FlatBatch& scratch) const {
-  const auto walked = DecompressPayload(compressed, scratch, filter);
-  return walked.ok() && *walked == record_count_;
 }
 
 bool ScanFilter::Covers(const Segment& segment) const {
@@ -390,9 +471,11 @@ BlockOutcome ReadSegmentBlock(std::string_view data, std::size_t* offset,
   // decoder instead of the binary-ULM stream decoder; either way a decode
   // failure or a record-count mismatch skips just this block.
   ulm::FlatBatch batch;
+  BlockIndex index;
   std::uint64_t walked = 0;
   if (magic == kSegmentMagicV2) {
-    const auto decoded = DecompressPayload(payload, batch, ScanFilter{});
+    const auto decoded =
+        DecompressPayload(payload, batch, ScanFilter{}, &index);
     if (!decoded.ok()) return BlockOutcome::kSkipped;
     walked = *decoded;
   } else if (batch.DecodeBinaryStreamInto(payload).ok()) {
@@ -415,8 +498,9 @@ BlockOutcome ReadSegmentBlock(std::string_view data, std::size_t* offset,
   if (magic == kSegmentMagicV2) {
     // Validated: return the segment to its compressed resting state,
     // keeping the payload bytes verbatim (indexes/min/max were just built
-    // from the decoded records above).
+    // from the decoded records above, the block index by the decode).
     segment.compressed.assign(payload.data(), payload.size());
+    segment.block_index_ = std::move(index);
     segment.chunks.clear();
     segment.chunks.shrink_to_fit();
   }

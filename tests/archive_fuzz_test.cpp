@@ -322,25 +322,38 @@ TEST(ArchiveFuzzTest, DecompressPayloadNeverCrashesOrOverreads) {
 
 // ------------------------------------------------- filtered-decode parity
 
-/// A segment shaped to stress the filtered decoder: many hosts, empty and
-/// named events (sometimes only empty ones), zero to three fields, and
-/// non-monotone timestamps including the extremes, so the zigzag deltas
-/// wrap.
+/// A segment shaped to stress the filtered and block-skipping decoders:
+/// 1 to 300 records (now and then exactly 64 or 128, so the last block is
+/// full), many hosts drawn either at random or in per-host bursts (so a
+/// block holds few of them), empty and named events (sometimes only empty
+/// ones), zero to three fields, and timestamps either scattered or
+/// ascending with duplicates. Out-of-order timestamps and the extremes
+/// land inside blocks, so the zigzag deltas wrap and block time ranges
+/// stretch.
 Segment RandomSegment(Rng& rng) {
   Segment segment;
   const bool unnamed_only = rng.Chance(0.1);
-  const int records = static_cast<int>(rng.Uniform(1, 60));
+  const bool ascending = rng.Chance(0.5);
+  const bool bursty = rng.Chance(0.5);
+  int records = static_cast<int>(rng.Uniform(1, 300));
+  if (rng.Chance(0.1)) records = rng.Chance(0.5) ? 64 : 128;
+  // Scattered segments take the extremes often; ascending ones rarely, so
+  // that most of their blocks keep a narrow time range.
+  const double odd = ascending ? 0.003 : 0.1;
+  std::int64_t host = rng.Uniform(0, 40);
   for (int r = 0; r < records; ++r) {
-    TimePoint ts = rng.Uniform(-50, 50);
-    if (rng.Chance(0.1)) ts = std::numeric_limits<TimePoint>::min();
-    if (rng.Chance(0.1)) ts = std::numeric_limits<TimePoint>::max();
-    if (rng.Chance(0.1)) ts = static_cast<TimePoint>(rng.Next());
+    TimePoint ts = ascending ? r / 2 - 50 : rng.Uniform(-50, 50);
+    if (ascending && rng.Chance(0.01)) ts = rng.Uniform(-50, 100);
+    if (rng.Chance(odd)) ts = std::numeric_limits<TimePoint>::min();
+    if (rng.Chance(odd)) ts = std::numeric_limits<TimePoint>::max();
+    if (rng.Chance(odd)) ts = static_cast<TimePoint>(rng.Next());
+    if (!bursty || rng.Chance(0.15)) host = rng.Uniform(0, 40);
     const std::string event =
         unnamed_only || rng.Chance(0.25)
             ? std::string()
             : "Ev" + std::to_string(rng.Uniform(0, 5));
-    ulm::FlatRecord rec(ts, "fz-host" + std::to_string(rng.Uniform(0, 40)),
-                        "prog", rng.Chance(0.1) ? "Error" : "Usage", event);
+    ulm::FlatRecord rec(ts, "fz-host" + std::to_string(host), "prog",
+                        rng.Chance(0.1) ? "Error" : "Usage", event);
     const int fields = static_cast<int>(rng.Uniform(0, 3));
     for (int f = 0; f < fields; ++f) {
       rec.SetField("K" + std::to_string(rng.Uniform(0, 6)),
@@ -353,27 +366,50 @@ Segment RandomSegment(Rng& rng) {
 }
 
 /// A random query filter: all-pass, or a window (empty and reversed ones
-/// included) around the segment's timestamps; any host, one in the
-/// segment, one interned but absent, or one never interned; and a glob.
-/// Every glob that matches the empty event name is all stars, so "**"
-/// also stands for "only the unnamed records" on an unnamed-only segment.
-ScanFilter RandomFilter(Rng& rng) {
+/// included) around the segment's timestamps, often with an edge on one
+/// of its records' timestamps; any host, one in the segment, one interned
+/// but absent, or one never interned; and a glob. Every glob that matches
+/// the empty event name is all stars, so "**" also stands for "only the
+/// unnamed records" on an unnamed-only segment.
+ScanFilter RandomFilter(Rng& rng, const Segment& segment) {
   static const char* const kGlobs[] = {"", "*", "**", "Ev1", "Ev*", "?v2",
                                        "Nope*"};
+  // One of the segment's records: window edges and the host are often
+  // taken from it, so block boundaries are probed exactly.
+  const auto pivot = static_cast<std::size_t>(
+      rng.Uniform(0, static_cast<std::int64_t>(segment.size()) - 1));
+  TimePoint pivot_ts = 0;
+  std::string pivot_host;
+  std::size_t at = 0;
+  segment.ForEachView(ScanFilter{}, [&](const ulm::RecordView& view) {
+    if (at++ == pivot) {
+      pivot_ts = view.timestamp();
+      pivot_host = std::string(view.host());
+    }
+  });
+  // Pivot windows reach 21 past the pivot: keep them off the extremes.
+  constexpr TimePoint kFar = std::numeric_limits<TimePoint>::max() / 2;
   ScanFilter filter;
   if (rng.Chance(0.8)) {
-    auto pick = [&rng]() -> TimePoint {
-      switch (rng.Uniform(0, 4)) {
+    auto pick = [&rng, pivot_ts]() -> TimePoint {
+      switch (rng.Uniform(0, 5)) {
         case 0: return std::numeric_limits<TimePoint>::min();
         case 1: return std::numeric_limits<TimePoint>::max();
         case 2: return static_cast<TimePoint>(rng.Next());
-        default: return rng.Uniform(-60, 60);
+        case 3: return rng.Uniform(-60, 160);
+        default: return pivot_ts;
       }
     };
     filter = ScanFilter(pick(), pick());
+    // Half of the windows hold the pivot record, at either edge.
+    if (rng.Chance(0.5) && pivot_ts > -kFar && pivot_ts < kFar) {
+      filter = rng.Chance(0.5)
+                   ? ScanFilter(pivot_ts, pivot_ts + 1 + rng.Uniform(0, 20))
+                   : ScanFilter(pivot_ts - rng.Uniform(0, 20), pivot_ts + 1);
+    }
   }
   filter.event_glob = kGlobs[rng.Uniform(0, 6)];
-  switch (rng.Uniform(0, 3)) {
+  switch (rng.Uniform(0, 4)) {
     case 0:
       filter.SetHost("fz-host" + std::to_string(rng.Uniform(0, 40)));
       break;
@@ -382,6 +418,9 @@ ScanFilter RandomFilter(Rng& rng) {
       break;
     case 2:
       filter.SetHost("fz-host-never-interned");
+      break;
+    case 3:
+      filter.SetHost(pivot_host);
       break;
     default:
       break;
@@ -414,16 +453,72 @@ std::vector<std::string> Filtered(const Segment& segment,
   return out;
 }
 
+/// `segment` as a SEG2 block written and read back: its block index is
+/// rebuilt by the loader's validating decode.
+Segment RoundTripped(const Segment& segment) {
+  std::string bytes;
+  AppendSegmentBlock(segment, bytes);
+  std::size_t offset = 0;
+  Segment loaded;
+  EXPECT_EQ(ReadSegmentBlock(bytes, &offset, &loaded), BlockOutcome::kLoaded);
+  return loaded;
+}
+
+/// An archive holding `segment`'s records as one compressed segment that
+/// went through Compact (which keeps every record at fraction 1.0 and
+/// re-compresses the rewritten segment).
+EventArchive Compacted(const Segment& segment) {
+  SegmentConfig config;
+  config.stripes = 1;
+  config.max_records = 1000;
+  config.compress_sealed = true;
+  EventArchive archive("fz-compact", 1, config);
+  segment.ForEachView(ScanFilter{}, [&archive](const ulm::RecordView& view) {
+    archive.Ingest(view);
+  });
+  archive.SealActive();
+  archive.SetCompactionPolicy(
+      {{{std::numeric_limits<Duration>::min(), 1.0}}});
+  // now = -1: the age (now - max_ts) cannot overflow for any max_ts.
+  EXPECT_EQ(archive.Compact(-1), 0u);
+  EXPECT_EQ(archive.size(), segment.size());
+  return archive;
+}
+
+/// The archive's answer to `filter` narrowed to a window (the query API
+/// has no all-pass form), with a glob the host query cannot carry
+/// applied afterwards; time-ordered, each record as its binary encoding.
+std::vector<std::string> ArchiveFiltered(const EventArchive& archive,
+                                         const ScanFilter& filter,
+                                         const std::string& host_name) {
+  const ulm::FlatBatch got =
+      filter.host ? archive.QueryHost(host_name, filter.t0, filter.t1)
+                  : archive.QueryEvents(filter.event_glob, filter.t0,
+                                        filter.t1);
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (filter.event_glob.empty() ||
+        GlobMatch(filter.event_glob, got.View(i).event_name())) {
+      out.push_back(ulm::EncodeBinary(got.View(i)));
+    }
+  }
+  return out;
+}
+
 TEST(ArchiveFuzzTest, FilteredScanEqualsFullDecodeThenFilter) {
   Rng rng(0x5EA4C4);
   (void)ulm::InternSymbol("fz-host-absent");
+  std::size_t multi_block = 0;
   for (int round = 0; round < 300; ++round) {
     const Segment plain = RandomSegment(rng);
     Segment packed = plain;
     packed.Compress();
     ASSERT_FALSE(packed.compressed.empty());
+    const Segment loaded = RoundTripped(packed);
+    const EventArchive compacted = Compacted(plain);
+    if (packed.block_index().blocks.size() > 1) ++multi_block;
     for (int q = 0; q < 20; ++q) {
-      const ScanFilter filter = RandomFilter(rng);
+      const ScanFilter filter = RandomFilter(rng, plain);
       const std::string host_name =
           filter.host && *filter.host != ScanFilter::kNoSymbol
               ? std::string(ulm::SymbolName(*filter.host))
@@ -436,13 +531,28 @@ TEST(ArchiveFuzzTest, FilteredScanEqualsFullDecodeThenFilter) {
       });
       EXPECT_EQ(Filtered(plain, filter), want) << "round " << round;
       EXPECT_EQ(Filtered(packed, filter), want) << "round " << round;
+      EXPECT_EQ(Filtered(loaded, filter), want) << "round " << round;
       // Pruning is sound: a segment the filter does not cover holds no
       // passing record.
       if (!filter.Covers(plain)) {
         EXPECT_TRUE(want.empty()) << "round " << round;
       }
+      if (filter.windowed) {
+        ulm::FlatBatch sorted;
+        plain.ForEachView(ScanFilter{}, [&](const ulm::RecordView& view) {
+          if (Reference(filter, host_name, view)) (void)sorted.Append(view);
+        });
+        sorted.SortByTime();
+        std::vector<std::string> want_sorted;
+        for (std::size_t i = 0; i < sorted.size(); ++i) {
+          want_sorted.push_back(ulm::EncodeBinary(sorted.View(i)));
+        }
+        EXPECT_EQ(ArchiveFiltered(compacted, filter, host_name), want_sorted)
+            << "round " << round;
+      }
     }
   }
+  EXPECT_GT(multi_block, 150u);
   EXPECT_FALSE(ulm::FindSymbol("fz-host-never-interned").has_value());
 }
 
@@ -454,7 +564,8 @@ TEST(ArchiveFuzzTest, FilteredDecodeRejectsExactlyWhatFullDecodeRejects) {
   Rng rng(0xB10B5);
   std::size_t rejected = 0, accepted = 0;
   for (int round = 0; round < 60; ++round) {
-    const std::string blob = CompressPayload(RandomSegment(rng));
+    const Segment segment = RandomSegment(rng);
+    const std::string blob = CompressPayload(segment);
     for (int m = 0; m < 200; ++m) {
       std::string mutated = blob;
       mutated[static_cast<std::size_t>(rng.Uniform(
@@ -463,7 +574,7 @@ TEST(ArchiveFuzzTest, FilteredDecodeRejectsExactlyWhatFullDecodeRejects) {
       ulm::FlatBatch all;
       const auto full = DecompressPayload(mutated, all, ScanFilter{});
       for (int q = 0; q < 4; ++q) {
-        const ScanFilter filter = RandomFilter(rng);
+        const ScanFilter filter = RandomFilter(rng, segment);
         ulm::FlatBatch some;
         const auto part = DecompressPayload(mutated, some, filter);
         ASSERT_EQ(full.ok(), part.ok()) << "round " << round << " m " << m;

@@ -192,6 +192,31 @@ TEST_F(PrunedQueryTest, CountersSplitScannedRecordsIntoDecodedAndSkipped) {
             8u);
   EXPECT_EQ(decoded.Value() - decoded0, 13u);
   EXPECT_EQ(skipped.Value() - skipped0, 7u);
+
+  // A compressed segment of four 64-record blocks whose host alternates
+  // by block: the records of the blocks a host query skips whole count as
+  // skipped, and decoded + skipped is still the scanned segment's size.
+  for (int i = 0; i < 256; ++i) {
+    test::Ingest(ar_, Event(3 * kHour + i * kSecond, "EVT_D", i,
+                            (i / 64) % 2 ? "odd" : "even"));
+  }
+  ar_.SealActive();
+  ASSERT_EQ(ar_.CompressSealed(), 1u);
+  QueryStats stats;
+  const std::uint64_t decoded1 = decoded.Value(), skipped1 = skipped.Value();
+  EXPECT_EQ(ar_.QueryHost("odd", 3 * kHour, 4 * kHour, &stats).size(), 128u);
+  EXPECT_EQ(stats.segments_scanned, 1u);
+  EXPECT_EQ(decoded.Value() - decoded1, 128u);
+  EXPECT_EQ(skipped.Value() - skipped1, 128u);
+  // Narrowed to ten records of one block, every other block is skipped
+  // by its time range or host mask.
+  EXPECT_EQ(ar_.QueryHost("odd", 3 * kHour + 70 * kSecond,
+                          3 * kHour + 80 * kSecond, &stats)
+                .size(),
+            10u);
+  EXPECT_EQ(stats.segments_scanned, 1u);
+  EXPECT_EQ(decoded.Value() - decoded1, 138u);
+  EXPECT_EQ(skipped.Value() - skipped1, 374u);
 }
 
 // --------------------------------------------------------------- compaction
