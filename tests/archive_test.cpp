@@ -526,6 +526,139 @@ TEST(ArchiveQueryServiceTest, RejectsMalformedCalls) {
   EXPECT_TRUE(service.Invoke(kQueryMethod, {"range", "0", "10", ""}).ok());
 }
 
+// ----------------------------------------------- pinned analysis replies
+
+/// A fixed record set whose analysis results carry the doubles a number
+/// formatter gets wrong first: -0, ±inf, the smallest subnormal, 0.1,
+/// 1e21 and a 17-digit mean, beside records with no value. Sealed and
+/// compressed, so the replies come from the compressed scan.
+EventArchive PinnedAnalysisArchive() {
+  SegmentConfig config;
+  config.stripes = 1;
+  config.max_records = 3;
+  EventArchive ar("pinned", 1, config);
+  struct Row {
+    TimePoint ts;
+    const char* host;
+    const char* event;
+    const char* val;    // nullptr: no VAL field
+    const char* trace;  // nullptr: no TRACE.ID / SPAN.ID
+  };
+  const Row rows[] = {
+      {1000, "h1", "CPU", "-0", "a"},
+      {2000, "h2", "CPU", "0.1", "a"},
+      {3000, "h1", "MEM", "inf", "b"},
+      {4000, "h2", "NET", "-inf", nullptr},
+      {5000, "h1", "CPU", "4.9406564584124654e-324", "a"},
+      {6000, "h2", "MEM", "1e21", "b"},
+      {7000, "h1", "DISK", nullptr, "c"},
+      {8000, "h2", "CPU", "n/a", nullptr},
+  };
+  for (const Row& row : rows) {
+    ulm::FlatRecord rec(row.ts, row.host, "prog", "Usage", row.event);
+    if (row.val) rec.SetField("VAL", std::string_view(row.val));
+    if (row.trace) {
+      rec.SetField("TRACE.ID", std::string_view(row.trace));
+      rec.SetField("SPAN.ID",
+                   std::string(row.trace) + "#" + std::to_string(row.ts));
+    }
+    ar.Ingest(rec.View());
+  }
+  ar.SealActive();
+  EXPECT_GT(ar.CompressSealed(), 0u);
+  return ar;
+}
+
+struct PinnedReply {
+  const char* kind;
+  const char* predicate;
+  std::string_view reply;  // the one-page reply at the default page size
+};
+
+using namespace std::string_view_literals;
+
+const PinnedReply kPinnedReplies[] = {
+    {"lifeline", "",
+     "\004\000\0013\252\001\003Q\004\001a\031\005\0041000\003CPU\002"
+     "h1\004prog\006a#1000\031\005\0042000\003CPU\002h2\004prog\006a"
+     "#2000\031\005\0045000\003CPU\002h1\004prog\006a#50007\003\001b"
+     "\031\005\0043000\003MEM\002h1\004prog\006b#3000\031\005\004600"
+     "0\003MEM\002h2\004prog\006b#6000\036\002\001c\032\005\0047000"
+     "\004DISK\002h1\004prog\006c#7000\015\005\0013\0013\0010\0016"
+     "\003327"sv},
+    {"loadline", "field=VAL bucket=2000",
+     "\004\000\0015\272\001\005\022\007\0010\0011\0011\0010\002-0"
+     "\002-0\002-0*\007\0042000\0012\0012\003inf\0230.10000000000000"
+     "001\003inf\003infD\007\0044000\0012\0012\004-inf\004-inf\0274."
+     "9406564584124654e-324\0274.9406564584124654e-324\042\007\00460"
+     "00\0012\0011\0051e+21\0051e+21\0051e+21\0051e+21\022\007\00480"
+     "00\0011\0010\0010\0010\0010\0010\015\005\0013\0013\0010\0018"
+     "\003327"sv},
+    {"point", "field=VAL",
+     "\004\000\0018\213\001\010\013\003\0041000\0011\002-0\034\003"
+     "\0042000\0011\0230.10000000000000001\014\003\0043000\0011\003i"
+     "nf\015\003\0044000\0011\004-inf \003\0045000\0011\0274.9406564"
+     "584124654e-324\016\003\0046000\0011\0051e+21\012\003\0047000"
+     "\0010\0010\012\003\0048000\0010\0010\015\005\0013\0013\0010"
+     "\0018\003327"sv},
+    {"agg", "field=VAL",
+     "\004\000\0014\334\001\004u\011\003CPU\0014\0013\0230.100000000"
+     "00000001\0240.033333333333333333\002-0\0230.10000000000000001"
+     "\0274.9406564584124654e-324\0230.10000000000000001\026\011\004"
+     "DISK\0011\0010\0010\0010\0010\0010\0010\0010%\011\003MEM\0012"
+     "\0012\003inf\003inf\0051e+21\003inf\0051e+21\003inf'\011\003NE"
+     "T\0011\0011\004-inf\004-inf\004-inf\004-inf\004-inf\004-inf"
+     "\015\005\0013\0013\0010\0018\003327"sv},
+};
+
+TEST(ArchiveQueryServiceTest, AnalysisReplyBytesArePinned) {
+  EventArchive ar = PinnedAnalysisArchive();
+  ArchiveQueryService service(ar);
+  auto invoke = [&](const PinnedReply& pin, std::size_t offset,
+                    const std::string& limit) {
+    auto reply = service.Invoke(kQueryMethod,
+                                {pin.kind, "0", "10000", pin.predicate,
+                                 std::to_string(offset), limit});
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    return reply.ok() ? *reply : std::string();
+  };
+  for (const PinnedReply& pin : kPinnedReplies) {
+    SCOPED_TRACE(pin.kind);
+    const std::string whole = invoke(pin, 0, "");
+    EXPECT_EQ(whole, std::string(pin.reply));
+    auto parts = rpc::DecodeStrings(whole);
+    ASSERT_TRUE(parts.ok());
+    ASSERT_EQ(parts->size(), 4u);
+    EXPECT_EQ((*parts)[0], "");  // one page holds everything
+    auto elements = rpc::DecodeStrings((*parts)[2]);
+    ASSERT_TRUE(elements.ok());
+    const std::string total = std::to_string(elements->size());
+    EXPECT_EQ((*parts)[1], total);
+
+    // Smaller pages are exact slices of the one-page reply: the same
+    // element bytes, total and stats, and `next` at the slice's end.
+    for (std::size_t page : {1, 3}) {
+      SCOPED_TRACE("page " + std::to_string(page));
+      std::vector<std::string> tiled;
+      std::size_t offset = 0;
+      while (true) {
+        const std::size_t end = std::min(elements->size(), offset + page);
+        const std::string next =
+            end < elements->size() ? std::to_string(end) : std::string();
+        const std::vector<std::string> slice(elements->begin() + offset,
+                                             elements->begin() + end);
+        EXPECT_EQ(invoke(pin, offset, std::to_string(page)),
+                  rpc::EncodeStrings({next, total, rpc::EncodeStrings(slice),
+                                      (*parts)[3]}));
+        tiled.insert(tiled.end(), slice.begin(), slice.end());
+        if (next.empty()) break;
+        offset = end;
+      }
+      EXPECT_EQ(tiled, *elements);
+    }
+  }
+}
+
 class ArchiveRpcTest : public ::testing::Test {
  protected:
   ArchiveRpcTest() : clock_(0), registry_(clock_), ar_("main", 1, Config()) {
