@@ -1,13 +1,17 @@
 #include "archive/analysis.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <initializer_list>
 #include <map>
 #include <utility>
 
 #include "common/strings.hpp"
 #include "rpc/wire.hpp"
+#include "ulm/binary.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -74,7 +78,9 @@ struct Compiled {
   /// the statistics are computed over.
   std::optional<double> Value(const ulm::RecordView& view) const {
     if (!value_sym) return std::nullopt;
-    auto parsed = view.GetDouble(*value_sym);
+    const auto text = view.GetField(*value_sym);
+    if (!text) return std::nullopt;
+    auto parsed = ParseDouble(*text);
     if (!parsed.ok() || std::isnan(*parsed)) return std::nullopt;
     return *parsed;
   }
@@ -88,11 +94,63 @@ double AscendingSum(const std::vector<double>& sorted) {
   return sum;
 }
 
-std::string FormatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+/// A number's wire text, formatted on the stack: integers in decimal as
+/// std::to_string writes them, doubles as "%.17g" prints them.
+class NumText {
+ public:
+  explicit NumText(std::int64_t v) { Done(std::to_chars(buf_, End(), v)); }
+  explicit NumText(std::uint64_t v) { Done(std::to_chars(buf_, End(), v)); }
+  explicit NumText(double v) {
+    Done(std::to_chars(buf_, End(), v, std::chars_format::general, 17));
+  }
+  operator std::string_view() const { return {buf_, len_}; }
+
+ private:
+  char* End() { return buf_ + sizeof(buf_); }
+  void Done(std::to_chars_result r) {
+    len_ = static_cast<std::size_t>(r.ptr - buf_);
+  }
+  // "%.17g" is at most 24 characters ("-1.2345678901234567e-308").
+  char buf_[32];
+  std::size_t len_ = 0;
+};
+
+std::size_t VarintBytes(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
 }
+
+/// Append `parts` as an element of an outer marshalled list: its length,
+/// then the list itself.
+void PutNestedList(std::string& out,
+                   std::initializer_list<std::string_view> parts) {
+  std::size_t bytes = VarintBytes(parts.size());
+  for (std::string_view part : parts) {
+    bytes += VarintBytes(part.size()) + part.size();
+  }
+  ulm::detail::PutVarint(out, bytes);
+  rpc::AppendStrings(out, parts);
+}
+
+/// Order-preserving key of a non-NaN double: unsigned key order is the
+/// numeric order, with -0 just below +0.
+std::uint64_t OrderKey(double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  return (bits >> 63) ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+double FromOrderKey(std::uint64_t key) {
+  return std::bit_cast<double>((key >> 63) ? key & ~(std::uint64_t{1} << 63)
+                                           : ~key);
+}
+
+/// Below this many values SortValues uses a comparison sort: a radix
+/// pass costs a few microseconds of histogram setup whatever the size.
+constexpr std::size_t kRadixMinValues = 256;
 
 Result<std::uint64_t> ParseU64(const std::string& text, const char* what) {
   auto value = ParseInt(text);
@@ -104,6 +162,40 @@ Result<std::uint64_t> ParseU64(const std::string& text, const char* what) {
 }
 
 }  // namespace
+
+void SortValues(std::vector<double>& values) {
+  const std::size_t n = values.size();
+  if (n < kRadixMinValues) {
+    std::sort(values.begin(), values.end(), [](double a, double b) {
+      return OrderKey(a) < OrderKey(b);
+    });
+    return;
+  }
+  std::vector<std::uint64_t> keys(n), moved(n);
+  std::array<std::array<std::size_t, 256>, 8> counts{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t key = OrderKey(values[i]);
+    keys[i] = key;
+    for (int d = 0; d < 8; ++d) ++counts[d][(key >> (8 * d)) & 0xFF];
+  }
+  for (int d = 0; d < 8; ++d) {
+    auto& count = counts[d];
+    const int shift = 8 * d;
+    // A digit every key shares leaves the order as it is.
+    if (count[(keys[0] >> shift) & 0xFF] == n) continue;
+    std::size_t at = 0;
+    for (std::size_t& c : count) {
+      const std::size_t here = c;
+      c = at;
+      at += here;
+    }
+    for (const std::uint64_t key : keys) {
+      moved[count[(key >> shift) & 0xFF]++] = key;
+    }
+    keys.swap(moved);
+  }
+  for (std::size_t i = 0; i < n; ++i) values[i] = FromOrderKey(keys[i]);
+}
 
 double NearestRank(const std::vector<double>& sorted, int pct) {
   if (sorted.empty()) return 0;
@@ -233,9 +325,12 @@ std::vector<TraceLifeline> AnalysisEngine::Lifelines(const AnalysisSpec& spec,
     all.insert(all.end(), std::make_move_iterator(hops.begin()),
                std::make_move_iterator(hops.end()));
   }
-  std::stable_sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+  const auto by_time = [](const auto& a, const auto& b) {
     return a.second.ts < b.second.ts;
-  });
+  };
+  if (!std::is_sorted(all.begin(), all.end(), by_time)) {
+    std::stable_sort(all.begin(), all.end(), by_time);
+  }
 
   std::map<std::string, TraceLifeline> traces;  // ordered by object id
   for (auto& [id, hop] : all) {
@@ -297,7 +392,7 @@ std::vector<LoadBucket> AnalysisEngine::Loadline(const AnalysisSpec& spec,
     bucket.count = partial.count;
     local.records_returned += partial.count;
     if (!partial.values.empty()) {
-      std::sort(partial.values.begin(), partial.values.end());
+      SortValues(partial.values);
       bucket.value_count = partial.values.size();
       bucket.min = partial.values.front();
       bucket.max = partial.values.back();
@@ -338,10 +433,12 @@ std::vector<PointSample> AnalysisEngine::Points(const AnalysisSpec& spec,
   for (auto& samples : partials) {
     out.insert(out.end(), samples.begin(), samples.end());
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const PointSample& a, const PointSample& b) {
-                     return a.ts < b.ts;
-                   });
+  const auto by_time = [](const PointSample& a, const PointSample& b) {
+    return a.ts < b.ts;
+  };
+  if (!std::is_sorted(out.begin(), out.end(), by_time)) {
+    std::stable_sort(out.begin(), out.end(), by_time);
+  }
   local.records_returned = out.size();
   if (stats) *stats = local;
   return out;
@@ -355,16 +452,26 @@ std::vector<AggRow> AnalysisEngine::Aggregate(const AnalysisSpec& spec,
   telemetry::ScopedTimer timer(&tm.query_us);
   const Compiled c(spec);
 
-  struct Partial {
+  // Groups keyed by event symbol in a flat vector: a scan meets a
+  // handful of event names, so finding a record's group is a few 4-byte
+  // compares. Names are resolved once, to order the merged rows.
+  struct Group {
+    ulm::Symbol event;
     std::uint64_t count = 0;
     std::vector<double> values;
   };
-  using Groups = std::map<std::string, Partial>;  // keyed by event name
+  using Groups = std::vector<Group>;
+  auto find = [](Groups& groups, ulm::Symbol event) -> Group& {
+    for (Group& group : groups) {
+      if (group.event == event) return group;
+    }
+    return groups.emplace_back(Group{event, 0, {}});
+  };
   QueryStats local;
   auto partials = archive_.ScanPartials<Groups>(
       SpecFilter(spec, t0, t1),
       [&](Groups& groups, const ulm::RecordView& view) {
-        Partial& group = groups[std::string(view.event_name())];
+        Group& group = find(groups, view.event_sym());
         ++group.count;
         if (const auto value = c.Value(view)) {
           group.values.push_back(*value);
@@ -374,29 +481,36 @@ std::vector<AggRow> AnalysisEngine::Aggregate(const AnalysisSpec& spec,
 
   Groups merged;
   for (auto& groups : partials) {
-    for (auto& [event, partial] : groups) {
-      Partial& into = merged[event];
+    for (Group& partial : groups) {
+      Group& into = find(merged, partial.event);
       into.count += partial.count;
-      into.values.insert(into.values.end(), partial.values.begin(),
-                         partial.values.end());
+      if (into.values.empty()) {
+        into.values = std::move(partial.values);
+      } else {
+        into.values.insert(into.values.end(), partial.values.begin(),
+                           partial.values.end());
+      }
     }
   }
+  std::sort(merged.begin(), merged.end(), [](const Group& a, const Group& b) {
+    return ulm::SymbolName(a.event) < ulm::SymbolName(b.event);
+  });
   std::vector<AggRow> out;
   out.reserve(merged.size());
-  for (auto& [event, partial] : merged) {
+  for (Group& group : merged) {
     AggRow row;
-    row.event = event;
-    row.count = partial.count;
-    local.records_returned += partial.count;
-    if (!partial.values.empty()) {
-      std::sort(partial.values.begin(), partial.values.end());
-      row.value_count = partial.values.size();
-      row.min = partial.values.front();
-      row.max = partial.values.back();
-      row.sum = AscendingSum(partial.values);
-      row.mean = row.sum / static_cast<double>(partial.values.size());
-      row.p50 = NearestRank(partial.values, 50);
-      row.p95 = NearestRank(partial.values, 95);
+    row.event = std::string(ulm::SymbolName(group.event));
+    row.count = group.count;
+    local.records_returned += group.count;
+    if (!group.values.empty()) {
+      SortValues(group.values);
+      row.value_count = group.values.size();
+      row.min = group.values.front();
+      row.max = group.values.back();
+      row.sum = AscendingSum(group.values);
+      row.mean = row.sum / static_cast<double>(group.values.size());
+      row.p50 = NearestRank(group.values, 50);
+      row.p95 = NearestRank(group.values, 95);
     }
     out.push_back(std::move(row));
   }
@@ -406,15 +520,15 @@ std::vector<AggRow> AnalysisEngine::Aggregate(const AnalysisSpec& spec,
 
 // ------------------------------------------------- wire element codecs
 
-std::string EncodeLifeline(const TraceLifeline& lifeline) {
-  std::vector<std::string> parts;
-  parts.reserve(1 + lifeline.hops.size());
-  parts.push_back(lifeline.object_id);
+void AppendLifeline(std::string& out, const TraceLifeline& lifeline) {
+  using ulm::detail::PutVarint;
+  PutVarint(out, 1 + lifeline.hops.size());
+  PutVarint(out, lifeline.object_id.size());
+  out += lifeline.object_id;
   for (const auto& hop : lifeline.hops) {
-    parts.push_back(rpc::EncodeStrings({std::to_string(hop.ts), hop.event,
-                                        hop.host, hop.prog, hop.span}));
+    PutNestedList(out,
+                  {NumText(hop.ts), hop.event, hop.host, hop.prog, hop.span});
   }
-  return rpc::EncodeStrings(parts);
 }
 
 Result<TraceLifeline> DecodeLifeline(std::string_view data) {
@@ -444,12 +558,11 @@ Result<TraceLifeline> DecodeLifeline(std::string_view data) {
   return lifeline;
 }
 
-std::string EncodeLoadBucket(const LoadBucket& bucket) {
-  return rpc::EncodeStrings(
-      {std::to_string(bucket.bucket_start), std::to_string(bucket.count),
-       std::to_string(bucket.value_count), FormatDouble(bucket.mean),
-       FormatDouble(bucket.min), FormatDouble(bucket.max),
-       FormatDouble(bucket.pct)});
+void AppendLoadBucket(std::string& out, const LoadBucket& bucket) {
+  rpc::AppendStrings(out, {NumText(bucket.bucket_start), NumText(bucket.count),
+                           NumText(bucket.value_count), NumText(bucket.mean),
+                           NumText(bucket.min), NumText(bucket.max),
+                           NumText(bucket.pct)});
 }
 
 Result<LoadBucket> DecodeLoadBucket(std::string_view data) {
@@ -478,10 +591,9 @@ Result<LoadBucket> DecodeLoadBucket(std::string_view data) {
   return bucket;
 }
 
-std::string EncodePointSample(const PointSample& point) {
-  return rpc::EncodeStrings({std::to_string(point.ts),
-                             point.has_value ? "1" : "0",
-                             FormatDouble(point.value)});
+void AppendPointSample(std::string& out, const PointSample& point) {
+  rpc::AppendStrings(out, {NumText(point.ts), point.has_value ? "1" : "0",
+                           NumText(point.value)});
 }
 
 Result<PointSample> DecodePointSample(std::string_view data) {
@@ -506,11 +618,12 @@ Result<PointSample> DecodePointSample(std::string_view data) {
   return point;
 }
 
-std::string EncodeAggRow(const AggRow& row) {
-  return rpc::EncodeStrings(
-      {row.event, std::to_string(row.count), std::to_string(row.value_count),
-       FormatDouble(row.sum), FormatDouble(row.mean), FormatDouble(row.min),
-       FormatDouble(row.max), FormatDouble(row.p50), FormatDouble(row.p95)});
+void AppendAggRow(std::string& out, const AggRow& row) {
+  rpc::AppendStrings(out, {row.event, NumText(row.count),
+                           NumText(row.value_count), NumText(row.sum),
+                           NumText(row.mean), NumText(row.min),
+                           NumText(row.max), NumText(row.p50),
+                           NumText(row.p95)});
 }
 
 Result<AggRow> DecodeAggRow(std::string_view data) {

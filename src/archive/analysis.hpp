@@ -125,6 +125,14 @@ Result<AnalysisSpec> ParseAnalysisSpec(std::string_view text);
 /// statistic uses.
 double NearestRank(const std::vector<double>& sorted, int pct);
 
+/// Sort NaN-free `values` ascending: the order std::sort gives, with -0
+/// placed before +0 (which std::sort leaves in input order), so the
+/// result does not depend on how the values arrived. Linear time above a
+/// small size: an LSD radix sort on order-preserving 64-bit keys that
+/// skips the byte digits every key shares. The one value ordering of the
+/// loadline and aggregate statistics.
+void SortValues(std::vector<double>& values);
+
 /// The pushdown engine. Borrows the archive (must outlive the engine);
 /// every method is thread-safe against concurrent ingest, sealing,
 /// compaction, and compression, with the same nothing-missed /
@@ -160,18 +168,20 @@ class AnalysisEngine {
 // ------------------------------------------------- wire element codecs
 //
 // Each analysis element marshals to one string (nested rpc::EncodeStrings
-// lists; doubles as "%.17g", which round-trips exactly), so the rpc
-// service pages over elements the same way the record queries page over
-// records. Decoders are total: any malformed element is an error, never a
-// partial struct.
+// lists; doubles as "%.17g" prints them, which round-trips exactly), so
+// the rpc service pages over elements the same way the record queries
+// page over records. The encoders append the element's bytes to `out`,
+// formatting numbers on the stack, so a page of elements is encoded into
+// one buffer. Decoders are total: any malformed element is an error,
+// never a partial struct.
 
-std::string EncodeLifeline(const TraceLifeline& lifeline);
+void AppendLifeline(std::string& out, const TraceLifeline& lifeline);
 Result<TraceLifeline> DecodeLifeline(std::string_view data);
-std::string EncodeLoadBucket(const LoadBucket& bucket);
+void AppendLoadBucket(std::string& out, const LoadBucket& bucket);
 Result<LoadBucket> DecodeLoadBucket(std::string_view data);
-std::string EncodePointSample(const PointSample& point);
+void AppendPointSample(std::string& out, const PointSample& point);
 Result<PointSample> DecodePointSample(std::string_view data);
-std::string EncodeAggRow(const AggRow& row);
+void AppendAggRow(std::string& out, const AggRow& row);
 Result<AggRow> DecodeAggRow(std::string_view data);
 
 /// QueryStats as a marshalled 5-list (total, scanned, pruned, returned,

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -236,7 +237,13 @@ std::size_t EventArchive::Compact(TimePoint now) {
   }
   std::size_t removed = 0;
   for (const auto& segment : snapshot) {
-    const Duration age = now - segment->max_ts;
+    // Saturating: a segment stamped far in the past is older than every
+    // tier, not wrapped around to a negative age.
+    Duration age = 0;
+    if (__builtin_sub_overflow(now, segment->max_ts, &age)) {
+      age = now < segment->max_ts ? std::numeric_limits<Duration>::min()
+                                  : std::numeric_limits<Duration>::max();
+    }
     std::uint32_t target = 0;
     double fraction = 1.0;
     for (std::size_t i = 0; i < compaction_.tiers.size(); ++i) {

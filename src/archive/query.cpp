@@ -4,6 +4,7 @@
 
 #include "common/strings.hpp"
 #include "telemetry/metrics.hpp"
+#include "ulm/binary.hpp"
 
 namespace jamm::archive {
 
@@ -33,6 +34,36 @@ Result<std::uint64_t> ParseNonNegative(const std::string& text,
                                    " '" + text + "'");
   }
   return static_cast<std::uint64_t>(*value);
+}
+
+/// The analysis reply [next, total, page, stats] for the elements
+/// [offset, offset + limit) of `elements`. Only the page's elements are
+/// encoded, each by `append` into one reused buffer.
+template <typename T>
+std::string AnalysisPage(const std::vector<T>& elements,
+                         void (*append)(std::string&, const T&),
+                         std::uint64_t offset, std::size_t limit,
+                         const QueryStats& stats, ServiceTelemetry& t) {
+  using ulm::detail::PutVarint;
+  const std::size_t total = elements.size();
+  const std::size_t begin = std::min<std::size_t>(offset, total);
+  const std::size_t end = std::min(total, begin + limit);
+  std::string page, element;
+  PutVarint(page, end - begin);
+  for (std::size_t i = begin; i < end; ++i) {
+    element.clear();
+    append(element, elements[i]);
+    PutVarint(page, element.size());
+    page += element;
+  }
+  const std::string next =
+      end < total && end > begin ? std::to_string(end) : std::string();
+  t.pages.Increment();
+  t.records.Add(end - begin);
+  std::string reply;
+  rpc::AppendStrings(reply, {next, std::to_string(total), page,
+                             EncodeQueryStats(stats)});
+  return reply;
 }
 
 }  // namespace
@@ -103,7 +134,7 @@ Result<std::string> ArchiveQueryService::Invoke(
     }
   }
 
-  // Analysis kinds (ISSUE 8): run the pushdown engine, page over encoded
+  // Analysis kinds (ISSUE 8): run the pushdown engine, encode the page's
   // elements, and append the server's QueryStats as a 4th reply part.
   if (kind == "lifeline" || kind == "loadline" || kind == "point" ||
       kind == "agg") {
@@ -114,37 +145,20 @@ Result<std::string> ArchiveQueryService::Invoke(
     }
     const AnalysisEngine engine(archive_);
     QueryStats qstats;
-    std::vector<std::string> elements;
     if (kind == "lifeline") {
-      for (const auto& l : engine.Lifelines(*spec, *t0, *t1, &qstats)) {
-        elements.push_back(EncodeLifeline(l));
-      }
-    } else if (kind == "loadline") {
-      for (const auto& b : engine.Loadline(*spec, *t0, *t1, &qstats)) {
-        elements.push_back(EncodeLoadBucket(b));
-      }
-    } else if (kind == "point") {
-      for (const auto& p : engine.Points(*spec, *t0, *t1, &qstats)) {
-        elements.push_back(EncodePointSample(p));
-      }
-    } else {
-      for (const auto& r : engine.Aggregate(*spec, *t0, *t1, &qstats)) {
-        elements.push_back(EncodeAggRow(r));
-      }
+      return AnalysisPage(engine.Lifelines(*spec, *t0, *t1, &qstats),
+                          AppendLifeline, offset, limit, qstats, t);
     }
-    const std::size_t total = elements.size();
-    const std::size_t begin = std::min<std::size_t>(offset, total);
-    const std::size_t end = std::min(total, begin + limit);
-    std::vector<std::string> page(
-        std::make_move_iterator(elements.begin() + begin),
-        std::make_move_iterator(elements.begin() + end));
-    const std::string next =
-        end < total && end > begin ? std::to_string(end) : std::string();
-    t.pages.Increment();
-    t.records.Add(page.size());
-    return rpc::EncodeStrings({next, std::to_string(total),
-                               rpc::EncodeStrings(page),
-                               EncodeQueryStats(qstats)});
+    if (kind == "loadline") {
+      return AnalysisPage(engine.Loadline(*spec, *t0, *t1, &qstats),
+                          AppendLoadBucket, offset, limit, qstats, t);
+    }
+    if (kind == "point") {
+      return AnalysisPage(engine.Points(*spec, *t0, *t1, &qstats),
+                          AppendPointSample, offset, limit, qstats, t);
+    }
+    return AnalysisPage(engine.Aggregate(*spec, *t0, *t1, &qstats),
+                        AppendAggRow, offset, limit, qstats, t);
   }
 
   ulm::FlatBatch rows;

@@ -1,6 +1,7 @@
 #include "archive/segment.hpp"
 
 #include <array>
+#include <limits>
 #include <unordered_map>
 
 #include "common/strings.hpp"
@@ -235,18 +236,23 @@ class DictMatcher {
 /// from byte `i`, whose first timestamp delta is from `prev_ts`. Every
 /// dictionary index is checked against `dict` and every length against
 /// the blob, kept or not, so the filter never changes which blobs are
-/// rejected. Records `match` passes are appended to `out`; `index`, when
-/// given, is fed every record (a walk from the blob's first record).
+/// rejected. Records `match` passes go to `sink` as views into the blob
+/// (values borrowed in place, fields described on the stack); `index`,
+/// when given, is fed every record (a walk from the blob's first record).
 /// Advances `i` past the records walked.
 Status DecodeRecords(std::string_view blob, std::size_t& i, TimePoint prev_ts,
                      std::uint64_t count, const std::vector<ulm::Symbol>& dict,
-                     DictMatcher& match, ulm::FlatBatch& out,
-                     BlockIndex* index) {
+                     DictMatcher& match, RecordSink sink, BlockIndex* index) {
   using ulm::detail::GetVarint;
   auto entry = [&](std::uint64_t* idx) {
     return GetVarint(blob, i, *idx) && *idx < dict.size();
   };
-  ulm::FlatRecord scratch;
+  // Field descriptors of the kept record, offsets relative to its first
+  // byte. Monitoring records carry a handful of fields; a record with
+  // more spills to the heap.
+  constexpr std::size_t kInlineFields = 16;
+  ulm::FlatField inline_fields[kInlineFields];
+  std::vector<ulm::FlatField> spilled;
   for (std::uint64_t r = 0; r < count; ++r) {
     const std::size_t start = i;
     const TimePoint base_ts = prev_ts;
@@ -265,13 +271,10 @@ Status DecodeRecords(std::string_view blob, std::size_t& i, TimePoint prev_ts,
     // A field is at least a key index, a length, and no bytes.
     if (nfields > (blob.size() - i) / 2) return Corrupt("oversized fields");
     const bool keep = match.Passes(prev_ts, dict[host], event, dict[event]);
-    if (keep) {
-      scratch.Clear();
-      scratch.set_timestamp(prev_ts);
-      scratch.set_host_sym(dict[host]);
-      scratch.set_prog_sym(dict[prog]);
-      scratch.set_lvl_sym(dict[lvl]);
-      scratch.set_event_sym(dict[event]);
+    ulm::FlatField* fields = inline_fields;
+    if (keep && nfields > kInlineFields) {
+      spilled.resize(static_cast<std::size_t>(nfields));
+      fields = spilled.data();
     }
     for (std::uint64_t f = 0; f < nfields; ++f) {
       std::uint64_t key = 0;
@@ -279,11 +282,20 @@ Status DecodeRecords(std::string_view blob, std::size_t& i, TimePoint prev_ts,
       std::uint64_t len = 0;
       if (!GetVarint(blob, i, len)) return Corrupt("short field value");
       if (len > blob.size() - i) return Corrupt("field value overruns");
-      if (keep) scratch.AddFieldUnchecked(dict[key], blob.substr(i, len));
+      if (keep) {
+        fields[f] = {dict[key], static_cast<std::uint32_t>(i - start),
+                     static_cast<std::uint32_t>(len)};
+      }
       i += len;
     }
-    if (keep && !out.Append(scratch.View())) {
-      return Corrupt("batch arena overflow");
+    if (keep) {
+      // A view's offsets and field count are 32-bit, as in a FlatBatch.
+      if (i - start > std::numeric_limits<std::uint32_t>::max() ||
+          !sink(ulm::RecordView(prev_ts, dict[host], dict[prog], dict[lvl],
+                                dict[event], blob.data() + start, fields,
+                                static_cast<std::uint32_t>(nfields)))) {
+        return Corrupt("batch arena overflow");
+      }
     }
     if (index) index->Add(r, start, base_ts, prev_ts, host);
   }
@@ -321,15 +333,18 @@ Result<std::uint64_t> DecompressPayload(std::string_view blob,
     index->Reserve(record_count);
   }
   DictMatcher match(filter, dict.size());
+  auto append = [&out](const ulm::RecordView& view) {
+    return out.Append(view);
+  };
   // Mirrors the encoder: the first delta is absolute.
-  JAMM_RETURN_IF_ERROR(
-      DecodeRecords(blob, i, 0, record_count, dict, match, out, index));
+  JAMM_RETURN_IF_ERROR(DecodeRecords(blob, i, 0, record_count, dict, match,
+                                     RecordSink(append), index));
   if (i != blob.size()) return Corrupt("trailing bytes after records");
   if (index) index->dict = std::move(dict);
   return record_count;
 }
 
-void Segment::ScanBlocks(const ScanFilter& filter, ulm::FlatBatch& out) const {
+void Segment::ScanBlocks(const ScanFilter& filter, RecordSink sink) const {
   const BlockIndex& index = block_index_;
   // The mask bits of every dictionary entry naming the filter's host; a
   // host absent from the dictionary leaves none set and every block
@@ -358,7 +373,7 @@ void Segment::ScanBlocks(const ScanFilter& filter, ulm::FlatBatch& out) const {
     std::size_t i = static_cast<std::size_t>(block.offset);
     (void)DecodeRecords(compressed, i, block.base_ts,
                         std::min(BlockIndex::kBlockRecords, size() - first),
-                        index.dict, match, out, nullptr);
+                        index.dict, match, sink, nullptr);
   }
 }
 

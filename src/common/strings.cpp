@@ -3,8 +3,50 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <iterator>
+#include <optional>
 
 namespace jamm {
+
+namespace {
+
+/// Every power of ten up to 10^22 is exactly a double.
+constexpr double kExactPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,
+                                  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+                                  1e12, 1e13, 1e14, 1e15, 1e16, 1e17,
+                                  1e18, 1e19, 1e20, 1e21, 1e22};
+
+/// Plain decimal text -- an optional '-', digits, and optionally '.' and
+/// more digits -- with at most 15 significant digits and 22 fraction
+/// digits, as m / 10^k. Both m (< 10^15 < 2^53) and 10^k are exact
+/// doubles and the division rounds once, so the result is the correctly
+/// rounded value strtod returns. nullopt for any other text.
+std::optional<double> ParsePlainDecimal(std::string_view text) {
+  const bool negative = text.front() == '-';
+  std::uint64_t m = 0;
+  int significant = 0;
+  std::size_t int_digits = 0, frac_digits = 0;
+  bool point = false;
+  for (std::size_t i = negative ? 1 : 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c == '.' && !point) {
+      point = true;
+      continue;
+    }
+    if (c < '0' || c > '9') return std::nullopt;
+    ++(point ? frac_digits : int_digits);
+    if ((m != 0 || c != '0') && ++significant > 15) return std::nullopt;
+    m = m * 10 + static_cast<std::uint64_t>(c - '0');
+  }
+  if (int_digits == 0 || (point && frac_digits == 0) ||
+      frac_digits >= std::size(kExactPow10)) {
+    return std::nullopt;
+  }
+  const double value = static_cast<double>(m) / kExactPow10[frac_digits];
+  return negative ? -value : value;
+}
+
+}  // namespace
 
 std::vector<std::string> Split(std::string_view text, char sep) {
   std::vector<std::string> out;
@@ -110,8 +152,9 @@ Result<std::int64_t> ParseInt(std::string_view text) {
 Result<double> ParseDouble(std::string_view text) {
   text = TrimView(text);
   if (text.empty()) return Status::ParseError("empty number");
-  // std::from_chars<double> is available in libstdc++ 11+, but strtod is
-  // simpler to bound-check here and locale issues don't arise for our data.
+  if (const auto plain = ParsePlainDecimal(text)) return *plain;
+  // Everything else (exponents, "inf", "nan", hex, a leading '+', more
+  // digits) goes to strtod, which needs a terminated copy.
   std::string buf(text);
   char* end = nullptr;
   double value = std::strtod(buf.c_str(), &end);

@@ -37,6 +37,15 @@ std::string EncodeStrings(const std::vector<std::string>& parts) {
   return out;
 }
 
+void AppendStrings(std::string& out,
+                   std::initializer_list<std::string_view> parts) {
+  PutVarint(out, parts.size());
+  for (std::string_view p : parts) {
+    PutVarint(out, p.size());
+    out += p;
+  }
+}
+
 Result<std::vector<std::string>> DecodeStrings(std::string_view data) {
   std::size_t i = 0;
   std::uint64_t count;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +22,9 @@ namespace jamm::rpc {
 
 /// Marshal a string list (varint length-prefixed, binary-safe).
 std::string EncodeStrings(const std::vector<std::string>& parts);
+/// The same layout for borrowed parts, appended to `out`.
+void AppendStrings(std::string& out,
+                   std::initializer_list<std::string_view> parts);
 Result<std::vector<std::string>> DecodeStrings(std::string_view data);
 
 class RpcServer {

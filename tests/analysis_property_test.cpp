@@ -15,6 +15,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <limits>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -483,6 +485,74 @@ TEST(AnalysisPropertyTest, CompressionInvisibleToRecordQueries) {
   ASSERT_EQ(ae.size(), be.size());
   for (std::size_t i = 0; i < ae.size(); ++i) {
     EXPECT_EQ(ae.View(i).ToAscii(), be.View(i).ToAscii());
+  }
+}
+
+// ---------------------------------------------------- value ordering
+
+TEST(AnalysisPropertyTest, SortValuesMatchesStdSort) {
+  // Sizes on both sides of the comparison-sort cutoff, and values that
+  // share high key bytes (the digits the radix sort skips).
+  Rng rng(77);
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min() / 3,
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::lowest(),
+                             1.0,
+                             -1.0};
+  for (std::size_t n : {0, 1, 2, 31, 32, 200, 255, 256, 257, 300, 1000,
+                        4096}) {
+    for (int shape = 0; shape < 4; ++shape) {
+      SCOPED_TRACE("n " + std::to_string(n) + " shape " +
+                   std::to_string(shape));
+      std::vector<double> values;
+      for (std::size_t i = 0; i < n; ++i) {
+        switch (shape) {
+          case 0:  // wide range, both signs, specials mixed in
+            values.push_back(rng.Chance(0.1)
+                                 ? specials[rng.Uniform(0, 10)]
+                                 : rng.UniformReal(-1e6, 1e6));
+            break;
+          case 1:  // few distinct values: many duplicates
+            values.push_back(static_cast<double>(rng.Uniform(-3, 3)));
+            break;
+          case 2:  // one narrow positive band: shared high bytes
+            values.push_back(1000.0 + rng.Uniform(0, 255) * 0x1p-40);
+            break;
+          default:  // already descending
+            values.push_back(-static_cast<double>(i) * 0.5);
+            break;
+        }
+      }
+      std::vector<double> want = values;
+      std::sort(want.begin(), want.end());
+      std::vector<double> got = values;
+      SortValues(got);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        // Equal in value everywhere; -0 and +0 compare equal, so
+        // std::sort may order them either way, while SortValues always
+        // puts -0 first.
+        ASSERT_EQ(got[i], want[i]) << "at " << i;
+        if (i > 0 && got[i] == 0 && got[i - 1] == 0) {
+          EXPECT_FALSE(!std::signbit(got[i - 1]) && std::signbit(got[i]))
+              << "+0 before -0 at " << i;
+        }
+      }
+      // The same multiset of bit patterns.
+      auto bits = [](const std::vector<double>& xs) {
+        std::vector<std::uint64_t> out;
+        for (double x : xs) out.push_back(std::bit_cast<std::uint64_t>(x));
+        std::sort(out.begin(), out.end());
+        return out;
+      };
+      EXPECT_EQ(bits(got), bits(values));
+    }
   }
 }
 

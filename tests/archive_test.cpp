@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -259,6 +260,27 @@ TEST(CompactionTest, TiersKeepAbnormalAndNest) {
   for (double v : Vals(tier2)) {
     EXPECT_TRUE(tier1_vals.count(v)) << "tier 2 kept a record tier 1 dropped";
   }
+}
+
+TEST(CompactionTest, SegmentStampedAtTheEarliestTimeReachesTheOldestTier) {
+  // The age of a segment stamped INT64_MIN does not fit a Duration; it
+  // saturates, so the segment is older than every tier instead of
+  // wrapping around to a negative age that no tier admits.
+  SegmentConfig config;
+  config.stripes = 1;
+  EventArchive ar("a", 1, config);
+  const TimePoint earliest = std::numeric_limits<TimePoint>::min();
+  for (int i = 0; i < 20; ++i) test::Ingest(ar, Event(earliest, "OLD", i));
+  ar.SealActive();
+  for (int i = 0; i < 20; ++i) test::Ingest(ar, Event(kHour, "NEW", i));
+  ar.SealActive();
+  CompactionPolicy policy;
+  policy.tiers = {{kHour, 1.0}, {24 * kHour, 0.0}};
+  ar.SetCompactionPolicy(policy);
+
+  EXPECT_EQ(ar.Compact(kHour), 20u);
+  EXPECT_TRUE(ar.QueryEvents("OLD", earliest, 2 * kHour).empty());
+  EXPECT_EQ(ar.QueryEvents("NEW", earliest, 2 * kHour).size(), 20u);
 }
 
 TEST(CompactionTest, DecisionsSurviveSaveLoadRoundTrip) {

@@ -3,7 +3,10 @@
 // in-proc listener sees it), string utilities, config parsing.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
 #include <set>
 #include <thread>
 
@@ -308,6 +311,62 @@ TEST(QueueTest, CrossThreadHandoff) {
 }
 
 // --------------------------------------------------------------- strings
+
+// ParseDouble's allocation-free path for plain decimals must give exactly
+// strtod's value, and every text must keep strtod's verdict.
+void ExpectParseDoubleMatchesStrtod(const std::string& text) {
+  SCOPED_TRACE("'" + text + "'");
+  const std::string trimmed = Trim(text);
+  char* end = nullptr;
+  const double want = std::strtod(trimmed.c_str(), &end);
+  const bool want_ok =
+      !trimmed.empty() && end == trimmed.c_str() + trimmed.size();
+  const auto got = ParseDouble(text);
+  ASSERT_EQ(got.ok(), want_ok);
+  if (!want_ok) return;
+  if (std::isnan(want)) {
+    EXPECT_TRUE(std::isnan(*got));
+  } else {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*got),
+              std::bit_cast<std::uint64_t>(want));
+  }
+}
+
+TEST(StringsTest, ParseDoubleMatchesStrtod) {
+  for (const char* text :
+       {"+5", ".5", "5.", "0x1p3", "nan", "-nan", "inf", "-inf", "1e400",
+        "-1e400", "1e-400", "-0", "0", "-0.0", " 7 ", "\t-2.5\n", "", " ",
+        "-", ".", "-.", "1.2.3", "1e", "--1", "1-", "0.1", "0.3",
+        "123456789012345", "1234567890123456", "0.0000000000000000000001",
+        "0.00000000000000000000001", "999999999999999.9",
+        "4.9406564584124654e-324", "00000000000000000000000000012.5",
+        "9007199254740993", "1,5", "5f"}) {
+    ExpectParseDoubleMatchesStrtod(text);
+  }
+  // Seeded corpus: 1-20 digits with an optional sign, point and exponent.
+  Rng rng(2024);
+  for (int n = 0; n < 200000; ++n) {
+    std::string text;
+    if (rng.Chance(0.1)) text += ' ';
+    if (rng.Chance(0.3)) text += rng.Chance(0.8) ? '-' : '+';
+    const int digits = static_cast<int>(rng.Uniform(1, 20));
+    const int point = rng.Chance(0.6) ? static_cast<int>(rng.Uniform(0, digits))
+                                      : -1;
+    for (int d = 0; d < digits; ++d) {
+      if (d == point) text += '.';
+      // Leading zeros and long zero runs now and then.
+      text += rng.Chance(0.2) ? '0' : static_cast<char>('0' + rng.Uniform(0, 9));
+    }
+    if (point == digits) text += '.';
+    if (rng.Chance(0.15)) {
+      text += rng.Chance(0.5) ? 'e' : 'E';
+      if (rng.Chance(0.4)) text += '-';
+      text += std::to_string(rng.Uniform(0, 330));
+    }
+    if (rng.Chance(0.1)) text += ' ';
+    ExpectParseDoubleMatchesStrtod(text);
+  }
+}
 
 TEST(StringsTest, SplitKeepsEmptyFields) {
   auto parts = Split("a,,b", ',');
