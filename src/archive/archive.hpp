@@ -52,7 +52,8 @@ struct SegmentConfig {
   std::size_t stripes = 8;
   /// Compress segments as they seal (ISSUE 8): the flat chunks are
   /// replaced by a dictionary + delta-varint blob; pruning indexes stay
-  /// resident, queries decompress covering segments into a scratch batch.
+  /// resident, queries decode the blocks of covering segments that can
+  /// hold a match, handing passing records straight to their fold.
   /// Off by default — flip it (or call CompressSealed) when the archive
   /// is read rarely enough that decode-on-scan beats resident bytes.
   bool compress_sealed = false;
