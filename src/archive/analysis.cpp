@@ -148,12 +148,6 @@ double FromOrderKey(std::uint64_t key) {
                                            : ~key);
 }
 
-/// Below this many values SortValues uses a comparison sort, which is
-/// faster there: the radix sort's histograms and key copies cost a few
-/// microseconds whatever the size (the two cross between 192 and 256
-/// values on a 4-vCPU VM).
-constexpr std::size_t kRadixMinValues = 256;
-
 Result<std::uint64_t> ParseU64(const std::string& text, const char* what) {
   auto value = ParseInt(text);
   if (!value.ok() || *value < 0) {
@@ -167,10 +161,11 @@ Result<std::uint64_t> ParseU64(const std::string& text, const char* what) {
 
 void SortValues(std::vector<double>& values) {
   const std::size_t n = values.size();
-  if (n < kRadixMinValues) {
-    std::sort(values.begin(), values.end(), [](double a, double b) {
-      return OrderKey(a) < OrderKey(b);
-    });
+  // The comparison sort is faster below the cutoff: the radix sort's
+  // histograms and key copies cost a few microseconds whatever the size
+  // (the two cross between 192 and 256 values on a 4-vCPU VM).
+  if (n < kSortValuesRadixMin) {
+    std::sort(values.begin(), values.end());
     return;
   }
   std::vector<std::uint64_t> keys(n), moved(n);
@@ -454,9 +449,12 @@ std::vector<AggRow> AnalysisEngine::Aggregate(const AnalysisSpec& spec,
   telemetry::ScopedTimer timer(&tm.query_us);
   const Compiled c(spec);
 
-  // Groups keyed by event symbol in a flat vector: a scan meets a
-  // handful of event names, so finding a record's group is a few 4-byte
-  // compares. Names are resolved once, to order the merged rows.
+  // Groups keyed by event symbol in a flat vector: finding a record's
+  // group is one 4-byte compare per group already met, so this suits the
+  // few event names an agg window holds (every one of 733 agg queries in
+  // a query_mixed run, seed 7, met exactly 4) and would cost
+  // records x names over a window holding hundreds. Names are resolved
+  // once, to order the merged rows.
   struct Group {
     ulm::Symbol event;
     std::uint64_t count = 0;

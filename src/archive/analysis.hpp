@@ -125,12 +125,19 @@ Result<AnalysisSpec> ParseAnalysisSpec(std::string_view text);
 /// statistic uses.
 double NearestRank(const std::vector<double>& sorted, int pct);
 
-/// Sort NaN-free `values` ascending: the order std::sort gives, with -0
-/// placed before +0 (which std::sort leaves in input order), so the
-/// result does not depend on how the values arrived. Linear time above a
-/// small size: an LSD radix sort on order-preserving 64-bit keys that
-/// skips the byte digits every key shares. The one value ordering of the
-/// loadline and aggregate statistics.
+/// Below this many values SortValues is std::sort itself.
+inline constexpr std::size_t kSortValuesRadixMin = 256;
+
+/// Sort NaN-free `values` ascending: the one value ordering of the
+/// loadline and aggregate statistics. Below kSortValuesRadixMin values it
+/// is std::sort, byte for byte. From there it takes linear time, an LSD
+/// radix sort on order-preserving 64-bit keys that skips the byte digits
+/// every key shares, and gives std::sort's order except between -0 and
+/// +0: they compare equal, so std::sort may leave them in either order
+/// (its choice depends on the input order), while the radix sort always
+/// puts -0 first. Sums are unchanged by that; a minimum, maximum or
+/// percentile that falls on a run of zeros holding both signs may print
+/// "-0" where std::sort's order gave "0", or the reverse.
 void SortValues(std::vector<double>& values);
 
 /// The pushdown engine. Borrows the archive (must outlive the engine);

@@ -28,8 +28,8 @@
 // its predicates (ScanFilter: time window, host, event glob) into the
 // scan of a covering segment: the decoder reads each record's timestamp
 // and dictionary indexes, and hands only the records that pass to the
-// query's fold, as views into the blob itself; the rest are skipped by
-// their length prefixes, still fully bounds-checked.
+// query's fold, as views into the blob itself; the rest are stepped over
+// by their field lengths, still fully bounds-checked.
 // Compression is transparent to every query and to persistence:
 // compressed segments save as SEG2 blocks carrying the blob verbatim, so
 // save → load → save is byte-stable in both states.
@@ -48,9 +48,10 @@
 // The block decoder calls the fold straight from the blob through a
 // RecordSink (two pointers; nothing is copied or allocated per record),
 // and the loader's validating decode runs the same record loop with a
-// sink that appends to a FlatBatch. Scans stay single-threaded: a parallel prototype of the segment walk
-// slowed read-back queries (0.83 → 0.89 ms p90) on a 4-vCPU VM, where
-// spinning workers cost more than the scan they split.
+// sink that appends to a FlatBatch. Scans stay single-threaded: a
+// parallel prototype of the segment walk slowed read-back queries
+// (0.83 → 0.89 ms p90) on a 4-vCPU VM, where spinning workers cost more
+// than the scan they split.
 #pragma once
 
 #include <algorithm>
@@ -153,11 +154,11 @@ struct BlockIndex {
   /// Width of a block's host mask. With 64 bits, four in five of the
   /// blocks a read-back host query decoded held no match (a block holds
   /// about ten hosts, so bits collide); 128 bits cut the blocks decoded
-  /// by almost half for 8 more bytes a block. Since the decoder feeds
-  /// the fold without copying, a decoded record costs about the same
-  /// whether the filter keeps it or not, so the blocks decoded for
-  /// nothing are most of a selective scan's time: 256 bits halve them
-  /// again where a segment holds 256 hosts, for 16 more bytes a block.
+  /// by almost half for 8 more bytes a block. 256 bits halve them again
+  /// where a segment holds more than 128 hosts, for 16 more bytes a
+  /// block: perfbench ingest_wire (1000 hosts) read-back query_p90_ms
+  /// fell 0.229 -> 0.207 ms against 128 bits, lower in 17 of 20
+  /// alternating pairs; query_mixed (32-host history) did not move.
   static constexpr std::size_t kHostMaskBits = 256;
   using HostMask = std::array<std::uint64_t, kHostMaskBits / 64>;
 

@@ -6,9 +6,39 @@
 namespace jamm::telemetry {
 
 namespace internal {
+namespace {
+/// Bit i set: leased shard i is held by a live thread.
+std::atomic<std::uint32_t> leased_shards{0};
+constexpr std::uint32_t kLeasable = (1u << kSharedShard) - 1;
+
+/// Gives the thread's leased shard back when the thread exits. Later
+/// writes from this thread (another thread_local's destructor) go to the
+/// shared shard, so the lease's next holder is its only writer. Release
+/// pairs with the acquire that takes the lease: the next holder's plain
+/// load sees every value this thread stored.
+struct ShardLease {
+  std::size_t shard;
+  ~ShardLease() {
+    tls_shard = kSharedShard;
+    leased_shards.fetch_and(~(1u << shard), std::memory_order_release);
+  }
+};
+}  // namespace
+
 std::size_t AssignShard() {
-  tls_shard = next_shard.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return tls_shard;
+  std::uint32_t held = leased_shards.load(std::memory_order_relaxed);
+  for (;;) {
+    const std::uint32_t free = kLeasable & ~held;
+    if (free == 0) return tls_shard = kSharedShard;
+    const std::uint32_t bit = free & (~free + 1);
+    if (leased_shards.compare_exchange_weak(held, held | bit,
+                                            std::memory_order_acquire,
+                                            std::memory_order_relaxed)) {
+      thread_local ShardLease lease{
+          static_cast<std::size_t>(std::countr_zero(bit))};
+      return tls_shard = lease.shard;
+    }
+  }
 }
 }  // namespace internal
 

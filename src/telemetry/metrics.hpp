@@ -39,19 +39,35 @@ namespace jamm::telemetry {
 inline constexpr std::size_t kShards = 8;
 
 namespace internal {
-inline std::atomic<std::size_t> next_shard{0};
+/// The last shard is shared by every thread that finds no other shard
+/// free; each of the others is leased to one live thread at a time.
+inline constexpr std::size_t kSharedShard = kShards - 1;
 // Sentinel-initialized so the thread_local is constant-initialized — no
 // per-call init guard, just a TLS load and a predictable branch.
 inline constexpr std::size_t kShardUnset = ~std::size_t{0};
 inline thread_local std::size_t tls_shard = kShardUnset;
 std::size_t AssignShard();
+
+/// Add `n` to the cell of shard `shard`. A leased shard has one writer,
+/// so a relaxed load and store suffice (plain moves: no locked
+/// read-modify-write, which was most of an enabled counter's cost); the
+/// shared shard's writers add atomically.
+inline void CellAdd(std::atomic<std::uint64_t>& cell, std::size_t shard,
+                    std::uint64_t n) {
+  if (shard == kSharedShard) {
+    cell.fetch_add(n, std::memory_order_relaxed);
+  } else {
+    cell.store(cell.load(std::memory_order_relaxed) + n,
+               std::memory_order_relaxed);
+  }
+}
 }  // namespace internal
 
-/// Stable per-thread shard index in [0, kShards). Round-robin assignment
-/// at first use gives a perfectly even spread for the common
-/// N-worker-threads case, unlike hashing thread ids. Inline because it is
-/// on every Add()/Record() path: after the first call it compiles down to
-/// one TLS load and a never-taken branch.
+/// The calling thread's shard index in [0, kShards). A thread takes the
+/// lowest free leased shard at first use and gives it back when it exits;
+/// with every leased shard held it writes the shared one. Inline because
+/// it is on every Add()/Record() path: after the first call it compiles
+/// down to one TLS load and a never-taken branch.
 inline std::size_t ShardIndex() {
   const std::size_t s = internal::tls_shard;
   return s != internal::kShardUnset ? s : internal::AssignShard();
@@ -70,7 +86,8 @@ class Counter {
  public:
   void Add(std::uint64_t n) {
     if (!enabled_->load(std::memory_order_relaxed)) return;
-    shards_[ShardIndex()].value.fetch_add(n, std::memory_order_relaxed);
+    const std::size_t shard = ShardIndex();
+    internal::CellAdd(shards_[shard].value, shard, n);
   }
   void Increment() { Add(1); }
 
@@ -131,9 +148,10 @@ class Histogram {
 
   void Record(std::uint64_t value) {
     if (!enabled_->load(std::memory_order_relaxed)) return;
-    Shard& s = shards_[ShardIndex()];
-    s.buckets[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
-    s.sum.fetch_add(value, std::memory_order_relaxed);
+    const std::size_t shard = ShardIndex();
+    Shard& s = shards_[shard];
+    internal::CellAdd(s.buckets[BucketOf(value)], shard, 1);
+    internal::CellAdd(s.sum, shard, value);
     std::uint64_t seen = s.max.load(std::memory_order_relaxed);
     while (value > seen &&
            !s.max.compare_exchange_weak(seen, value,
@@ -218,7 +236,9 @@ class MetricsRegistry {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Zero every metric (tests and benches); registrations survive.
+  /// Zero every metric (tests and benches); registrations survive. Run
+  /// it while no thread writes: a leased shard's writer may store over a
+  /// concurrent reset.
   void Reset();
 
   /// Visit all metrics in name order (exporter, tests). Callbacks run

@@ -681,6 +681,47 @@ TEST(ArchiveQueryServiceTest, AnalysisReplyBytesArePinned) {
   }
 }
 
+// Zeros of both signs in one group. SMALL (6 values) is ordered by
+// std::sort itself, so its bytes are what std::sort's order gives; LARGE
+// (300 values, past kSortValuesRadixMin) is ordered by the radix sort,
+// which puts every -0 before every +0: its minimum prints "-0" and its
+// median, the 150th of 100 "-0", 100 "0" and 100 "1", prints "0". Sorted
+// by std::sort alone, this input gives the same bytes.
+TEST(ArchiveQueryServiceTest, AggregateOverZerosOfBothSignsIsPinned) {
+  SegmentConfig config;
+  config.stripes = 1;
+  config.max_records = 64;
+  EventArchive ar("zeros", 1, config);
+  TimePoint ts = 0;
+  for (const char* val : {"0", "-0", "2", "-0", "0", "-1"}) {
+    ulm::FlatRecord rec(++ts, "h1", "prog", "Usage", "SMALL");
+    rec.SetField("VAL", std::string_view(val));
+    ar.Ingest(rec.View());
+  }
+  for (int i = 0; i < 300; ++i) {
+    ulm::FlatRecord rec(++ts, "h1", "prog", "Usage", "LARGE");
+    rec.SetField("VAL", std::string_view(i % 3 == 0   ? "0"
+                                         : i % 3 == 1 ? "-0"
+                                                      : "1"));
+    ar.Ingest(rec.View());
+  }
+  ar.SealActive();
+  EXPECT_GT(ar.CompressSealed(), 0u);
+  ArchiveQueryService service(ar);
+  auto reply =
+      service.Invoke(kQueryMethod, {"agg", "0", "10000", "field=VAL"});
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto parts = rpc::DecodeStrings(*reply);
+  ASSERT_TRUE(parts.ok());
+  ASSERT_EQ(parts->size(), 4u);
+  EXPECT_EQ((*parts)[2],
+            std::string_view(
+                "\x2" "0\t\x5LARGE\x3" "300\x3" "300\x3" "100\x13"
+                "0.33333333333333331\x2-0\x1" "1\x1" "0\x1" "1+\t\x5SMALL"
+                "\x1" "6\x1" "6\x1" "1\x13" "0.16666666666666666\x2-1\x1"
+                "2\x2-0\x1" "2"));
+}
+
 class ArchiveRpcTest : public ::testing::Test {
  protected:
   ArchiveRpcTest() : clock_(0), registry_(clock_), ar_("main", 1, Config()) {

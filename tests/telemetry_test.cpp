@@ -43,6 +43,46 @@ TEST(CounterTest, ConcurrentIncrementsSumExactly) {
   EXPECT_EQ(counter.Value(), kThreads * kPerThread);
 }
 
+// More live threads than leased shards: each leased shard has exactly one
+// holder, the rest share the atomic shard, every increment is counted,
+// and the leases come back when their threads exit.
+TEST(CounterTest, ThreadsBeyondTheLeasedShardsShareOneAndSumExactly) {
+  MetricsRegistry registry;
+  Counter& counter = registry.counter("test.hits");
+  constexpr int kThreads = 12;
+  constexpr std::uint64_t kPerThread = 50000;
+  std::atomic<int> started{0};
+  std::vector<std::size_t> shards(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      shards[static_cast<std::size_t>(t)] = ShardIndex();
+      started.fetch_add(1);
+      // Hold every thread alive until all have taken a shard.
+      while (started.load() < kThreads) std::this_thread::yield();
+      for (std::uint64_t i = 0; i < kPerThread; ++i) counter.Increment();
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(counter.Value(), kThreads * kPerThread);
+  std::set<std::size_t> leased;
+  int shared = 0;
+  for (std::size_t shard : shards) {
+    ASSERT_LT(shard, kShards);
+    if (shard == internal::kSharedShard) {
+      ++shared;
+    } else {
+      EXPECT_TRUE(leased.insert(shard).second) << "shard " << shard;
+    }
+  }
+  EXPECT_GE(shared, kThreads - static_cast<int>(internal::kSharedShard));
+
+  std::size_t later = kShards;
+  std::thread([&later] { later = ShardIndex(); }).join();
+  EXPECT_NE(later, internal::kSharedShard);
+}
+
 TEST(CounterTest, AddAndSameNameSameCounter) {
   MetricsRegistry registry;
   registry.counter("a").Add(5);
