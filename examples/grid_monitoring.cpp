@@ -11,6 +11,10 @@
 //  * an overview monitor that pages only when BOTH the primary and the
 //    backup server are down (§2.2's 2 A.M. example);
 //  * an archiver recording a sampled history;
+//  * the summary data service (§7.0): the primary's gateway averages the
+//    path figures the FTP transfer reports, publishes them into the
+//    directory, and a "network-aware" client sizes its TCP buffer from
+//    them;
 //  * self-telemetry: the monitor's own vitals served as "/metrics" from
 //    the same HTTP server that serves sensor configuration, and every
 //    event carrying a NetLogger-style trace (sensor → manager → gateway
@@ -21,6 +25,7 @@
 #include "consumers/archiver.hpp"
 #include "consumers/overview_monitor.hpp"
 #include "consumers/process_monitor.hpp"
+#include "consumers/summary_service.hpp"
 #include "directory/replication.hpp"
 #include "manager/sensor_manager.hpp"
 #include "rpc/httpsim.hpp"
@@ -130,6 +135,23 @@ mode = always
   (void)archiver.SubscribeTo(ftp_server.gateway);
   (void)archiver.SubscribeTo(backup.gateway);
 
+  // Summary data service (PAPER.md §7.0): "network sensors publish summary
+  // throughput and latency data in the directory service, which is used by
+  // a 'network-aware' client to optimally set its TCP buffer size."
+  consumers::SummaryPublisher summaries(ftp_server.gateway, pool, suffix,
+                                        "ftp.lbl.gov");
+  summaries.AddMetric("NET_THROUGHPUT", "net.throughput.bps");
+  summaries.AddMetric("NET_RTT", "net.rtt.s");
+  auto report_path = [&](double throughput_bps, double rtt_s) {
+    ulm::FlatRecord bw(clock.Now(), "ftp.lbl.gov", "ftp", "Usage",
+                       "NET_THROUGHPUT");
+    bw.SetField("VAL", throughput_bps);
+    ftp_server.gateway.Publish(bw);
+    ulm::FlatRecord rtt(clock.Now(), "ftp.lbl.gov", "ftp", "Usage", "NET_RTT");
+    rtt.SetField("VAL", rtt_s);
+    ftp_server.gateway.Publish(rtt);
+  };
+
   // Self-telemetry: the registry every subsystem instruments itself into,
   // published two ways — a "/metrics" text document on the same HTTP
   // server that serves grid.conf, and periodic TELEMETRY.* ULM events into
@@ -165,7 +187,10 @@ mode = always
 
   std::printf("== phase 2: an FTP session arrives (port 21 active) ==\n");
   tick(15, [&](int s) {
-    if (s < 10) ftp_server.machine.AddPortTraffic(21, 50000);
+    if (s < 10) {
+      ftp_server.machine.AddPortTraffic(21, 50000);
+      report_path(120e6 + s * 2e6, 0.045);  // the transfer's own figures
+    }
   });
   std::printf("  during transfer:");
   for (const auto& name : ftp_server.manager->RunningSensors()) {
@@ -176,6 +201,17 @@ mode = always
                   ftp_server.manager->stats().port_triggers),
               static_cast<unsigned long long>(
                   ftp_server.manager->stats().port_stops));
+  std::printf("  summary service: %zu metric(s) published\n",
+              summaries.PublishOnce());
+  auto window = consumers::OptimalTcpWindowBytes(pool, suffix, "ftp.lbl.gov");
+  if (!window.ok()) {
+    std::fprintf(stderr, "summary lookup failed: %s\n",
+                 window.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("  network-aware client: TCP buffer %.0f bytes "
+              "(bandwidth x delay)\n",
+              *window);
 
   std::printf("== phase 3: ftpd crashes on the primary ==\n");
   ftp_server.machine.StopProcess("ftpd", /*crashed=*/true);

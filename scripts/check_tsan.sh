@@ -8,7 +8,7 @@
 # reconnect/retry paths and runs here too, as does the seeded end-to-end
 # chaos harness (label "chaos"), the segmented archive's lock-striped
 # concurrent ingest/query suite (label "archive"), the archive analysis
-# engine's queries racing ingest/compaction/compression and the offline
+# engine's queries racing ingest and compression and the offline
 # nlv views built on it (label "analysis"), the republisher tree's
 # merge/dedup/pushdown paths (label "federation"), the sharded
 # WAL-backed directory's RCU snapshot reads racing structural writes

@@ -141,8 +141,8 @@ inline constexpr std::size_t kSortValuesRadixMin = 256;
 void SortValues(std::vector<double>& values);
 
 /// The pushdown engine. Borrows the archive (must outlive the engine);
-/// every method is thread-safe against concurrent ingest, sealing,
-/// compaction, and compression, with the same nothing-missed /
+/// every method is thread-safe against concurrent ingest, sealing and
+/// compression, with the same nothing-missed /
 /// nothing-duplicated guarantee as the record queries (it runs on the
 /// archive's two-phase deduped segment walk).
 class AnalysisEngine {

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -19,8 +18,6 @@ struct ArchiveTelemetry {
   telemetry::Counter& ingested;
   telemetry::Counter& dropped;
   telemetry::Counter& seals;
-  telemetry::Counter& compactions;
-  telemetry::Counter& compact_removed;
   telemetry::Counter& query_calls;
   telemetry::Counter& segments_scanned;
   telemetry::Counter& segments_pruned;
@@ -40,8 +37,6 @@ ArchiveTelemetry& Instruments() {
   static ArchiveTelemetry t{m.counter("archive.ingested"),
                             m.counter("archive.dropped"),
                             m.counter("archive.seals"),
-                            m.counter("archive.compactions"),
-                            m.counter("archive.compact.removed"),
                             m.counter("archive.query.calls"),
                             m.counter("archive.query.segments_scanned"),
                             m.counter("archive.query.segments_pruned"),
@@ -73,7 +68,6 @@ std::size_t ThreadOrdinal() {
 EventArchive::EventArchive(std::string name, std::uint64_t sampling_seed,
                            SegmentConfig config)
     : name_(std::move(name)),
-      sampling_seed_(sampling_seed),
       config_(config),
       shared_(std::make_unique<Shared>()) {
   if (config_.stripes == 0) config_.stripes = 1;
@@ -90,10 +84,6 @@ void EventArchive::SetSamplingPolicy(double normal_fraction,
                                      bool keep_abnormal) {
   normal_fraction_ = std::min(1.0, std::max(0.0, normal_fraction));
   keep_abnormal_ = keep_abnormal;
-}
-
-void EventArchive::SetCompactionPolicy(CompactionPolicy policy) {
-  compaction_ = std::move(policy);
 }
 
 bool EventArchive::IsAbnormal(ulm::Symbol lvl) {
@@ -213,75 +203,6 @@ std::size_t EventArchive::SealActive() {
   return sealed;
 }
 
-double EventArchive::HashUnit(const ulm::RecordView& view) const {
-  // FNV-1a over the record's canonical binary encoding, mixed with the
-  // sampling seed: stable across processes and Save/Load round trips, and
-  // across codec rewrites as long as the binary bytes hold (ulm_test pins
-  // them).
-  const std::string bytes = ulm::EncodeBinary(view);
-  std::uint64_t h = 1469598103934665603ull ^ sampling_seed_;
-  for (unsigned char b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-std::size_t EventArchive::Compact(TimePoint now) {
-  if (compaction_.tiers.empty()) return 0;
-  auto& tm = Instruments();
-  std::vector<std::shared_ptr<const Segment>> snapshot;
-  {
-    std::lock_guard lock(shared_->mu);
-    snapshot = shared_->sealed;
-  }
-  std::size_t removed = 0;
-  for (const auto& segment : snapshot) {
-    // Saturating: a segment stamped far in the past is older than every
-    // tier, not wrapped around to a negative age.
-    Duration age = 0;
-    if (__builtin_sub_overflow(now, segment->max_ts, &age)) {
-      age = now < segment->max_ts ? std::numeric_limits<Duration>::min()
-                                  : std::numeric_limits<Duration>::max();
-    }
-    std::uint32_t target = 0;
-    double fraction = 1.0;
-    for (std::size_t i = 0; i < compaction_.tiers.size(); ++i) {
-      if (age >= compaction_.tiers[i].older_than) {
-        target = static_cast<std::uint32_t>(i + 1);
-        fraction = compaction_.tiers[i].keep_fraction;
-      }
-    }
-    if (target <= segment->tier) continue;  // already at (or past) this tier
-    auto compacted = std::make_shared<Segment>();
-    compacted->id = segment->id;
-    compacted->tier = target;
-    compacted->append_reserve = segment->size();
-    segment->ForEachView(ScanFilter{}, [&](const ulm::RecordView& view) {
-      if ((keep_abnormal_ && IsAbnormal(view.lvl_sym())) ||
-          HashUnit(view) < fraction) {
-        compacted->Append(view);
-      }
-    });
-    removed += segment->size() - compacted->size();
-    // A compacted segment keeps its storage state: re-compress if the
-    // source rested compressed (or the config compresses every seal).
-    if (config_.compress_sealed || !segment->compressed.empty()) {
-      compacted->Compress();
-    }
-    std::lock_guard lock(shared_->mu);
-    for (auto& slot : shared_->sealed) {
-      if (slot->id == segment->id) {
-        slot = std::move(compacted);
-        break;
-      }
-    }
-  }
-  tm.compactions.Increment();
-  tm.compact_removed.Add(removed);
-  return removed;
-}
-
 std::size_t EventArchive::CompressSealed() {
   auto& tm = Instruments();
   std::vector<std::shared_ptr<const Segment>> snapshot;
@@ -296,10 +217,6 @@ std::size_t EventArchive::CompressSealed() {
     copy->Compress();
     std::lock_guard lock(shared_->mu);
     for (auto& slot : shared_->sealed) {
-      // Pointer match, not just id: if Compact swapped this segment while
-      // we were compressing the old copy, installing ours would resurrect
-      // the compacted-away records. Leave it — the next CompressSealed
-      // pass picks up the compacted replacement.
       if (slot.get() == segment.get()) {
         slot = std::move(copy);
         ++compressed;

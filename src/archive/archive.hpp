@@ -12,8 +12,6 @@
 //     sealed segments are immutable and carry min/max-time, event-name,
 //     and host indexes, so QueryRange/QueryEvents/QueryHost prune to
 //     covering segments instead of scanning everything;
-//   * sealed segments compact by age tier — normal events are re-sampled
-//     down (deterministic, hash-based), abnormal events are always kept;
 //   * persistence is per-segment with checksummed headers (segment.hpp):
 //     a corrupt segment is skipped on load, never fatal, and partial
 //     loads are reported, never silent.
@@ -59,26 +57,6 @@ struct SegmentConfig {
   bool compress_sealed = false;
 };
 
-/// One compaction tier: sealed segments whose newest record is older than
-/// `older_than` keep only `keep_fraction` of their normal events
-/// (abnormal events are always kept). Fractions are of the ORIGINAL
-/// population and must decrease with age, so deeper tiers keep a subset
-/// of shallower ones (the hash-based decision nests).
-struct CompactionTier {
-  Duration older_than = 0;
-  double keep_fraction = 1.0;
-};
-
-struct CompactionPolicy {
-  /// Ascending by `older_than`, descending by `keep_fraction`.
-  std::vector<CompactionTier> tiers;
-
-  /// 1 h → 25 %, 24 h → 5 % of normal events.
-  static CompactionPolicy Default() {
-    return {{{kHour, 0.25}, {24 * kHour, 0.05}}};
-  }
-};
-
 /// Per-query pruning accounting (pass to any Query* to collect it).
 struct QueryStats {
   std::size_t segments_total = 0;    // segments considered
@@ -120,10 +98,6 @@ class EventArchive {
   /// Configure before concurrent ingest begins.
   void SetSamplingPolicy(double normal_fraction, bool keep_abnormal = true);
 
-  /// Age-tiered re-sampling of sealed segments (see CompactionPolicy).
-  /// Configure before concurrent use.
-  void SetCompactionPolicy(CompactionPolicy policy);
-
   /// Store (subject to sampling). Never fails on policy drops — a dropped
   /// event is policy, not an error. Thread-safe: concurrent callers land
   /// on distinct lock stripes. The keep decision is symbol compares and
@@ -146,19 +120,9 @@ class EventArchive {
   /// returns segments sealed. Thread-safe.
   std::size_t SealActive();
 
-  /// Apply the compaction policy to sealed segments older than its tiers;
-  /// returns records removed. Deterministic: the keep decision hashes the
-  /// record bytes with the sampling seed, so re-running — or running
-  /// after a Save/Load round trip — removes exactly the same records.
-  /// Thread-safe against concurrent ingest and queries. A compacted
-  /// segment stays compressed if its source was (or compress_sealed is
-  /// on).
-  std::size_t Compact(TimePoint now);
-
-  /// Compress every sealed, still-uncompressed segment (copy-swap, same
-  /// idiom as Compact: in-flight queries keep their snapshot); returns
-  /// segments compressed. Thread-safe against concurrent ingest, queries,
-  /// and compaction — a segment Compact replaced mid-walk is left alone.
+  /// Compress every sealed, still-uncompressed segment (copy-swap:
+  /// in-flight queries keep their snapshot); returns segments compressed.
+  /// Thread-safe against concurrent ingest and queries.
   std::size_t CompressSealed();
 
   /// Total resting bytes across all segments (Segment::StorageBytes) —
@@ -209,7 +173,7 @@ class EventArchive {
 
   // -------------------------------------------------------------- stats
 
-  /// Records currently stored (after sampling and compaction).
+  /// Records currently stored (after sampling).
   std::size_t size() const;
   std::uint64_t ingested() const;
   std::uint64_t dropped() const;
@@ -255,8 +219,6 @@ class EventArchive {
   /// stripe.mu; takes shared_->mu nested.
   void SealLocked(Stripe& stripe);
   std::shared_ptr<Segment> NewSegment();
-  /// Deterministic per-record sampling unit in [0, 1) for compaction.
-  double HashUnit(const ulm::RecordView& view) const;
   /// Shared query walk: collect the records that pass `filter` from every
   /// covering segment, merged time-ordered.
   ulm::FlatBatch Collect(const ScanFilter& filter, QueryStats* stats) const;
@@ -337,11 +299,9 @@ class EventArchive {
   friend class AnalysisEngine;
 
   std::string name_;
-  std::uint64_t sampling_seed_ = 1;
   SegmentConfig config_;
   double normal_fraction_ = 1.0;
   bool keep_abnormal_ = true;
-  CompactionPolicy compaction_;
   LoadStats load_stats_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::unique_ptr<Shared> shared_;

@@ -176,8 +176,8 @@ Result<std::string> ArchiveQueryService::Invoke(
   // Page [offset, offset + limit) of the deterministic full result,
   // encoded straight from the result's views. The query order is stable
   // across calls (time, then segment id, then in-segment order), so
-  // successive pages tile without gaps or overlap as long as the archive
-  // is not compacted mid-pagination.
+  // successive pages tile without gaps or overlap as long as no record
+  // lands inside the window mid-pagination.
   const std::size_t total = rows.size();
   std::string batch;
   std::size_t end = offset >= total

@@ -448,7 +448,7 @@ void AppendSegmentBlock(const Segment& segment, std::string& out) {
   }
   const std::size_t start = out.size();
   Put32(out, segment.compressed.empty() ? kSegmentMagic : kSegmentMagicV2);
-  Put32(out, segment.tier);
+  Put32(out, 0);  // reserved
   Put64(out, segment.id);
   Put64(out, segment.size());
   Put64(out, static_cast<std::uint64_t>(segment.min_ts));
@@ -501,7 +501,6 @@ BlockOutcome ReadSegmentBlock(std::string_view data, std::size_t* offset,
   if (walked != Get64(data, at + 16)) return BlockOutcome::kSkipped;
   Segment segment;
   segment.id = Get64(data, at + 8);
-  segment.tier = Get32(data, at + 4);
   segment.AppendFlatFrame(std::move(batch));
   // The header's time bounds must agree with the payload's; a mismatch
   // means header and payload are from different writes.

@@ -1,9 +1,9 @@
-// Archive segments (ISSUE 5): the unit of storage, pruning, compaction,
-// and persistence for the segmented event archive.
+// Archive segments (ISSUE 5): the unit of storage, pruning and
+// persistence for the segmented event archive.
 //
 // A segment is an append-only run of records covering a contiguous slice
 // of ingest. While active it is guarded by its owning stripe's lock; once
-// sealed it is immutable and shared freely between queries, compaction,
+// sealed it is immutable and shared freely between queries, compression
 // and persistence. Every segment carries the indexes queries prune on:
 // min/max record timestamp, per-event-name counts, and the host set — so
 // a time/glob/host query touches only covering segments.
@@ -84,8 +84,8 @@ enum class BlockOutcome;
 
 /// A query's record predicates, built once per query and pushed into the
 /// segment scan — the three the per-segment indexes prune on. A
-/// default-constructed filter passes every record (the loader, seal and
-/// compaction paths).
+/// default-constructed filter passes every record (the loader and seal
+/// paths).
 struct ScanFilter {
   ScanFilter() = default;
   /// Records with t0 <= ts < t1, narrowed by `event_glob` ("" = all).
@@ -213,8 +213,6 @@ struct BlockIndex {
 /// stripe's lock); sealed segments are immutable.
 struct Segment {
   std::uint64_t id = 0;
-  /// Deepest compaction tier already applied (0 = uncompacted).
-  std::uint32_t tier = 0;
   TimePoint min_ts = 0;
   TimePoint max_ts = 0;
   /// Records in arrival order (roughly, but not strictly, time-ordered),
@@ -362,7 +360,7 @@ struct Segment {
 //
 //   segment block := segment header (56 bytes) + payload:
 //     u32  magic   "SEG1" (0x31474553 LE) or "SEG2" (0x32474553 LE)
-//     u32  tier
+//     u32  reserved               (written 0, ignored on load)
 //     u64  id
 //     u64  record_count
 //     i64  min_ts

@@ -16,9 +16,14 @@ namespace {
 
 using Node = Filter::Node;
 
-// Recursive descent over "(...)" — `i` points at the expected '('.
+// Recursive descent over "(...)" — `i` points at the expected '(' and
+// `depth` counts the enclosing operators.
 Result<std::shared_ptr<const Node>> ParseNode(std::string_view text,
-                                              std::size_t& i);
+                                              std::size_t& i, int depth);
+
+// Nesting bound. A filter is client text, and every level costs a stack
+// frame here and again when the tree is matched, printed and destroyed.
+constexpr int kMaxDepth = 64;
 
 Result<std::shared_ptr<const Node>> ParseLeaf(std::string_view body) {
   // body is "attr<op>value" with op in {=, >=, <=}.
@@ -54,7 +59,11 @@ Result<std::shared_ptr<const Node>> ParseLeaf(std::string_view body) {
 }
 
 Result<std::shared_ptr<const Node>> ParseNode(std::string_view text,
-                                              std::size_t& i) {
+                                              std::size_t& i, int depth) {
+  if (depth > kMaxDepth) {
+    return Status::ParseError("filter: nested deeper than " +
+                              std::to_string(kMaxDepth));
+  }
   if (i >= text.size() || text[i] != '(') {
     return Status::ParseError("filter: expected '(' at offset " +
                               std::to_string(i));
@@ -67,7 +76,7 @@ Result<std::shared_ptr<const Node>> ParseNode(std::string_view text,
     auto node = std::make_shared<Node>();
     node->kind = op == '&' ? Node::Kind::kAnd : Node::Kind::kOr;
     while (i < text.size() && text[i] == '(') {
-      auto child = ParseNode(text, i);
+      auto child = ParseNode(text, i, depth + 1);
       if (!child.ok()) return child;
       node->children.push_back(*child);
     }
@@ -82,7 +91,7 @@ Result<std::shared_ptr<const Node>> ParseNode(std::string_view text,
   }
   if (op == '!') {
     ++i;
-    auto child = ParseNode(text, i);
+    auto child = ParseNode(text, i, depth + 1);
     if (!child.ok()) return child;
     if (i >= text.size() || text[i] != ')') {
       return Status::ParseError("filter: expected ')' closing negation");
@@ -188,7 +197,7 @@ std::string NodeToString(const Node& node) {
 Result<Filter> Filter::Parse(std::string_view text) {
   std::string_view trimmed = TrimView(text);
   std::size_t i = 0;
-  auto root = ParseNode(trimmed, i);
+  auto root = ParseNode(trimmed, i, 0);
   if (!root.ok()) return root.status();
   if (i != trimmed.size()) {
     return Status::ParseError("filter: trailing characters after ')'");

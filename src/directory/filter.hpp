@@ -20,7 +20,8 @@ namespace jamm::directory {
 
 class Filter {
  public:
-  /// Parse an RFC1960 filter string; the outer parentheses are required.
+  /// Parse an RFC1960 filter string; the outer parentheses are required
+  /// and operators nest at most 64 deep.
   static Result<Filter> Parse(std::string_view text);
 
   /// Matches everything — "(objectclass=*)" shorthand.

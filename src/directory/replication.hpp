@@ -89,7 +89,7 @@ class Replicator {
 ///
 /// Sharding (ISSUE 9): when a server answers with a referral — a search
 /// continuation, a NotFound where a referral covers the DN, or a write
-/// aborted because the subtree moved — the pool chases it: the target
+/// aborted under a referral — the pool chases it: the target
 /// address is resolved to a server (pool members by address, plus any
 /// resolver the deployment registers for out-of-pool shards) and the
 /// operation re-runs there, to a bounded depth. Resolved routes are
@@ -108,7 +108,7 @@ class DirectoryPool {
                         const Clock& clock);
 
   /// Resolve a referral target address to a server that is not a pool
-  /// member (a split-off shard). Pool members resolve by address
+  /// member (a per-site shard). Pool members resolve by address
   /// automatically; the resolver is consulted for everything else.
   using Resolver =
       std::function<std::shared_ptr<DirectoryServer>(const std::string&)>;

@@ -40,10 +40,6 @@ DirectoryServer::DirectoryServer(Dn suffix, std::string address,
 
 DirectoryServer::~DirectoryServer() = default;
 
-std::shared_ptr<WalStorage> DirectoryServer::wal_storage() const {
-  return wal_->storage();
-}
-
 // ------------------------------------------------- snapshot plumbing
 
 std::size_t DirectoryServer::BucketOf(const std::string& key) {
@@ -409,9 +405,9 @@ Result<std::size_t> DirectoryServer::RenewLeases(const std::vector<Dn>& dns,
     const std::string key = dn.ToString();
     const Node* node = FindNode(*txn.snap, key);
     if (node == nullptr) {
-      // Reaped, never published here, or referred away by a shard split —
-      // either way the owner must re-publish through the pool, which
-      // chases referrals to the right shard.
+      // Reaped, never published here, or referred away to another
+      // server — either way the owner must re-publish through the pool,
+      // which chases referrals to the right shard.
       if (missing) missing->push_back(dn);
       continue;
     }
@@ -658,79 +654,10 @@ void DirectoryServer::AddReferral(Dn suffix, std::string target) {
   CommitLocked(&txn, {std::move(change)});
 }
 
-Result<std::vector<Entry>> DirectoryServer::CutoverSubtree(
-    const Dn& subtree, const std::string& target_address,
-    const std::string& principal) {
-  std::lock_guard lock(mu_);
-  JAMM_RETURN_IF_ERROR(CheckAlive());
-  JAMM_RETURN_IF_ERROR(CheckAccess(Operation::kWrite, subtree, principal));
-  Txn txn = BeginTxn();
-  // Collect the subtree (materialized: final lease values travel with the
-  // entries to the new shard), parents-first for replay on the target.
-  std::vector<const Node*> nodes;
-  for (const auto& bucket : txn.snap->buckets) {
-    if (!bucket) continue;
-    for (const auto& [key, node] : *bucket) {
-      if (node.entry->dn().IsUnder(subtree)) nodes.push_back(&node);
-    }
-  }
-  std::sort(nodes.begin(), nodes.end(), [](const Node* a, const Node* b) {
-    return a->entry->dn().depth() < b->entry->dn().depth();
-  });
-  std::vector<Entry> moved;
-  moved.reserve(nodes.size());
-  for (const Node* node : nodes) moved.push_back(Materialize(*node));
-
-  // One atomic snapshot swap installs the referral and removes the local
-  // copies: a concurrent read sees either the entries or the referral,
-  // never neither. Tombstones deepest-first in the log, referral last.
-  std::vector<Change> changes;
-  changes.reserve(moved.size() + 1);
-  for (auto it = moved.rbegin(); it != moved.rend(); ++it) {
-    const std::string key = it->dn().ToString();
-    MutableBucket(txn, BucketOf(key)).erase(key);
-    --txn.snap->entry_count;
-    Change change;
-    change.type = Change::Type::kDelete;
-    change.entry = Entry(it->dn());
-    changes.push_back(std::move(change));
-  }
-  Change ref_change;
-  ref_change.type = Change::Type::kReferral;
-  ref_change.entry = Entry(subtree);
-  ref_change.referral_target = target_address;
-  changes.push_back(std::move(ref_change));
-  txn.snap->referrals.push_back({subtree, target_address});
-  txn.dirty = true;
-  counters_.writes.fetch_add(changes.size(), std::memory_order_relaxed);
-  CommitLocked(&txn, std::move(changes));
-  return moved;
-}
-
 // -------------------------------------------------------- replication
-
-std::vector<Change> DirectoryServer::ChangesSince(
-    std::uint64_t after_seq) const {
-  std::vector<Change> out;
-  std::uint64_t offset = 0;
-  for (;;) {
-    std::uint64_t next = 0;
-    auto batch = wal_->ReadFrom(offset, 1024, &next);
-    if (batch.empty()) break;
-    for (auto& change : batch) {
-      if (change.seq > after_seq) out.push_back(std::move(change));
-    }
-    offset = next;
-  }
-  return out;
-}
 
 std::uint64_t DirectoryServer::last_seq() const {
   return last_seq_.load(std::memory_order_acquire);
-}
-
-Status DirectoryServer::ApplyReplicated(const Change& change) {
-  return ApplyReplicatedBatch({change});
 }
 
 Status DirectoryServer::ApplyReplicatedBatch(

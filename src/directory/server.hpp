@@ -81,7 +81,7 @@ struct Change {
     kModify,
     kDelete,
     kLease,     // lease renewal: dn + expiry only (compact hot-path record)
-    kReferral,  // referral install (shard split cutover): dn + target
+    kReferral,  // referral install: dn + target
   };
   std::uint64_t seq = 0;
   Type type = Type::kAdd;
@@ -108,8 +108,8 @@ class DirectoryServer {
   //
   // Every write is WAL-appended and fsync-simulated before it returns OK:
   // an acked write survives Crash()+Restart(). Writes targeting a DN the
-  // server has referred away (shard split cutover) fail kAborted with the
-  // referral target in the message — DirectoryPool chases instead.
+  // server has referred away fail kAborted with the referral target in
+  // the message — DirectoryPool chases instead.
 
   /// Add an entry. Its DN must be the suffix itself or have an existing
   /// parent under the suffix (LDAP tree integrity).
@@ -123,7 +123,7 @@ class DirectoryServer {
 
   /// Upsert many entries in one transaction: one bucket-clone pass, one
   /// WAL group commit, one snapshot publication. The bulk-load path
-  /// (shard migration copy, bench population). Entries must be ordered
+  /// (topology registration, bench population). Entries must be ordered
   /// parents-first; the batch fails atomically on the first bad entry.
   Status UpsertBatch(const std::vector<Entry>& entries,
                      const std::string& principal = "");
@@ -192,44 +192,28 @@ class DirectoryServer {
   // ---------------------------------------------------------- referrals
 
   /// Install a referral: `suffix` subtree lives at `target`. WAL-logged
-  /// and replicated (shard layout must survive crashes and reach
+  /// and replicated (the referral layout must survive crashes and reach
   /// replicas).
   void AddReferral(Dn suffix, std::string target);
 
   /// The referral covering `dn`, if any (deepest match wins).
   std::optional<Referral> MatchReferral(const Dn& dn) const;
 
-  /// Shard-split cutover: atomically install a referral for `subtree` at
-  /// `target_address` and tombstone every local entry beneath it — one
-  /// snapshot swap, so a concurrent read sees either the entries or the
-  /// referral, never neither. Returns the final authoritative entries
-  /// (leases restamped), parents-first, for the migrator to flush to the
-  /// target shard. See shard.hpp.
-  Result<std::vector<Entry>> CutoverSubtree(const Dn& subtree,
-                                            const std::string& target_address,
-                                            const std::string& principal = "");
-
   // -------------------------------------------------------- replication
 
-  /// Changes with seq > `after_seq`, decoded from the committed WAL —
-  /// kept for coarse catch-up and tests; Replicator ships by byte offset.
-  std::vector<Change> ChangesSince(std::uint64_t after_seq) const;
   std::uint64_t last_seq() const;
 
-  /// Apply a replicated change without re-minting a sequence number; the
-  /// change is WAL-logged locally (a replica must also survive its own
-  /// crash) and bypasses referral write-guards (log order is authority).
-  Status ApplyReplicated(const Change& change);
-
-  /// Apply a batch under one lock / one WAL commit / one snapshot swap.
-  /// Stops at the first failure; `*applied` (optional) reports how many
-  /// changes landed either way.
+  /// Apply replicated changes without re-minting sequence numbers, under
+  /// one lock / one WAL commit / one snapshot swap. Each change is
+  /// WAL-logged locally (a replica must also survive its own crash) and
+  /// bypasses referral write-guards (log order is authority). Stops at
+  /// the first failure; `*applied` (optional) reports how many changes
+  /// landed either way.
   Status ApplyReplicatedBatch(const std::vector<Change>& changes,
                               std::size_t* applied = nullptr);
 
   /// The server's log, for offset-based replication shipping.
   const WriteAheadLog& wal() const { return *wal_; }
-  std::shared_ptr<WalStorage> wal_storage() const;
 
   // ---------------------------------------------------- crash / recovery
 

@@ -289,22 +289,4 @@ std::vector<Change> WriteAheadLog::ReadFrom(std::uint64_t offset,
   return changes;
 }
 
-std::uint64_t WriteAheadLog::OffsetAfterSeq(std::uint64_t seq) const {
-  std::uint64_t offset = 0;
-  std::uint64_t next = 0;
-  for (;;) {
-    const auto batch = ReadFrom(offset, 256, &next);
-    if (batch.empty()) return offset;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i].seq > seq) {
-        // Re-walk frames up to i to find the exact byte boundary.
-        std::uint64_t boundary = offset;
-        ReadFrom(offset, i, &boundary);
-        return boundary;
-      }
-    }
-    offset = next;
-  }
-}
-
 }  // namespace jamm::directory

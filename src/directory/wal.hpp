@@ -99,10 +99,6 @@ class WriteAheadLog {
   std::vector<Change> ReadFrom(std::uint64_t offset, std::size_t max_records,
                                std::uint64_t* next_offset) const;
 
-  /// Byte offset just past the last committed frame whose seq is
-  /// <= `seq` — where a replica that has applied `seq` should resume.
-  std::uint64_t OffsetAfterSeq(std::uint64_t seq) const;
-
   std::uint64_t committed_size() const { return storage_->synced_size(); }
   std::uint64_t fsyncs() const { return storage_->fsyncs(); }
 

@@ -1,10 +1,22 @@
 #include "gateway/filter.hpp"
 
+#include <charconv>
 #include <cmath>
 
 #include "common/strings.hpp"
 
 namespace jamm::gateway {
+
+namespace {
+
+/// The shortest text that parses back to exactly `v`: a spec travels to
+/// the gateway as its ToString() line, so a threshold must survive it.
+std::string ExactDouble(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+}  // namespace
 
 Result<FilterSpec> FilterSpec::Parse(std::string_view text) {
   FilterSpec spec;
@@ -44,18 +56,8 @@ std::string FilterSpec::ToString() const {
   switch (mode) {
     case Mode::kAll: out = "all"; break;
     case Mode::kOnChange: out = "on-change"; break;
-    case Mode::kThreshold: {
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "threshold:%g", threshold);
-      out = buf;
-      break;
-    }
-    case Mode::kDeltaPercent: {
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "delta:%g", delta_percent);
-      out = buf;
-      break;
-    }
+    case Mode::kThreshold: out = "threshold:" + ExactDouble(threshold); break;
+    case Mode::kDeltaPercent: out = "delta:" + ExactDouble(delta_percent); break;
   }
   if (!event_glob.empty() || value_field != "VAL") {
     out += "|" + event_glob;

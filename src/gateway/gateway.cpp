@@ -246,11 +246,4 @@ EventGateway::Stats EventGateway::stats() const {
   return s;
 }
 
-std::vector<std::string> EventGateway::consumers() const {
-  std::vector<std::string> out;
-  out.reserve(subs_by_id_.size());
-  for (const auto& [id, sub] : subs_by_id_) out.push_back(sub->consumer);
-  return out;
-}
-
 }  // namespace jamm::gateway

@@ -169,8 +169,6 @@ class EventGateway : public GatewaySurface {
   Stats stats() const;
 
   std::size_t subscription_count() const { return subs_by_id_.size(); }
-  /// Consumers currently subscribed, for directory publication.
-  std::vector<std::string> consumers() const;
 
  private:
   struct Subscription {

@@ -101,11 +101,4 @@ bool Registry::IsActive(const std::string& name) const {
   return it != slots_.end() && it->second.object != nullptr;
 }
 
-std::vector<std::string> Registry::Names() const {
-  std::vector<std::string> out;
-  out.reserve(slots_.size());
-  for (const auto& [name, slot] : slots_) out.push_back(name);
-  return out;
-}
-
 }  // namespace jamm::rpc

@@ -76,7 +76,6 @@ class Registry {
   std::size_t MaintenanceTick();
 
   bool IsActive(const std::string& name) const;
-  std::vector<std::string> Names() const;
 
   struct Stats {
     std::uint64_t invocations = 0;

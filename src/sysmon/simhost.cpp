@@ -69,10 +69,6 @@ void SimHost::AddDiskIo(std::int64_t read_kb, std::int64_t write_kb) {
 
 void SimHost::AddInterrupts(std::int64_t n) { counters_.interrupts += n; }
 
-void SimHost::AddContextSwitches(std::int64_t n) {
-  counters_.context_switches += n;
-}
-
 int SimHost::StartProcess(const std::string& name) {
   ProcessInfo& info = processes_[name];
   info.name = name;

@@ -54,7 +54,6 @@ class SimHost final : public MetricsProvider {
   void SetTcpWindow(std::int64_t bytes);
   void AddDiskIo(std::int64_t read_kb, std::int64_t write_kb);
   void AddInterrupts(std::int64_t n);
-  void AddContextSwitches(std::int64_t n);
 
   // ------------------------------------------------------ process table
 

@@ -92,9 +92,6 @@ Oid IfOutOctets(std::uint32_t i) {
 Oid IfInErrors(std::uint32_t i) {
   return Oid({1, 3, 6, 1, 2, 1, 2, 2, 1, 14, i});
 }
-Oid IfOutErrors(std::uint32_t i) {
-  return Oid({1, 3, 6, 1, 2, 1, 2, 2, 1, 20, i});
-}
 Oid IfCrcErrors(std::uint32_t i) {
   return Oid({1, 3, 6, 1, 4, 1, 9, 2, 2, 1, 1, 12, i});
 }

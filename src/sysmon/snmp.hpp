@@ -90,7 +90,6 @@ Oid SysName();                        // 1.3.6.1.2.1.1.5.0
 Oid IfInOctets(std::uint32_t ifindex);   // 1.3.6.1.2.1.2.2.1.10.<i>
 Oid IfOutOctets(std::uint32_t ifindex);  // 1.3.6.1.2.1.2.2.1.16.<i>
 Oid IfInErrors(std::uint32_t ifindex);   // 1.3.6.1.2.1.2.2.1.14.<i>
-Oid IfOutErrors(std::uint32_t ifindex);  // 1.3.6.1.2.1.2.2.1.20.<i>
 Oid IfCrcErrors(std::uint32_t ifindex);  // 1.3.6.1.4.1.9.2.2.1.1.12.<i>
 Oid IfTable();                        // 1.3.6.1.2.1.2.2
 }  // namespace oid

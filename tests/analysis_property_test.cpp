@@ -9,7 +9,7 @@
 //
 // Also the home of the ISSUE-8 concurrency satellite (label `analysis`,
 // swept under TSan by scripts/check_tsan.sh): analysis queries racing
-// 4-thread flat-frame ingest, compaction, and compression must never see
+// 4-thread flat-frame ingest and compression must never see
 // a torn lifeline or a duplicated hop.
 #include <gtest/gtest.h>
 
@@ -743,12 +743,11 @@ TEST(AnalysisCursorGuardTest, NonAdvancingAnalysisCursorErrors) {
 // ----------------------------------------------------------- concurrency
 
 // 4 ingest threads splice whole traces as flat frames while analysis
-// queries, compaction, and compression race them. Frames are atomic under
-// the stripe lock and every hop is Error-level (compaction always keeps
-// abnormal events), so at EVERY instant each visible lifeline must be
-// whole: exactly kHops hops, all spans distinct — no torn lifelines, no
-// duplicated hops. Aggregates must agree: every hop event's count equal.
-TEST(AnalysisConcurrencyTest, QueriesRacingIngestCompactionCompression) {
+// queries and compression race them. Frames are atomic under the stripe
+// lock, so at EVERY instant each visible lifeline must be whole: exactly
+// kHops hops, all spans distinct — no torn lifelines, no duplicated hops.
+// Aggregates must agree: every hop event's count equal.
+TEST(AnalysisConcurrencyTest, QueriesRacingIngestAndCompression) {
   constexpr int kThreads = 4;
   constexpr int kTraces = 150;
   constexpr std::size_t kHops = 4;
@@ -757,7 +756,6 @@ TEST(AnalysisConcurrencyTest, QueriesRacingIngestCompactionCompression) {
   config.stripes = 4;
   config.max_records = 64;
   EventArchive ar("conc", 1, config);
-  ar.SetCompactionPolicy(CompactionPolicy::Default());
   const AnalysisEngine engine(ar);
 
   std::atomic<bool> done{false};
@@ -783,7 +781,6 @@ TEST(AnalysisConcurrencyTest, QueriesRacingIngestCompactionCompression) {
   }
   std::thread churner([&] {
     while (!done.load()) {
-      ar.Compact(365 * 24 * kHour);  // everything "old"; Error hops survive
       ar.CompressSealed();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }

@@ -464,22 +464,18 @@ Segment RoundTripped(const Segment& segment) {
   return loaded;
 }
 
-/// An archive holding `segment`'s records as one compressed segment that
-/// went through Compact (which keeps every record at fraction 1.0 and
-/// re-compresses the rewritten segment).
-EventArchive Compacted(const Segment& segment) {
+/// An archive holding `segment`'s records as one sealed, compressed
+/// segment.
+EventArchive SealedCompressed(const Segment& segment) {
   SegmentConfig config;
   config.stripes = 1;
   config.max_records = 1000;
   config.compress_sealed = true;
-  EventArchive archive("fz-compact", 1, config);
+  EventArchive archive("fz-sealed", 1, config);
   segment.ForEachView(ScanFilter{}, [&archive](const ulm::RecordView& view) {
     archive.Ingest(view);
   });
   archive.SealActive();
-  archive.SetCompactionPolicy(
-      {{{std::numeric_limits<Duration>::min(), 1.0}}});
-  EXPECT_EQ(archive.Compact(0), 0u);
   EXPECT_EQ(archive.size(), segment.size());
   return archive;
 }
@@ -514,7 +510,7 @@ TEST(ArchiveFuzzTest, FilteredScanEqualsFullDecodeThenFilter) {
     packed.Compress();
     ASSERT_FALSE(packed.compressed.empty());
     const Segment loaded = RoundTripped(packed);
-    const EventArchive compacted = Compacted(plain);
+    const EventArchive sealed = SealedCompressed(plain);
     if (packed.block_index().blocks.size() > 1) ++multi_block;
     for (int q = 0; q < 20; ++q) {
       const ScanFilter filter = RandomFilter(rng, plain);
@@ -546,7 +542,7 @@ TEST(ArchiveFuzzTest, FilteredScanEqualsFullDecodeThenFilter) {
         for (std::size_t i = 0; i < sorted.size(); ++i) {
           want_sorted.push_back(ulm::EncodeBinary(sorted.View(i)));
         }
-        EXPECT_EQ(ArchiveFiltered(compacted, filter, host_name), want_sorted)
+        EXPECT_EQ(ArchiveFiltered(sealed, filter, host_name), want_sorted)
             << "round " << round;
       }
     }

@@ -26,7 +26,6 @@
 #include "security/token.hpp"
 #include "directory/replication.hpp"
 #include "directory/schema.hpp"
-#include "directory/shard.hpp"
 #include "directory/wal.hpp"
 #include "telemetry/metrics.hpp"
 #include "gateway/gateway.hpp"
@@ -584,149 +583,6 @@ TEST(ChaosTest, DirectoryCrashStormLosesNoAckedWrite) {
     EXPECT_TRUE(primary->Lookup(dn).ok()) << dn.ToString();
     EXPECT_TRUE(replica->Lookup(dn).ok()) << dn.ToString();
   }
-}
-
-// ISSUE 9: online shard split under chaos — the target shard is hard-killed
-// on a seeded schedule while the subtree is being copied and caught up, a
-// throttled heartbeat storm keeps renewing through the whole migration, and
-// a full read sweep runs every tick. Invariants: the migration completes
-// despite the kills (copies are WAL-durable on the target, failed steps
-// retry), ZERO reads fail at any point, renewals never go missing, and the
-// final accounting is exact on both sides of the split.
-TEST(ChaosTest, OnlineShardSplitServesEveryReadThroughTargetCrashes) {
-  constexpr Duration kTtl = 10 * kSecond;
-  SimClock clock(0);
-  const Dn suffix = *Dn::Parse("ou=sensors, o=jamm");
-  const Dn anl = *Dn::Parse("site=anl, ou=sensors, o=jamm");
-  auto source =
-      std::make_shared<directory::DirectoryServer>(suffix, "ldap://root");
-  auto target =
-      std::make_shared<directory::DirectoryServer>(anl, "ldap://anl");
-  source->SetClock(&clock);
-  target->SetClock(&clock);
-  directory::DirectoryPool pool;
-  pool.AddServer(source);
-  pool.SetResolver([&](const std::string& address)
-                       -> std::shared_ptr<directory::DirectoryServer> {
-    return address == "ldap://anl" ? target : nullptr;
-  });
-  pool.SetReferralCacheTtl(kTtl, clock);
-
-  directory::Entry site(anl);
-  site.Set(directory::schema::kAttrObjectClass, "organizationalUnit");
-  ASSERT_TRUE(source->Add(site).ok());
-  std::vector<Dn> population{anl};
-  std::vector<Dn> sensors;
-  for (int h = 0; h < 4; ++h) {
-    const std::string host = "mcs" + std::to_string(h);
-    ASSERT_TRUE(
-        source->Upsert(directory::schema::MakeHostEntry(anl, host)).ok());
-    population.push_back(directory::schema::HostDn(anl, host));
-    for (int s = 0; s < 3; ++s) {
-      auto entry = directory::schema::MakeSensorEntry(
-          anl, host, "s" + std::to_string(s), "cpu", "inproc:gw." + host,
-          1000, 0);
-      directory::schema::StampLease(entry, kTtl);
-      ASSERT_TRUE(source->Upsert(entry).ok());
-      population.push_back(entry.dn());
-      sensors.push_back(entry.dn());
-    }
-  }
-  // One host + sensor OUTSIDE the moving subtree: must never move.
-  ASSERT_TRUE(
-      source->Upsert(directory::schema::MakeHostEntry(suffix, "lbl1")).ok());
-  population.push_back(directory::schema::HostDn(suffix, "lbl1"));
-  auto outside = directory::schema::MakeSensorEntry(
-      suffix, "lbl1", "vmstat", "cpu", "inproc:gw.lbl1", 1000, 0);
-  directory::schema::StampLease(outside, kTtl);
-  ASSERT_TRUE(source->Upsert(outside).ok());
-  population.push_back(outside.dn());
-  sensors.push_back(outside.dn());
-
-  directory::ShardMigrator::Options options;
-  options.copy_batch = 2;  // many copy steps: a wide chaos window
-  directory::ShardMigrator migrator(source, target, anl, options);
-  resilience::CrashSchedule target_schedule(/*seed=*/17, 3 * kSecond,
-                                            2 * kSecond);
-  auto& completed =
-      telemetry::Metrics().counter("directory.shard.migrations_completed");
-  const auto completed_before = completed.Value();
-
-  std::uint64_t failed_reads = 0;
-  std::uint64_t step_retries = 0;
-  int tick = 0;
-  while (migrator.phase() != directory::ShardMigrator::Phase::kDone) {
-    ASSERT_LT(tick, 2000) << "migration failed to converge";
-    const bool pre_cutover =
-        migrator.phase() == directory::ShardMigrator::Phase::kCopy ||
-        migrator.phase() == directory::ShardMigrator::Phase::kCatchUp;
-    if (pre_cutover) {
-      // Seeded hard kills of the target while it is the passive side; a
-      // kill discards its unsynced tail, never a committed copy batch.
-      if (!target_schedule.AliveAt(clock.Now()) && target->alive()) {
-        target->Crash();
-      } else if (target_schedule.AliveAt(clock.Now()) && !target->alive()) {
-        target->Restart();
-      }
-    } else if (!target->alive()) {
-      target->Restart();  // past the point of no return it must serve
-    }
-
-    auto phase = migrator.Step();
-    if (!phase.ok()) ++step_retries;  // target down; phase held, retried
-
-    // Throttled heartbeat storm (every 3rd tick, so catch-up can drain).
-    if (tick % 3 == 0) {
-      std::vector<Dn> missing;
-      auto renewed =
-          pool.RenewLeases(sensors, clock.Now() + kTtl, "", &missing);
-      ASSERT_TRUE(renewed.ok()) << renewed.status().ToString();
-      EXPECT_TRUE(missing.empty()) << "renewal went missing at tick " << tick;
-    }
-    // Full read sweep: zero failed reads, at every point of the split.
-    for (const Dn& dn : population) {
-      if (!pool.Lookup(dn).ok()) ++failed_reads;
-    }
-    clock.Advance(kSecond);
-    ++tick;
-  }
-  EXPECT_EQ(failed_reads, 0u);
-  EXPECT_GT(step_retries, 0u) << "schedule never caught the migration";
-  EXPECT_EQ(completed.Value(), completed_before + 1);
-
-  // Post-split: a full renewal round crosses the referral and lands.
-  std::vector<Dn> missing;
-  auto renewed = pool.RenewLeases(sensors, clock.Now() + kTtl, "", &missing);
-  ASSERT_TRUE(renewed.ok());
-  EXPECT_EQ(*renewed, sensors.size());
-  EXPECT_TRUE(missing.empty());
-
-  // Accounting exact: the subtree lives on the target once each (site +
-  // 4 hosts + 12 sensors); the source keeps only the outside pair and
-  // answers the subtree with a referral.
-  EXPECT_EQ(target->stats().entries, 17u);
-  EXPECT_EQ(source->stats().entries, 2u);
-  auto ref = source->MatchReferral(sensors.front());
-  ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(ref->target, "ldap://anl");
-  EXPECT_FALSE(source->Lookup(directory::schema::HostDn(anl, "mcs0")).ok());
-  EXPECT_EQ(target->Lookup(directory::schema::HostDn(suffix, "lbl1"))
-                .status()
-                .code(),
-            StatusCode::kNotFound);
-  for (const Dn& dn : population) {
-    EXPECT_TRUE(pool.Lookup(dn).ok()) << dn.ToString();
-  }
-  // The post-split renewal reached the moved entries on the target.
-  auto moved = target->Lookup(sensors.front());
-  ASSERT_TRUE(moved.ok());
-  EXPECT_EQ(*directory::schema::LeaseExpiry(*moved), clock.Now() + kTtl);
-  // A merged pool search sees the whole world exactly once.
-  auto world = pool.Search(suffix, directory::SearchScope::kSubtree,
-                           directory::Filter::MatchAll());
-  ASSERT_TRUE(world.ok());
-  EXPECT_TRUE(world->referrals.empty());
-  EXPECT_EQ(world->entries.size(), 19u);
 }
 
 // ISSUE 10: the secured gateway under crash chaos. A client that sent its

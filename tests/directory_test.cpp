@@ -2,8 +2,8 @@
 // and matching (with property sweeps), the server's tree integrity, search
 // scopes, referrals, bind/access control, change log, replication, pool
 // failover, and the ISSUE-9 fault-tolerance layer: WAL crash recovery,
-// RCU snapshot reads under write saturation, referral chasing across
-// shards, and online shard migration.
+// RCU snapshot reads under write saturation, and referral chasing across
+// shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "directory/replication.hpp"
 #include "directory/schema.hpp"
 #include "directory/server.hpp"
-#include "directory/shard.hpp"
 #include "directory/wal.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -356,11 +355,13 @@ TEST_F(ServerTest, DownServerUnavailable) {
 
 TEST_F(ServerTest, ChangeLogRecordsSequence) {
   AddHostAndSensor("dpss1", "vmstat");
-  auto changes = server_.ChangesSince(0);
+  std::uint64_t next = 0;
+  auto changes = server_.wal().ReadFrom(0, 16, &next);
   ASSERT_EQ(changes.size(), 2u);  // host + sensor
   EXPECT_EQ(changes[0].seq, 1u);
   EXPECT_EQ(changes[1].seq, 2u);
-  EXPECT_EQ(server_.ChangesSince(2).size(), 0u);
+  EXPECT_EQ(next, server_.wal().committed_size());
+  EXPECT_TRUE(server_.wal().ReadFrom(next, 16, &next).empty());
   EXPECT_EQ(server_.last_seq(), 2u);
 }
 
@@ -386,12 +387,19 @@ TEST_F(ReplicationTest, ChangesPropagate) {
   (void)primary_->Upsert(schema::MakeHostEntry(suffix_, "dpss1"));
   (void)primary_->Upsert(schema::MakeSensorEntry(suffix_, "dpss1", "vmstat",
                                                  "cpu", "gw", 1000, 0));
+  primary_->AddReferral(MustParse("site=anl, ou=sensors, o=jamm"),
+                        "ldap://anl");
   EXPECT_FALSE(replicator_.Converged());
-  EXPECT_EQ(replicator_.SyncAll(), 2u);
+  EXPECT_EQ(replicator_.SyncAll(), 3u);
   EXPECT_TRUE(replicator_.Converged());
   auto entry = replica_->Lookup(schema::SensorDn(suffix_, "dpss1", "vmstat"));
   ASSERT_TRUE(entry.ok());
   EXPECT_EQ(entry->Get(schema::kAttrSensorType), "cpu");
+  // The referral layout replicates like any other change.
+  auto ref = replica_->MatchReferral(
+      MustParse("host=mcs1, site=anl, ou=sensors, o=jamm"));
+  ASSERT_TRUE(ref.has_value());
+  EXPECT_EQ(ref->target, "ldap://anl");
 }
 
 TEST_F(ReplicationTest, ModifyAndDeletePropagate) {
@@ -1195,152 +1203,6 @@ TEST(ReplicatorBackoffTest, ReplicaSurvivesItsOwnCrash) {
   EXPECT_GT(replicator.SyncAll(), 0u);
   EXPECT_TRUE(replicator.Converged());
   EXPECT_TRUE(replica->Lookup(schema::HostDn(suffix, "c")).ok());
-}
-
-// --------------------------------------------- Shard migration (ISSUE 9)
-
-TEST(ShardMigrationTest, OnlineSplitServesEveryRead) {
-  SimClock clock(0);
-  Dn suffix = MustParse("ou=sensors, o=jamm");
-  Dn anl = MustParse("site=anl, ou=sensors, o=jamm");
-  auto source = std::make_shared<DirectoryServer>(suffix, "ldap://root");
-  auto target = std::make_shared<DirectoryServer>(anl, "ldap://anl");
-  source->SetClock(&clock);
-  target->SetClock(&clock);
-
-  Entry base(suffix);
-  base.Set(schema::kAttrObjectClass, "organization");
-  ASSERT_TRUE(source->Add(base).ok());
-  Entry site(anl);
-  site.Set(schema::kAttrObjectClass, "organizationalUnit");
-  ASSERT_TRUE(source->Add(site).ok());
-  std::vector<Dn> population;
-  for (int i = 0; i < 12; ++i) {
-    auto host = schema::MakeHostEntry(anl, "mcs" + std::to_string(i));
-    ASSERT_TRUE(source->Upsert(host).ok());
-    population.push_back(host.dn());
-  }
-  ASSERT_TRUE(source->Upsert(schema::MakeHostEntry(suffix, "lbl1")).ok());
-
-  DirectoryPool pool;
-  pool.AddServer(source);
-  pool.SetResolver([&](const std::string& address)
-                       -> std::shared_ptr<DirectoryServer> {
-    return address == "ldap://anl" ? target : nullptr;
-  });
-
-  ShardMigrator::Options options;
-  options.copy_batch = 4;  // several copy steps so traffic interleaves
-  ShardMigrator migrator(source, target, anl, options);
-  std::uint64_t failed_reads = 0;
-  int round = 0;
-  while (migrator.phase() != ShardMigrator::Phase::kDone) {
-    ASSERT_LT(round, 1000) << "migration failed to converge";
-    auto phase = migrator.Step();
-    ASSERT_TRUE(phase.ok()) << phase.status().ToString();
-    // Zero failed reads: the whole population answers at every point.
-    for (const Dn& dn : population) {
-      if (!pool.Lookup(dn).ok()) ++failed_reads;
-    }
-    // Writes keep landing mid-migration (on the source until the cutover,
-    // chased to the target after). Bounded so the catch-up loop drains.
-    if (round < 6) {
-      auto churn = schema::MakeHostEntry(anl, "new" + std::to_string(round));
-      ASSERT_TRUE(pool.Upsert(churn).ok());
-      population.push_back(churn.dn());
-    }
-    ++round;
-  }
-  EXPECT_EQ(failed_reads, 0u);
-  EXPECT_GT(migrator.stats().copied, 0u);
-
-  // Accounting exact: the subtree lives on the target once each; the
-  // source answers it with a referral and holds no local copies.
-  auto moved = target->Search(anl, SearchScope::kSubtree, Filter::MatchAll());
-  ASSERT_TRUE(moved.ok());
-  EXPECT_EQ(moved->entries.size(), 1 + population.size());  // site + hosts
-  auto ref = source->MatchReferral(population.front());
-  ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(ref->target, "ldap://anl");
-  EXPECT_EQ(source->Lookup(population.front()).status().code(),
-            StatusCode::kNotFound);
-  for (const Dn& dn : population) {
-    EXPECT_TRUE(pool.Lookup(dn).ok()) << dn.ToString();
-  }
-  // The entry outside the subtree never moved.
-  EXPECT_TRUE(source->Lookup(schema::HostDn(suffix, "lbl1")).ok());
-  EXPECT_FALSE(target->Lookup(schema::HostDn(suffix, "lbl1")).ok());
-}
-
-TEST(ShardMigrationTest, RevivedPrimaryRejoinsMidMigration) {
-  Dn suffix = MustParse("ou=sensors, o=jamm");
-  Dn anl = MustParse("site=anl, ou=sensors, o=jamm");
-  auto primary = std::make_shared<DirectoryServer>(suffix, "ldap://primary");
-  auto replica = std::make_shared<DirectoryServer>(suffix, "ldap://replica");
-  auto target = std::make_shared<DirectoryServer>(anl, "ldap://anl");
-  Replicator replicator(primary);
-  replicator.AddReplica(replica);
-  DirectoryPool pool;
-  pool.AddServer(primary);
-  pool.AddServer(replica);
-  pool.SetResolver([&](const std::string& address)
-                       -> std::shared_ptr<DirectoryServer> {
-    return address == "ldap://anl" ? target : nullptr;
-  });
-
-  Entry base(suffix);
-  base.Set(schema::kAttrObjectClass, "organization");
-  ASSERT_TRUE(primary->Add(base).ok());
-  Entry site(anl);
-  site.Set(schema::kAttrObjectClass, "organizationalUnit");
-  ASSERT_TRUE(primary->Add(site).ok());
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(
-        primary->Upsert(schema::MakeHostEntry(anl, "mcs" + std::to_string(i)))
-            .ok());
-  }
-  replicator.SyncAll();
-  ASSERT_TRUE(replicator.Converged());
-
-  // The primary dies; a write promotes the replica (sticky failover).
-  primary->SetAlive(false);
-  ASSERT_TRUE(pool.Upsert(schema::MakeHostEntry(suffix, "lbl9")).ok());
-  EXPECT_EQ(pool.write_primary(), "ldap://replica");
-
-  // The promoted replica starts splitting the anl subtree off…
-  ShardMigrator::Options options;
-  options.copy_batch = 2;
-  ShardMigrator migrator(replica, target, anl, options);
-  ASSERT_TRUE(migrator.Step().ok());  // mid-copy
-
-  // …and the old primary revives mid-migration. Failover is sticky:
-  // writes stay on the promoted replica; the stale primary takes no write.
-  primary->SetAlive(true);
-  ASSERT_TRUE(pool.Upsert(schema::MakeHostEntry(suffix, "lbl10")).ok());
-  EXPECT_EQ(pool.write_primary(), "ldap://replica");
-  EXPECT_FALSE(primary->Lookup(schema::HostDn(suffix, "lbl10")).ok());
-
-  ASSERT_TRUE(migrator.Run().ok());
-
-  // Reconvergence: a replicator rooted at the promoted server pushes the
-  // revived primary everything it missed — the failover writes, the
-  // tombstones, and the durable referral from the cutover.
-  Replicator reverse(replica);
-  reverse.AddReplica(primary);
-  reverse.SyncAll();
-  EXPECT_TRUE(reverse.Converged());
-  EXPECT_TRUE(primary->Lookup(schema::HostDn(suffix, "lbl10")).ok());
-  auto ref = primary->MatchReferral(schema::HostDn(anl, "mcs0"));
-  ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(ref->target, "ldap://anl");
-  EXPECT_FALSE(primary->Lookup(schema::HostDn(anl, "mcs0")).ok());
-  // Whichever pool member answers, every entry is reachable (the primary
-  // is first in read order, so this exercises its referral too).
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_TRUE(pool.Lookup(schema::HostDn(anl, "mcs" + std::to_string(i)))
-                    .ok());
-  }
-  EXPECT_TRUE(pool.Lookup(schema::HostDn(suffix, "lbl9")).ok());
 }
 
 }  // namespace
