@@ -29,7 +29,6 @@
 #include <vector>
 
 #include <map>
-#include <thread>
 
 #include "archive/archive.hpp"
 #include "gateway/gateway.hpp"
@@ -38,7 +37,6 @@
 #include "sysmon/simhost.hpp"
 #include "transport/inproc.hpp"
 #include "transport/net_sink.hpp"
-#include "transport/ring.hpp"
 #include "ulm/flat.hpp"
 #include "ulm_reference.hpp"
 
@@ -363,46 +361,6 @@ FlatRow MeasureFlatPipeline(const std::vector<ulm::Record>& events) {
   return {kFlatEvents / legacy, kFlatEvents / flat, ratios[ratios.size() / 2]};
 }
 
-// ------------------------------------------------- Part D: ring channels
-
-constexpr int kHopMessages = 400000;
-
-/// One producer thread blasting small frames across a channel pair to a
-/// consumer draining on the main thread — the in-proc sensor→manager hop.
-double TimedHopPass(bool ring) {
-  auto [tx, rx] = ring ? transport::MakeRingChannelPair("bench", 4096)
-                       : transport::MakeChannelPair("bench", 4096);
-  const transport::Message msg{"event", "DATE=x HOST=h PROG=p LVL=Usage"};
-  const double t0 = NowSeconds();
-  std::thread producer([tx = tx.get(), &msg] {
-    for (int i = 0; i < kHopMessages; ++i) (void)tx->Send(msg);
-  });
-  std::uint64_t got = 0;
-  while (got < static_cast<std::uint64_t>(kHopMessages)) {
-    if (rx->Receive(kSecond).ok()) ++got;
-  }
-  producer.join();
-  return NowSeconds() - t0;
-}
-
-double MeasureRingHopSpeedup(double* mutex_rate, double* ring_rate) {
-  (void)TimedHopPass(false);  // warm
-  (void)TimedHopPass(true);
-  double mutexed = 1e30, ringed = 1e30;
-  std::vector<double> ratios;
-  for (int r = 0; r < kRepeats; ++r) {
-    const double m = TimedHopPass(false);
-    const double g = TimedHopPass(true);
-    mutexed = std::min(mutexed, m);
-    ringed = std::min(ringed, g);
-    ratios.push_back(m / g);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  *mutex_rate = kHopMessages / mutexed;
-  *ring_rate = kHopMessages / ringed;
-  return ratios[ratios.size() / 2];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -461,15 +419,6 @@ int main(int argc, char** argv) {
   std::printf("flat RecordView:     %12.0f events/s  (%.2fx)\n",
               flat.flat_rate, flat.speedup);
 
-  // Part D: ring vs mutex in-proc hop (ISSUE 7).
-  double mutex_rate = 0, ring_rate = 0;
-  const double ring_speedup = MeasureRingHopSpeedup(&mutex_rate, &ring_rate);
-  std::printf("\nin-proc hop (%d messages, 1 producer thread, median of %d "
-              "paired ratios)\n", kHopMessages, kRepeats);
-  std::printf("mutex+condvar queue: %12.0f msgs/s\n", mutex_rate);
-  std::printf("MPSC ring:           %12.0f msgs/s  (%.2fx)\n", ring_rate,
-              ring_speedup);
-
   // Acceptance metrics.
   const double speedup64 = fanout.back().speedup;
   double reduction16 = 0;
@@ -484,7 +433,6 @@ int main(int argc, char** argv) {
               reduction16, kMinSendReduction16);
   std::printf("flat pipeline speedup: %.2fx (floor %.1fx)\n", flat.speedup,
               kMinFlatSpeedup);
-  std::printf("ring hop speedup: %.2fx\n", ring_speedup);
 
   // Machine-readable results for scripts/check_bench.sh.
   std::FILE* json = std::fopen(json_path.c_str(), "w");
@@ -530,10 +478,7 @@ int main(int argc, char** argv) {
   std::fprintf(json, "    \"flat_pipeline\": {\"legacy_per_s\": %.0f, "
                "\"flat_per_s\": %.0f},\n", flat.legacy_rate, flat.flat_rate);
   std::fprintf(json, "    \"flat_speedup\": %.2f,\n", flat.speedup);
-  std::fprintf(json, "    \"flat_speedup_floor\": %.1f,\n", kMinFlatSpeedup);
-  std::fprintf(json, "    \"ring_hop\": {\"mutex_per_s\": %.0f, "
-               "\"ring_per_s\": %.0f},\n", mutex_rate, ring_rate);
-  std::fprintf(json, "    \"ring_hop_speedup\": %.2f\n", ring_speedup);
+  std::fprintf(json, "    \"flat_speedup_floor\": %.1f\n", kMinFlatSpeedup);
   std::fprintf(json, "  }\n}\n");
   std::fclose(json);
   std::printf("\nwrote %s\n", json_path.c_str());

@@ -72,8 +72,7 @@ PY
 echo "== bench_pipeline_throughput (floors enforced by the bench itself)"
 "$build_dir/bench/bench_pipeline_throughput" "$tmp/BENCH_pipeline.json"
 compare_ratios "$tmp/BENCH_pipeline.json" "$repo_root/BENCH_pipeline.json" \
-  encode_once_speedup_64subs send_reduction_batch16 flat_speedup \
-  ring_hop_speedup
+  encode_once_speedup_64subs send_reduction_batch16 flat_speedup
 
 echo "== bench_liveness (floors enforced by the bench itself)"
 "$build_dir/bench/bench_liveness" "$tmp/BENCH_liveness.json"

@@ -72,12 +72,6 @@ std::string ArchiveObjectName(const std::string& archive_name) {
   return "archive." + archive_name;
 }
 
-ArchiveQueryService::ArchiveQueryService(const EventArchive& archive,
-                                         std::size_t default_page_records)
-    : archive_(archive),
-      default_page_records_(
-          std::clamp<std::size_t>(default_page_records, 1, kMaxPageRecords)) {}
-
 Result<std::string> ArchiveQueryService::Invoke(
     const std::string& method, const std::vector<std::string>& args) {
   auto& t = Instruments();
@@ -122,7 +116,7 @@ Result<std::string> ArchiveQueryService::Invoke(
     }
     offset = *parsed;
   }
-  std::size_t limit = default_page_records_;
+  std::size_t limit = kDefaultPageRecords;
   if (args.size() > 5 && !args[5].empty()) {
     auto parsed = ParseNonNegative(args[5], "limit");
     if (!parsed.ok()) {
@@ -193,16 +187,11 @@ Result<std::string> ArchiveQueryService::Invoke(
 }
 
 Status RegisterArchiveService(rpc::Registry& registry,
-                              const EventArchive& archive,
-                              std::size_t default_page_records) {
+                              const EventArchive& archive) {
   return registry.RegisterResident(
       ArchiveObjectName(archive.name()),
-      std::make_shared<ArchiveQueryService>(archive, default_page_records));
+      std::make_shared<ArchiveQueryService>(archive));
 }
-
-ArchiveClient::ArchiveClient(std::unique_ptr<transport::Channel> channel,
-                             std::string object_name)
-    : rpc_(std::move(channel)), object_(std::move(object_name)) {}
 
 ArchiveClient::ArchiveClient(rpc::RpcClient::Dialer dialer,
                              std::string object_name,

@@ -54,25 +54,25 @@ std::string ArchiveObjectName(const std::string& archive_name);
 /// archive outlives calls) or wrap it in a factory for activatable use.
 class ArchiveQueryService final : public rpc::RemoteObject {
  public:
-  explicit ArchiveQueryService(const EventArchive& archive,
-                               std::size_t default_page_records = 256);
+  explicit ArchiveQueryService(const EventArchive& archive)
+      : archive_(archive) {}
 
   Result<std::string> Invoke(const std::string& method,
                              const std::vector<std::string>& args) override;
 
+  /// Records per reply when the caller names no limit.
+  static constexpr std::size_t kDefaultPageRecords = 256;
   /// Hard cap on records per reply regardless of the requested limit, so
   /// one greedy page cannot exceed the transport's frame bound.
   static constexpr std::size_t kMaxPageRecords = 4096;
 
  private:
   const EventArchive& archive_;
-  std::size_t default_page_records_;
 };
 
 /// Register `archive` on `registry` under ArchiveObjectName(name).
 Status RegisterArchiveService(rpc::Registry& registry,
-                              const EventArchive& archive,
-                              std::size_t default_page_records = 256);
+                              const EventArchive& archive);
 
 /// Consumer-side convenience wrapper (GatewayClient-style) around the
 /// arch.query protocol: pages through results transparently, decodes each
@@ -81,8 +81,6 @@ Status RegisterArchiveService(rpc::Registry& registry,
 /// retries across server restarts.
 class ArchiveClient {
  public:
-  ArchiveClient(std::unique_ptr<transport::Channel> channel,
-                std::string object_name);
   /// Reconnecting client: the connection is (re-)established via
   /// `dialer`, transient failures retried under `policy`.
   ArchiveClient(rpc::RpcClient::Dialer dialer, std::string object_name,

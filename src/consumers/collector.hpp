@@ -58,9 +58,6 @@ class EventCollector {
   /// A drain is collected whole.
   std::size_t PumpRemote();
 
-  /// Records a drain dropped: always 0, since a drain is collected whole.
-  std::uint64_t remote_dropped() const { return 0; }
-
   /// Everything collected so far, time-merged — the NetLogger log form.
   ulm::FlatBatch Merged() const;
 

@@ -26,13 +26,6 @@ Result<Dn> Dn::Parse(std::string_view text) {
   return dn;
 }
 
-Dn Dn::Of(std::vector<Rdn> rdns) {
-  Dn dn;
-  dn.rdns_ = std::move(rdns);
-  for (auto& rdn : dn.rdns_) rdn.attr = ToLower(rdn.attr);
-  return dn;
-}
-
 Dn Dn::Parent() const {
   Dn parent;
   if (rdns_.size() > 1) {

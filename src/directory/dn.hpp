@@ -32,9 +32,6 @@ class Dn {
   /// ignored; empty input yields the root DN.
   static Result<Dn> Parse(std::string_view text);
 
-  /// Build from explicit RDNs (most-specific first).
-  static Dn Of(std::vector<Rdn> rdns);
-
   bool IsRoot() const { return rdns_.empty(); }
   std::size_t depth() const { return rdns_.size(); }
   const std::vector<Rdn>& rdns() const { return rdns_; }

@@ -16,8 +16,6 @@ void Entry::Add(std::string_view attr, std::string value) {
   attrs_[ToLower(attr)].push_back(std::move(value));
 }
 
-void Entry::Remove(std::string_view attr) { attrs_.erase(ToLower(attr)); }
-
 bool Entry::Has(std::string_view attr) const {
   return attrs_.find(ToLower(attr)) != attrs_.end();
 }

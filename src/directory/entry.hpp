@@ -16,14 +16,12 @@ class Entry {
   explicit Entry(Dn dn) : dn_(std::move(dn)) {}
 
   const Dn& dn() const { return dn_; }
-  void set_dn(Dn dn) { dn_ = std::move(dn); }
 
   /// Replace all values of `attr`.
   void Set(std::string_view attr, std::string value);
   void Set(std::string_view attr, std::vector<std::string> values);
   /// Append one value.
   void Add(std::string_view attr, std::string value);
-  void Remove(std::string_view attr);
 
   bool Has(std::string_view attr) const;
   /// First value or empty.

@@ -328,10 +328,10 @@ Result<std::string> RepublisherGateway::SubscribeEncoded(
   // An unfiltered "all" subscription wants the whole merged stream — the
   // local fan-out already holds it; pushing it down would just duplicate
   // the base feeds. Everything else (value filters, glob-restricted all)
-  // shrinks at the source, so it goes downstream when enabled.
+  // shrinks at the source, so it goes downstream.
   const bool pushable =
-      options_.enable_pushdown && !downstreams_.empty() &&
-      !(spec.mode == gateway::FilterSpec::Mode::kAll && spec.event_glob.empty());
+      !downstreams_.empty() && !(spec.mode == gateway::FilterSpec::Mode::kAll &&
+                                 spec.event_glob.empty());
   if (!pushable) {
     return local_.SubscribeEncoded(consumer, std::move(spec),
                                    std::move(callback), principal);

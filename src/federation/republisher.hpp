@@ -81,10 +81,6 @@ class RepublisherGateway : public gateway::GatewaySurface {
   struct Options {
     /// Records per gw.event.batch frame on downstream feeds.
     std::size_t batch_records = 32;
-    /// Forward eligible filter specs downstream instead of evaluating in
-    /// the local fan-out. Off = every subscription is served locally from
-    /// the merged base stream (the equivalence baseline in tests).
-    bool enable_pushdown = true;
     /// Defer each child's base ("all") subscription until something needs
     /// it — a local subscriber or a local-eval fallback group.
     /// With this on, a tier whose only consumers are pushdown groups costs

@@ -677,31 +677,13 @@ Result<transport::Message> GatewayClient::WaitFor(const std::string& type,
   }
 }
 
-Status GatewayClient::Authenticate(const std::string& principal) {
-  return AuthenticateWith(principal);
-}
-
-Status GatewayClient::AuthenticateWith(const std::string& auth_payload) {
+Status GatewayClient::AuthenticateWithAsync(const std::string& auth_payload) {
   auth_payload_ = auth_payload;
   auth_rejected_ = false;
   // The flag flips only after the explicit send: SendControl may dial the
   // first connection via Reconnect(), which replays the credential when
   // authenticated_ is already set — and the gateway would see (and mint
   // for) the same auth line twice.
-  Status sent = SendControl({"gw.auth", auth_payload});
-  authenticated_ = true;
-  JAMM_RETURN_IF_ERROR(sent);
-  auto reply = WaitFor("gw.ok", kSecond);
-  if (!reply.ok()) return reply.status();
-  if (!reply->payload.empty()) token_ = reply->payload;
-  return Status::Ok();
-}
-
-Status GatewayClient::AuthenticateWithAsync(const std::string& auth_payload) {
-  auth_payload_ = auth_payload;
-  auth_rejected_ = false;
-  // See AuthenticateWith: flip the flag after the send, or a first-dial
-  // Reconnect() inside SendControl duplicates the auth line.
   Status sent = SendControl({"gw.auth", auth_payload});
   authenticated_ = true;
   if (!sent.ok() && !dialer_) return sent;
@@ -779,12 +761,6 @@ Status GatewayClient::SubscribeAsync(const std::string& consumer,
   return SubscribeAsyncWithFormat(consumer, spec, xml ? "xml" : "");
 }
 
-Result<std::string> GatewayClient::SubscribeBatched(
-    const std::string& consumer, const FilterSpec& spec,
-    std::size_t batch_records) {
-  return SubscribeWithFormat(consumer, spec, BatchFormatLine(batch_records));
-}
-
 Status GatewayClient::SubscribeBatchedAsync(const std::string& consumer,
                                             const FilterSpec& spec,
                                             std::size_t batch_records) {
@@ -824,14 +800,6 @@ Result<ulm::FlatRecord> GatewayClient::Query(const std::string& event_glob,
   auto msg = WaitFor("gw.query.reply", timeout);
   if (!msg.ok()) return msg.status();
   return ulm::FlatRecord::FromAscii(msg->payload);
-}
-
-Result<std::string> GatewayClient::QueryXml(const std::string& event_glob,
-                                            Duration timeout) {
-  JAMM_RETURN_IF_ERROR(SendControl({"gw.query.xml", event_glob}));
-  auto msg = WaitFor("gw.xml", timeout);
-  if (!msg.ok()) return msg.status();
-  return msg->payload;
 }
 
 Result<SummaryData> GatewayClient::Summary(const std::string& event_name,

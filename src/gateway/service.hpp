@@ -235,16 +235,12 @@ class GatewayClient {
   explicit GatewayClient(Dialer dialer)
       : dialer_(std::move(dialer)), pending_events_(kDefaultPendingCap) {}
 
-  Status Authenticate(const std::string& principal);
-
-  /// ISSUE 10: authenticate with a prepared gw.auth payload (a cert
-  /// bundle or token line from the security layer). The payload is
+  /// Authenticate with a prepared gw.auth payload (a principal, or a
+  /// cert bundle or token line from the security layer). The payload is
   /// recorded and replayed verbatim on every reconnect, exactly like
-  /// subscription specs. On success token() holds any capability token
-  /// the gateway returned.
-  Status AuthenticateWith(const std::string& auth_payload);
-  /// Non-blocking variant for poll-driven callers: the gw.ok (carrying
-  /// the token) is adopted when it interleaves with the stream.
+  /// subscription specs. Non-blocking: the gw.ok (carrying any capability
+  /// token the gateway minted) is adopted when it interleaves with the
+  /// stream.
   Status AuthenticateWithAsync(const std::string& auth_payload);
 
   /// Capability token minted by the gateway at auth time ("" until the
@@ -285,9 +281,6 @@ class GatewayClient {
   /// NextEvent()/DrainEvents() decode them transparently, so the consumer
   /// API is unchanged — only the wire gets ~batch_records× fewer sends.
   /// `batch_records` 0 means the server default.
-  Result<std::string> SubscribeBatched(const std::string& consumer,
-                                       const FilterSpec& spec,
-                                       std::size_t batch_records = 0);
   Status SubscribeBatchedAsync(const std::string& consumer,
                                const FilterSpec& spec,
                                std::size_t batch_records = 0);
@@ -306,8 +299,6 @@ class GatewayClient {
 
   Result<ulm::FlatRecord> Query(const std::string& event_glob,
                                 Duration timeout = kSecond);
-  Result<std::string> QueryXml(const std::string& event_glob,
-                               Duration timeout = kSecond);
   Result<SummaryData> Summary(const std::string& event_name,
                               Duration timeout = kSecond);
 

@@ -30,7 +30,6 @@ class PortMonitor {
   const std::set<std::uint16_t>& ports() const { return ports_; }
 
   Duration idle_timeout() const { return idle_timeout_; }
-  void set_idle_timeout(Duration t) { idle_timeout_ = t; }
 
   /// Active = traffic observed within the idle window. A port that never
   /// saw traffic (stamp -1) is inactive.

@@ -85,13 +85,8 @@ std::size_t RpcServer::PollOnce() {
   while (true) {
     auto channel = listener_->Accept(0);
     if (!channel.ok()) break;
-    std::unique_ptr<transport::Channel> accepted = std::move(*channel);
-    if (channel_wrapper_) {
-      accepted = channel_wrapper_(std::move(accepted));
-      if (!accepted) continue;  // wrapper rejected the connection
-    }
-    connections_.push_back(std::shared_ptr<transport::Channel>(
-        std::move(accepted)));
+    connections_.push_back(
+        std::shared_ptr<transport::Channel>(std::move(*channel)));
   }
   auto& m = telemetry::Metrics();
   static telemetry::Counter& calls = m.counter("rpc.server.calls");
@@ -140,7 +135,6 @@ Result<std::string> RpcClient::Call(const std::string& object,
 
   resilience::Retryer retryer(
       policy_, clock_ ? *clock_ : SystemClock::Instance(), seed_);
-  if (retry_sleep_) retryer.set_sleep(retry_sleep_);
   Result<std::string> out = Status::Internal("rpc call never attempted");
   Status status = retryer.Run([&] {
     if (!channel_) {

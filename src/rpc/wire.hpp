@@ -29,20 +29,8 @@ Result<std::vector<std::string>> DecodeStrings(std::string_view data);
 
 class RpcServer {
  public:
-  /// Wraps each accepted channel before the server first reads from it
-  /// (ISSUE 10) — the hook security::SecureChannel plugs into without
-  /// rpc depending on the security module. Returning null rejects the
-  /// connection. Applied at accept time, so installs only affect future
-  /// connections.
-  using ChannelWrapper = std::function<std::unique_ptr<transport::Channel>(
-      std::unique_ptr<transport::Channel>)>;
-
   RpcServer(Registry& registry,
             std::unique_ptr<transport::Listener> listener);
-
-  void SetChannelWrapper(ChannelWrapper wrapper) {
-    channel_wrapper_ = std::move(wrapper);
-  }
 
   /// Accept pending connections, serve pending calls; returns calls
   /// served. Also runs the registry's idle-unload maintenance.
@@ -54,7 +42,6 @@ class RpcServer {
   Registry& registry_;
   std::unique_ptr<transport::Listener> listener_;
   std::string address_;
-  ChannelWrapper channel_wrapper_;
   std::vector<std::shared_ptr<transport::Channel>> connections_;
 };
 
@@ -86,11 +73,6 @@ class RpcClient {
                            const std::vector<std::string>& args = {},
                            Duration timeout = 5 * kSecond);
 
-  /// Replace how retry pauses are spent (tests: advance a SimClock).
-  void set_retry_sleep(resilience::Retryer::SleepFn sleep) {
-    retry_sleep_ = std::move(sleep);
-  }
-
  private:
   Result<std::string> CallOnce(const std::string& object,
                                const std::string& method,
@@ -102,7 +84,6 @@ class RpcClient {
   resilience::RetryPolicy policy_;
   const Clock* clock_ = nullptr;
   std::uint64_t seed_ = 1;
-  resilience::Retryer::SleepFn retry_sleep_;
 };
 
 }  // namespace jamm::rpc

@@ -1,15 +1,12 @@
 #include "transport/inproc.hpp"
 
-#include "transport/ring.hpp"
-
 namespace jamm::transport {
 namespace {
 
 // Each direction is a shared queue; Close() closes both so either side
 // observes shutdown.
 struct Pipe {
-  explicit Pipe(std::size_t capacity) : queue(capacity) {}
-  BoundedQueue<Message> queue;
+  BoundedQueue<Message> queue{kInProcChannelCapacity};
 };
 
 class InProcChannel final : public Channel {
@@ -74,9 +71,9 @@ class InProcChannel final : public Channel {
 }  // namespace
 
 std::pair<std::unique_ptr<Channel>, std::unique_ptr<Channel>> MakeChannelPair(
-    const std::string& name, std::size_t capacity) {
-  auto a_to_b = std::make_shared<Pipe>(capacity);
-  auto b_to_a = std::make_shared<Pipe>(capacity);
+    const std::string& name) {
+  auto a_to_b = std::make_shared<Pipe>();
+  auto b_to_a = std::make_shared<Pipe>();
   auto a = std::make_unique<InProcChannel>(a_to_b, b_to_a, "inproc:" + name);
   auto b = std::make_unique<InProcChannel>(b_to_a, a_to_b, "inproc:" + name);
   return {std::move(a), std::move(b)};
@@ -138,10 +135,7 @@ Result<std::unique_ptr<Channel>> InProcNetwork::Dial(const std::string& name) {
     }
     pending = it->second.pending;
   }
-  auto [client, server] =
-      opts_.ring_channels
-          ? MakeRingChannelPair(name, opts_.channel_capacity)
-          : MakeChannelPair(name, opts_.channel_capacity);
+  auto [client, server] = MakeChannelPair(name);
   if (!pending->TryPush(std::move(server))) {
     return Status::Unavailable("listener backlog full or closed: " + name);
   }

@@ -14,25 +14,16 @@
 
 namespace jamm::transport {
 
+/// Messages each direction of an in-process channel buffers before Send
+/// blocks and TrySend refuses.
+inline constexpr std::size_t kInProcChannelCapacity = 4096;
+
 /// A connected pair of channels; what one sends the other receives.
 std::pair<std::unique_ptr<Channel>, std::unique_ptr<Channel>> MakeChannelPair(
-    const std::string& name = "pair", std::size_t capacity = 4096);
+    const std::string& name = "pair");
 
 class InProcNetwork {
  public:
-  struct Options {
-    /// Back dialed connections with lock-free MPSC ring channels
-    /// (transport/ring.hpp) instead of mutex+condvar queues. Same
-    /// Channel semantics; no lock per message.
-    bool ring_channels = false;
-    /// Per-direction channel capacity (rounded up to a power of two
-    /// when ring_channels is set).
-    std::size_t channel_capacity = 4096;
-  };
-
-  InProcNetwork() = default;
-  explicit InProcNetwork(Options opts) : opts_(opts) {}
-
   /// Start accepting connections at `name` ("gateway.hostA", ...).
   Result<std::unique_ptr<Listener>> Listen(const std::string& name);
 
@@ -49,7 +40,6 @@ class InProcNetwork {
     std::shared_ptr<BoundedQueue<std::unique_ptr<Channel>>> pending;
   };
 
-  Options opts_;
   mutable std::mutex mu_;
   std::map<std::string, Endpoint> endpoints_;
 };

@@ -232,8 +232,9 @@ TEST(ChaosTest, SlowConsumerStaysBoundedUnderChaos) {
   ASSERT_EQ(reply->type, "gw.ok");
 
   // The consumer drains only while its seeded schedule says it is healthy;
-  // its long sick segments overflow first the transport buffer (4096
-  // messages), then the bounded queue — where the protection kicks in.
+  // its long sick segments overflow first the transport buffer
+  // (transport::kInProcChannelCapacity messages), then the bounded queue —
+  // where the protection kicks in.
   resilience::CrashSchedule consumer_schedule(/*seed=*/3, 4 * kSecond,
                                               30 * kSecond);
   std::uint64_t published = 0;

@@ -888,10 +888,11 @@ TEST(GatewayServiceTest, BadBatchFormatRejected) {
 
 // ------------------------------------------- slow-consumer protection
 
-// The in-proc transport buffers 4096 messages per direction; a consumer
-// that never drains fills it, after which the subscription's bounded
-// outbound queue takes over (ISSUE 4).
-constexpr int kTransportCap = 4096;
+// The in-proc transport buffers kInProcChannelCapacity messages per
+// direction; a consumer that never drains fills it, after which the
+// subscription's bounded outbound queue takes over.
+constexpr int kTransportCap =
+    static_cast<int>(transport::kInProcChannelCapacity);
 
 TEST(GatewayServiceTest, SlowConsumerDropOldestBoundsQueueExactly) {
   ServiceHarness h;

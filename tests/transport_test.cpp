@@ -19,7 +19,6 @@
 #include "transport/inproc.hpp"
 #include "transport/message.hpp"
 #include "transport/net_sink.hpp"
-#include "transport/ring.hpp"
 #include "transport/tcp.hpp"
 
 namespace jamm::transport {
@@ -141,6 +140,34 @@ TEST(InProcTest, CloseMakesPeerUnavailable) {
   EXPECT_FALSE(a->IsOpen());
 }
 
+// GatewayService::SendOrQueue relies on TrySend refusing, not blocking,
+// once a slow consumer's direction holds kInProcChannelCapacity messages.
+TEST(InProcTest, TrySendRefusesAtCapacityUntilDrained) {
+  auto [a, b] = MakeChannelPair();
+  for (std::size_t i = 0; i < kInProcChannelCapacity; ++i) {
+    auto sent = a->TrySend({"n", std::to_string(i)});
+    ASSERT_TRUE(sent.ok() && *sent) << i;
+  }
+  auto full = a->TrySend({"n", "over"});
+  ASSERT_TRUE(full.ok());
+  EXPECT_FALSE(*full);
+
+  auto first = b->TryReceive();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->payload, "0");
+  auto one_more = a->TrySend({"n", "refill"});
+  ASSERT_TRUE(one_more.ok());
+  EXPECT_TRUE(*one_more);
+  auto full_again = a->TrySend({"n", "over"});
+  ASSERT_TRUE(full_again.ok());
+  EXPECT_FALSE(*full_again);
+
+  a->Close();
+  auto closed = a->TrySend({"n", "late"});
+  ASSERT_FALSE(closed.ok());
+  EXPECT_EQ(closed.status().code(), StatusCode::kUnavailable);
+}
+
 TEST(InProcTest, NetworkDialAndAccept) {
   InProcNetwork net;
   auto listener = net.Listen("gateway.hostA");
@@ -214,115 +241,6 @@ TEST(InProcTest, CloseSendHalfClosesAndPeerIsOpenSeesIt) {
   // The b→a direction was never closed and still delivers.
   ASSERT_TRUE(b->Send({"back", "x"}).ok());
   EXPECT_EQ(a->Receive(kSecond)->type, "back");
-}
-
-// -------------------------------------------------------------------- ring
-
-TEST(RingTest, PairDeliversBothDirectionsInOrder) {
-  auto [a, b] = MakeRingChannelPair();
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(a->Send({"n", std::to_string(i)}).ok());
-  }
-  for (int i = 0; i < 100; ++i) {
-    auto msg = b->Receive(kSecond);
-    ASSERT_TRUE(msg.ok());
-    EXPECT_EQ(msg->payload, std::to_string(i));
-  }
-  ASSERT_TRUE(b->Send({"pong", ""}).ok());
-  EXPECT_EQ(a->Receive(kSecond)->type, "pong");
-}
-
-TEST(RingTest, TryReceiveNonBlockingAndTimeout) {
-  auto [a, b] = MakeRingChannelPair();
-  EXPECT_FALSE(b->TryReceive().has_value());
-  auto timed = b->Receive(5 * kMillisecond);
-  ASSERT_FALSE(timed.ok());
-  EXPECT_EQ(timed.status().code(), StatusCode::kTimeout);
-  (void)a->Send({"x", ""});
-  auto msg = b->TryReceive();
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->type, "x");
-}
-
-TEST(RingTest, CloseSemanticsMatchInProc) {
-  auto [a, b] = MakeRingChannelPair();
-  ASSERT_TRUE(a->Send({"n", "1"}).ok());
-  a->CloseSend();
-  EXPECT_FALSE(a->IsOpen());
-  EXPECT_FALSE(b->IsOpen());  // S4 contract holds for rings too
-  EXPECT_FALSE(a->Send({"n", "2"}).ok());
-  EXPECT_EQ(b->Receive(kSecond)->payload, "1");  // drain after close
-  EXPECT_EQ(b->Receive(5 * kMillisecond).status().code(),
-            StatusCode::kUnavailable);
-  ASSERT_TRUE(b->Send({"back", ""}).ok());  // return path unaffected
-  EXPECT_EQ(a->Receive(kSecond)->type, "back");
-  b->Close();
-  EXPECT_FALSE(b->IsOpen());
-}
-
-TEST(RingTest, BlockingSendSurvivesTinyCapacity) {
-  // Capacity rounds up to a power of two; 2 slots force the producer into
-  // the spin/yield/sleep backoff while the consumer drains.
-  auto [a, b] = MakeRingChannelPair("tiny", 2);
-  constexpr int kCount = 1000;
-  std::thread producer([&a = a] {
-    for (int i = 0; i < kCount; ++i) {
-      ASSERT_TRUE(a->Send({"n", std::to_string(i)}).ok());
-    }
-  });
-  for (int i = 0; i < kCount; ++i) {
-    auto msg = b->Receive(5 * kSecond);
-    ASSERT_TRUE(msg.ok()) << i;
-    EXPECT_EQ(msg->payload, std::to_string(i));
-  }
-  producer.join();
-}
-
-TEST(RingTest, MultiProducerSingleConsumerKeepsPerProducerOrder) {
-  auto [a, b] = MakeRingChannelPair("mpsc", 64);
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 2000;
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&a = a, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(
-            a->Send({std::to_string(p), std::to_string(i)}).ok());
-      }
-    });
-  }
-  // The single consumer sees an interleaving, but each producer's stream
-  // stays FIFO (the CAS claims slots in that producer's program order).
-  std::vector<int> next(kProducers, 0);
-  for (int n = 0; n < kProducers * kPerProducer; ++n) {
-    auto msg = b->Receive(5 * kSecond);
-    ASSERT_TRUE(msg.ok()) << n;
-    const int p = std::stoi(msg->type);
-    EXPECT_EQ(std::stoi(msg->payload), next[static_cast<std::size_t>(p)]);
-    ++next[static_cast<std::size_t>(p)];
-  }
-  for (auto& t : producers) t.join();
-  for (int p = 0; p < kProducers; ++p) {
-    EXPECT_EQ(next[static_cast<std::size_t>(p)], kPerProducer);
-  }
-}
-
-TEST(RingTest, NetworkOptionBacksDialedChannelsWithRings) {
-  InProcNetwork net(InProcNetwork::Options{/*ring_channels=*/true,
-                                           /*channel_capacity=*/128});
-  auto listener = net.Listen("gw");
-  ASSERT_TRUE(listener.ok());
-  auto client = net.Dial("gw");
-  ASSERT_TRUE(client.ok());
-  auto server = (*listener)->Accept(kSecond);
-  ASSERT_TRUE(server.ok());
-  ASSERT_TRUE((*client)->Send({"subscribe", "cpu"}).ok());
-  auto msg = (*server)->Receive(kSecond);
-  ASSERT_TRUE(msg.ok());
-  EXPECT_EQ(msg->payload, "cpu");
-  ASSERT_TRUE((*server)->Send({"event", "DATE=..."}).ok());
-  EXPECT_EQ((*client)->Receive(kSecond)->type, "event");
 }
 
 // --------------------------------------------------------------------- tcp
@@ -463,9 +381,8 @@ void PrintTo(const PollTransport& transport, std::ostream* os) {
   *os << transport.name;
 }
 
-PollEndpoint OpenInProc(bool ring_channels) {
-  auto net = std::make_shared<InProcNetwork>(
-      InProcNetwork::Options{ring_channels, /*channel_capacity=*/64});
+PollEndpoint OpenInProc() {
+  auto net = std::make_shared<InProcNetwork>();
   auto listener = net->Listen("poll");
   return {std::move(*listener), [net] { return net->Dial("poll"); }};
 }
@@ -489,7 +406,7 @@ PollEndpoint OpenSecureInProc() {
     opts.trusted_roots = {ca.ca_certificate()};
     return opts;
   };
-  PollEndpoint inner = OpenInProc(/*ring_channels=*/false);
+  PollEndpoint inner = OpenInProc();
   return {std::make_unique<security::SecureListener>(
               std::move(inner.listener), options("/CN=gateway")),
           security::MakeSecureDialer(std::move(inner.dial),
@@ -588,8 +505,7 @@ TEST_P(PollContractTest, IdlePollsDoNotWait) {
 INSTANTIATE_TEST_SUITE_P(
     Transports, PollContractTest,
     ::testing::Values(
-        PollTransport{"InProcQueue", [] { return OpenInProc(false); }},
-        PollTransport{"InProcRing", [] { return OpenInProc(true); }},
+        PollTransport{"InProcQueue", OpenInProc},
         PollTransport{"Tcp", OpenTcp, 20 * kMillisecond},
         PollTransport{"SecureInProc", OpenSecureInProc}),
     [](const ::testing::TestParamInfo<PollTransport>& info) {
